@@ -33,7 +33,7 @@ from .netlist import (
     ModelCard,
     SourceWaveform,
 )
-from .solver import SolverConfig, dc_operating_point
+from .solver import SolverConfig, _Compiled, _solve_dc
 
 DEFAULT_INPUT_CAP = 1e-15
 DEFAULT_LOAD_CAP = 1e-15
@@ -247,17 +247,21 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
                                 cfg: SolverConfig | None = None) -> float:
     """DC-sweep switching threshold: input level where the output crosses vdd/2.
 
-    Bisection on the (monotone) transfer curve of a bare inverter.
+    Bisection on the (monotone) transfer curve of a bare inverter,
+    compiled once; each step overrides the input source's level.
     """
     cfg = cfg or SolverConfig()
     b = _Builder()
     b.vdc("vvdd", "vdd", "0", vdd)
     b.vdc("vin", "in", "0", 0.0)
     b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-    base = b.circuit()
+    comp = _Compiled(b.circuit())
+    vin_branch = [el.name for el in comp.sources].index("vin")
+    out = comp.node_index["out"]
 
     def vout(vin: float) -> float:
-        return dc_operating_point(base.with_dc_source("vin", vin), cfg)["out"]
+        x, _ = _solve_dc(comp, cfg, src_overrides={vin_branch: vin})
+        return float(x[out])
 
     lo_in, hi_in = 0.0, vdd
     if not (vout(lo_in) > vdd / 2 > vout(hi_in)):

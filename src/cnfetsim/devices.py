@@ -174,42 +174,42 @@ class MosfetParams:
             raise DeviceError("channel_length_modulation must be >= 0")
 
 
-def _square_law(k: float, vth: float, lam: float, vgs: float, vds: float) -> tuple[float, float, float]:
-    """Forward N-type square law, valid for vds >= 0.
-
-    Returns (id, gm, gds).  The (1 + lam*vds) factor applies in triode
-    and saturation alike, which keeps the current C1 across the region
-    boundary; scaling saturation only would leave a jump of
-    lam*vds*i_sat there, and Newton limit-cycles on such a kink.
-    """
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
-    scale = 1.0 + lam * vds
-    if vds < vov:
-        base = k * (vov * vds - 0.5 * vds * vds)
-        return base * scale, k * vds * scale, k * (vov - vds) * scale + base * lam
-    i_sat = 0.5 * k * vov * vov
-    return i_sat * scale, k * vov * scale, i_sat * lam
-
-
-def _drain_current_n(k: float, vth: float, lam: float, vgs: float, vds: float) -> tuple[float, float, float]:
-    """N-type current with drain/source symmetry for vds < 0."""
-    if vds >= 0.0:
-        return _square_law(k, vth, lam, vgs, vds)
-    # Reversed conduction: roles of drain and source swap.
-    i, gm, gds = _square_law(k, vth, lam, vgs - vds, -vds)
-    return -i, -gm, gm + gds
-
-
 def _drain_current(
     polarity: Polarity, k: float, vth: float, lam: float, vgs: float, vds: float
 ) -> tuple[float, float, float]:
-    if polarity is Polarity.N:
-        return _drain_current_n(k, vth, lam, vgs, vds)
-    # P device mirrors the N math; conductances keep their sign.
-    i, gm, gds = _drain_current_n(k, vth, lam, -vgs, -vds)
-    return -i, gm, gds
+    """(id, dId/dvgs, dId/dvds) of the three-region square law.
+
+    A P device mirrors the N math (conductances keep their sign), and
+    vds < 0 swaps the roles of drain and source, so pass transistors
+    conduct either way.  The (1 + lam*vds) factor applies in triode and
+    saturation alike, which keeps the current C1 across the region
+    boundary; scaling saturation only would leave a jump of
+    lam*vds*i_sat there, and Newton limit-cycles on such a kink.  The
+    solver calls this once per transistor per Newton iterate, so it is
+    one flat function.
+    """
+    mirrored = polarity is Polarity.P
+    if mirrored:
+        vgs, vds = -vgs, -vds
+    reversed_ = vds < 0.0
+    if reversed_:
+        vgs, vds = vgs - vds, -vds
+    vov = vgs - vth
+    if vov <= 0.0:
+        i, gm, gds = 0.0, 0.0, 0.0
+    elif vds < vov:
+        scale = 1.0 + lam * vds
+        base = k * (vov * vds - 0.5 * vds * vds)
+        i, gm, gds = base * scale, k * vds * scale, k * (vov - vds) * scale + base * lam
+    else:
+        scale = 1.0 + lam * vds
+        i_sat = 0.5 * k * vov * vov
+        i, gm, gds = i_sat * scale, k * vov * scale, i_sat * lam
+    if reversed_:
+        i, gm, gds = -i, -gm, gm + gds
+    if mirrored:
+        i = -i
+    return i, gm, gds
 
 
 def cnfet_current_and_derivs(p: CnfetParams, vgs: float, vds: float) -> tuple[float, float, float]:

@@ -14,6 +14,18 @@ a single backward-Euler startup step, using capacitor companion models.
 The linear solve is dense LU with partial pivoting; benchmark circuits
 stay under a hundred nodes, so sparse machinery would be dead weight.
 
+Assembly works on a ground-padded system: the base matrix, residual,
+solution and per-node scale carry one trailing entry whose row and
+column stand for ground (node index -1), so no stamp branches on a
+grounded terminal.  Each Newton iterate evaluates every transistor once
+and applies the six Jacobian and two current values per device with one
+np.add.at each, through flat indices built at compile time in
+device-major, stamp-minor order; every entry is therefore summed in the
+order a scalar stamping loop would use, and results match it bit for
+bit.  Device stamps depend on x alone, and a transient step's first
+iterate is the previous step's solution, so the stamps evaluated there
+are carried into the next step instead of being recomputed.
+
 One run is single-threaded and deterministic.  Circuits are immutable,
 so independent runs parallelize trivially if a caller wants that.
 """
@@ -31,6 +43,15 @@ from .netlist import GROUND, Circuit, Element, ElementKind, NetlistError
 
 GMIN_STEP_CEILING = 1.0e-3
 
+# Pass bound of the floating-node fixed point, far above the 10 passes
+# the slowest benchmark design (CNT-FA3, contracting about 0.24 per
+# pass) needs; a sequence whose update stops shrinking fails sooner.
+FLOATING_INIT_MAX_PASSES = 100
+
+# Device stamps of one Newton iterate: six Jacobian values and two
+# currents per transistor, in _Compiled.dev_jac / dev_rows order.
+_Stamps = tuple[list[float], list[float]]
+
 
 class Integration(Enum):
     BACKWARD_EULER = "backward_euler"
@@ -38,13 +59,20 @@ class Integration(Enum):
 
 
 class ConvergenceError(Exception):
-    """Newton iteration failed; carries the last residual and the timestamp."""
+    """Newton iteration failed; carries the last residual, its row and the timestamp.
 
-    def __init__(self, message: str, residual: float = math.nan, time: float | None = None):
+    `node` names the row with the worst final residual: a node name, or
+    "i(<source>)" for a voltage source's branch row.
+    """
+
+    def __init__(self, message: str, residual: float = math.nan, time: float | None = None,
+                 node: str | None = None):
         self.residual = residual
         self.time = time
+        self.node = node
         at = "" if time is None else f" at t={time:.6g}s"
-        super().__init__(f"{message}{at} (last residual {residual:.3e} A)")
+        where = "" if node is None else f" at {node!r}"
+        super().__init__(f"{message}{at} (last residual {residual:.3e} A{where})")
 
 
 class IllConditionedDividerError(Exception):
@@ -145,11 +173,12 @@ class _Compiled:
         self._build_arrays()
 
     def _build_arrays(self) -> None:
-        """Index arrays for the vectorized residual/scale assembly.
+        """Index arrays for the residual, scale and device-stamp scatters.
 
-        Ground (-1) is handled with a padded solution vector whose last
-        entry is pinned to zero, so negative indices need no branches in
-        the hot loop.
+        Every vector and matrix the solver assembles carries one trailing
+        ground entry (row and column for the Jacobian), so a ground index
+        (-1) lands there and needs no branch; the solution's ground entry
+        stays zero and the rest of that padding is never read.
         """
         res_i = [i for i, _, _ in self.resistors]
         res_j = [j for _, j, _ in self.resistors]
@@ -161,41 +190,43 @@ class _Compiled:
         self.cap_i = np.array(cap_i, dtype=np.intp)
         self.cap_j = np.array(cap_j, dtype=np.intp)
         self.cap_c = np.array([c for _, _, c in self.capacitors])
-        self.src_p = np.array(
-            [self.node_index[el.terminals[0]] for el in self.sources], dtype=np.intp
-        )
-        self.src_m = np.array(
-            [self.node_index[el.terminals[1]] for el in self.sources], dtype=np.intp
-        )
         self.n_res = len(self.resistors)
         self.n_cap = len(self.capacitors)
         self.n_src = len(self.sources)
-        # Branch-current vector layout: resistors, capacitors, sources.
-        # scale_node[k] takes max(|current[scale_branch[k]]|).
-        nodes: list[int] = []
-        branches: list[int] = []
-        for b, (i, j) in enumerate(zip(res_i + cap_i, res_j + cap_j)):
-            for t in (i, j):
-                if t >= 0:
-                    nodes.append(t)
-                    branches.append(b)
-        for b, el in enumerate(self.sources):
-            for t in el.terminals:
-                t_idx = self.node_index[t]
-                if t_idx >= 0:
-                    nodes.append(t_idx)
-                    branches.append(self.n_res + self.n_cap + b)
-        self.scale_node = np.array(nodes, dtype=np.intp)
-        self.scale_branch = np.array(branches, dtype=np.intp)
+        self.n_branch = self.n_res + self.n_cap + self.n_src
+        # Device stamps, device-major and in the order the scalar loop
+        # applied them, so np.add.at sums every entry in that order: drain
+        # row (d, g, s), then source row (s, d, g) of the padded Jacobian,
+        # and the drain current into d then out of s.
+        w = self.size + 1
+        jac_idx: list[int] = []
+        dev_rows: list[int] = []
+        for d, g, s, *_ in self.devices:
+            dev_rows += (d, s)
+            d, g, s = d % w, g % w, s % w
+            jac_idx += (d * w + d, d * w + g, d * w + s, s * w + s, s * w + d, s * w + g)
+        self.dev_jac = np.array(jac_idx, dtype=np.intp)
+        self.dev_rows = np.array(dev_rows, dtype=np.intp)
+        # Current vector layout: resistors, capacitors, sources, then the
+        # two device stamps.  scale_node[k] takes max(|current[scale_branch[k]]|).
+        ends_i = res_i + cap_i + [self.node_index[el.terminals[0]] for el in self.sources]
+        ends_j = res_j + cap_j + [self.node_index[el.terminals[1]] for el in self.sources]
+        branches = list(range(self.n_branch))
+        self.n_currents = self.n_branch + len(dev_rows)
+        self.scale_node = np.array(ends_i + ends_j + dev_rows, dtype=np.intp)
+        self.scale_branch = np.array(
+            branches + branches + list(range(self.n_branch, self.n_currents)), dtype=np.intp
+        )
 
     def base_matrix(self, gmin: float, cap_geq: float | None) -> np.ndarray:
         """Constant part of the Jacobian: resistors, gmin, sources, companions.
 
         cap_geq is the companion conductance multiplier applied to each
         capacitance (1/h for backward Euler, 2/h for trapezoidal); None
-        opens the capacitors (DC analysis).
+        opens the capacitors (DC analysis).  The matrix is (size+1)^2: the
+        last row and column stand for ground.
         """
-        g = np.zeros((self.size, self.size))
+        g = np.zeros((self.size + 1, self.size + 1))
         for i in range(self.n_nodes):
             g[i, i] += gmin
         for i, j, cond in self.resistors:
@@ -206,12 +237,10 @@ class _Compiled:
         for b, el in enumerate(self.sources):
             row = self.n_nodes + b
             p, m = self.node_index[el.terminals[0]], self.node_index[el.terminals[1]]
-            if p >= 0:
-                g[p, row] += 1.0
-                g[row, p] += 1.0
-            if m >= 0:
-                g[m, row] -= 1.0
-                g[row, m] -= 1.0
+            g[p, row] += 1.0
+            g[row, p] += 1.0
+            g[m, row] -= 1.0
+            g[row, m] -= 1.0
         return g
 
 
@@ -223,7 +252,7 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     chasing a residual floor it can never reach.  Scaling each row to
     unit max restores the lost accuracy; the refinement step mops up.
     """
-    r = np.max(np.abs(jac), axis=1)
+    r = np.abs(jac).max(axis=1)
     r[r == 0.0] = 1.0
     scaled = jac / r[:, None]
     dx = np.linalg.solve(scaled, rhs / r)
@@ -254,13 +283,10 @@ def _voltage_box(comp: _Compiled) -> tuple[float, float]:
 
 
 def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
-    if i >= 0:
-        g[i, i] += cond
-    if j >= 0:
-        g[j, j] += cond
-    if i >= 0 and j >= 0:
-        g[i, j] -= cond
-        g[j, i] -= cond
+    g[i, i] += cond
+    g[j, j] += cond
+    g[i, j] -= cond
+    g[j, i] -= cond
 
 
 class _Newton:
@@ -269,7 +295,8 @@ class _Newton:
     The residual is F(x) = base @ x + const + device currents; `const`
     holds -V(t) in source rows and capacitor companion history currents
     in node rows.  Pinned rows replace a node's KCL equation with
-    v_node = value (used by the floating-node initializer).
+    v_node = value (used by the floating-node initializer).  Vectors and
+    matrices are ground-padded (see _Compiled._build_arrays).
     """
 
     def __init__(self, comp: _Compiled, cfg: SolverConfig, base: np.ndarray,
@@ -277,60 +304,58 @@ class _Newton:
         self.comp = comp
         self.cfg = cfg
         self.base = base
+        self.base_core = base[: comp.size, : comp.size]
         self.pinned = pinned or []
         self.pinned_rows = [row for row, _ in self.pinned]
         self.v_lo, self.v_hi = _voltage_box(comp)
 
-    def _assemble(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _assemble(self, x_pad: np.ndarray, stamps: _Stamps | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Stamps]:
+        """Padded residual and Jacobian, per-node scale and the device stamps.
+
+        `stamps` are device stamps already evaluated at this x_pad; device
+        stamps depend on x alone, so a caller may carry them between
+        solves.
+        """
         comp = self.comp
-        nn = comp.n_nodes
-        f = self.base @ x + self.const
+        nn, size, nb = comp.n_nodes, comp.size, comp.n_branch
+        x = x_pad[:size]
+        f = self.const.copy()
+        f[:size] += self.base_core @ x
         jac = self.base.copy()
 
-        # Branch currents (resistors, capacitors, sources) feed the
-        # per-node tolerance scale; x_pad[-1] stands in for ground.
-        x_pad = np.append(x, 0.0)
-        currents = np.empty(comp.n_res + comp.n_cap + comp.n_src)
+        # Branch currents (resistors, capacitors, sources) and the device
+        # stamps feed the per-node tolerance scale.
+        currents = np.empty(comp.n_currents)
         currents[: comp.n_res] = comp.res_g * (x_pad[comp.res_i] - x_pad[comp.res_j])
         geq, hist = self.cap_companion
         currents[comp.n_res: comp.n_res + comp.n_cap] = (
             geq * (x_pad[comp.cap_i] - x_pad[comp.cap_j]) + hist
         )
-        currents[comp.n_res + comp.n_cap:] = x[nn:]
-        scale = np.zeros(nn)
-        np.maximum.at(scale, comp.scale_node, np.abs(currents[comp.scale_branch]))
+        currents[comp.n_res + comp.n_cap: nb] = x[nn:]
 
         if comp.has_devices:
-            xl = x.tolist()
-            xl.append(0.0)  # ground sentinel at index -1
-            for d, g_, s, pol, k, vth, lam in comp.devices:
-                vs = xl[s]
-                i_ds, gm, gds = _drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
-                a_i = abs(i_ds)
-                if d >= 0:
-                    f[d] += i_ds
-                    jac[d, d] += gds
-                    if g_ >= 0:
-                        jac[d, g_] += gm
-                    if s >= 0:
-                        jac[d, s] -= gm + gds
-                    if a_i > scale[d]:
-                        scale[d] = a_i
-                if s >= 0:
-                    f[s] -= i_ds
-                    jac[s, s] += gm + gds
-                    if d >= 0:
-                        jac[s, d] -= gds
-                    if g_ >= 0:
-                        jac[s, g_] -= gm
-                    if a_i > scale[s]:
-                        scale[s] = a_i
+            if stamps is None:
+                xl = x_pad.tolist()
+                jac_vals: list[float] = []
+                cur_vals: list[float] = []
+                for d, g_, s, pol, k, vth, lam in comp.devices:
+                    vs = xl[s]
+                    i_ds, gm, gds = _drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
+                    jac_vals += (gds, gm, -(gm + gds), gm + gds, -gds, -gm)
+                    cur_vals += (i_ds, -i_ds)
+                stamps = (jac_vals, cur_vals)
+            currents[nb:] = stamps[1]
+            np.add.at(jac.ravel(), comp.dev_jac, stamps[0])
+            np.add.at(f, comp.dev_rows, currents[nb:])
+        scale = np.zeros(nn + 1)
+        np.maximum.at(scale, comp.scale_node, np.abs(currents[comp.scale_branch]))
 
         for row, value in self.pinned:
             f[row] = x[row] - value
             jac[row, :] = 0.0
             jac[row, row] = 1.0
-        return f, jac, scale
+        return f, jac, scale[:nn], stamps
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
         cfg = self.cfg
@@ -342,14 +367,18 @@ class _Newton:
                 if abs(f[row]) > cfg.vtol:
                     return False
                 node_res[row] = 0.0
-        if np.any(node_res > node_tol):
+        if (node_res > node_tol).any():
             return False
-        return bool(np.all(np.abs(f[n:]) <= cfg.vtol))
+        return bool((np.abs(f[n: self.comp.size]) <= cfg.vtol).all())
 
     def solve(self, x0: np.ndarray, const: np.ndarray,
-              cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None
-              ) -> tuple[np.ndarray, int]:
-        """Returns (solution, iterations); iterations counts linear solves.
+              cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None,
+              stamps: _Stamps | None = None) -> tuple[np.ndarray, int, _Stamps]:
+        """Returns (solution, iterations, device stamps at the solution).
+
+        Iterations counts linear solves.  `const` is ground-padded;
+        `stamps`, if given, are the device stamps at x0 (the previous
+        solve's third result when x0 is its solution).
 
         Nonlinear steps are safeguarded by a per-component voltage clamp
         plus cumulative damping of direction-reversing components; a
@@ -359,22 +388,21 @@ class _Newton:
         self.const = const
         self.cap_companion = cap_companion
         cfg = self.cfg
-        nn = self.comp.n_nodes
-        x = x0.copy()
+        nn, size = self.comp.n_nodes, self.comp.size
+        x_pad = np.append(x0, 0.0)
+        x = x_pad[:size]
         prev_dx: np.ndarray | None = None
-        damp = np.ones(self.comp.size)
-        residual = math.inf
+        damp = np.ones(size)
         for it in range(cfg.max_newton_iters + 1):
-            f, jac, scale = self._assemble(x)
-            residual = float(np.max(np.abs(f))) if len(f) else 0.0
+            f, jac, scale, stamps = self._assemble(x_pad, stamps if it == 0 else None)
             if self._converged(f, scale):
-                return x, it
+                return x, it, stamps
             if it == cfg.max_newton_iters:
                 break
             try:
-                dx = _lin_solve(jac, -f)
+                dx = _lin_solve(jac[:size, :size], -f[:size])
             except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"singular MNA matrix: {exc}", residual, time) from exc
+                raise self._failure(f"singular MNA matrix: {exc}", f, time) from exc
             if self.comp.has_devices:
                 # An inverter output on its vertical transfer segment (both
                 # devices saturated, gmin-only diagonal) legitimately asks
@@ -387,21 +415,31 @@ class _Newton:
                 # jam), while monotone region walks keep full speed.
                 np.clip(dx[:nn], -cfg.max_voltage_step, cfg.max_voltage_step, out=dx[:nn])
                 if prev_dx is not None:
-                    flipped = dx * prev_dx < 0.0
-                    damp[flipped] = np.maximum(damp[flipped] * 0.5, 1.0 / 256.0)
-                    damp[~flipped] = np.minimum(damp[~flipped] * 2.0, 1.0)
-                prev_dx = dx.copy()
+                    damp = np.where(dx * prev_dx < 0.0, np.maximum(damp * 0.5, 1.0 / 256.0),
+                                    np.minimum(damp * 2.0, 1.0))
+                prev_dx = dx
                 x += damp * dx
                 np.clip(x[:nn], self.v_lo, self.v_hi, out=x[:nn])
             else:
                 x += dx
-        raise ConvergenceError(
-            f"Newton failed after {cfg.max_newton_iters} iterations", residual, time
-        )
+        raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, time)
+
+    def _failure(self, message: str, f: np.ndarray, time: float | None) -> ConvergenceError:
+        """The error for residual f, naming its worst row (node or source branch)."""
+        comp = self.comp
+        if not comp.size:
+            return ConvergenceError(message, 0.0, time)
+        res = np.abs(f[: comp.size])
+        row = int(res.argmax())
+        if row < comp.n_nodes:
+            node = comp.node_names[row]
+        else:
+            node = f"i({comp.sources[row - comp.n_nodes].name})"
+        return ConvergenceError(message, float(res[row]), time, node)
 
 
 def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
-    const = np.zeros(comp.size)
+    const = np.zeros(comp.size + 1)
     for b, v in enumerate(values):
         const[comp.n_nodes + b] = -v
     return const
@@ -422,7 +460,8 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig, t: float = 0.0,
 
     def attempt(gmin: float, guess: np.ndarray) -> tuple[np.ndarray, int]:
         newton = _Newton(comp, cfg, comp.base_matrix(gmin, None), pinned)
-        return newton.solve(guess, const, no_caps)
+        x, iters, _ = newton.solve(guess, const, no_caps)
+        return x, iters
 
     try:
         return attempt(cfg.gmin, x0)
@@ -450,13 +489,13 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig, t: float = 0.0,
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"gmin stepping stalled while re-tightening at gmin={g:.1e} S",
-                    exc.residual,
+                    exc.residual, node=exc.node,
                 ) from exc
         try:
             return attempt(cfg.gmin, x)
         except ConvergenceError as exc:
             raise ConvergenceError(
-                "gmin stepping converged only with relaxed gmin", exc.residual
+                "gmin stepping converged only with relaxed gmin", exc.residual, node=exc.node
             ) from exc
 
 
@@ -578,8 +617,9 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
     operating point computed with those nodes pinned.  Because a divider
     may hang off a gate output that itself depends on another divider,
     the pin/solve cycle iterates to a fixed point (feed-forward ladders
-    settle in one pass per stage; designs with capacitive feedback take
-    a couple more).
+    settle in one pass per stage; designs with capacitive feedback
+    contract geometrically and take more).  Raises ConvergenceError when
+    an update fails to shrink or FLOATING_INIT_MAX_PASSES pass.
     """
     cfg = cfg or SolverConfig()
     comp = _Compiled(circuit)
@@ -605,9 +645,11 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
                 levels[idx] = float(v)
 
     floating = _floating_nodes(comp)
+    tol = max(cfg.vtol, 1e-9)
     values: dict[int, float] = {}
     x = None
-    for _ in range(len(floating) + 3):
+    last_update = math.inf
+    for _ in range(FLOATING_INIT_MAX_PASSES):
         pins = [(idx, v) for idx, v in {**values, **levels}.items()]
         x, _ = _solve_dc(comp, cfg, pinned=pins, initial_guess=x, src_overrides=src_overrides)
         if not floating:
@@ -615,9 +657,18 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
         known = {i: float(x[i]) for i in range(comp.n_nodes)}
         known.update(levels)
         new_values = _charge_share(comp, floating, known)
-        if values and max(abs(new_values[n] - values[n]) for n in floating) <= max(cfg.vtol, 1e-9):
-            values = new_values
-            break
+        if values:
+            worst = max(floating, key=lambda n: abs(new_values[n] - values[n]))
+            update = abs(new_values[worst] - values[worst])
+            if update <= tol:
+                values = new_values
+                break
+            if update >= last_update:
+                raise ConvergenceError(
+                    f"floating-node initialization stalled (update {update:.3e} V "
+                    f"after {last_update:.3e} V)", node=comp.node_names[worst],
+                )
+            last_update = update
         values = new_values
     else:
         raise ConvergenceError("floating-node initialization did not reach a fixed point")
@@ -703,39 +754,45 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             base_cache[key] = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, geq_mult))
         return base_cache[key]
 
-    cap_i_valid = comp.cap_i >= 0
-    cap_j_valid = comp.cap_j >= 0
-
-    def step(x_in, v_state, i_state, src_vals, t_new, h, method):
+    def step(x_in, v_state, i_state, src_vals, t_new, h, method, stamps):
         geq_mult = (1.0 / h) if method is Integration.BACKWARD_EULER else (2.0 / h)
         geq = geq_mult * comp.cap_c
         if method is Integration.BACKWARD_EULER:
             hist = -geq * v_state
         else:
             hist = -geq * v_state - i_state
-        const = np.zeros(comp.size)
-        const[comp.n_nodes:] = -src_vals
-        np.add.at(const, comp.cap_i[cap_i_valid], hist[cap_i_valid])
-        np.subtract.at(const, comp.cap_j[cap_j_valid], hist[cap_j_valid])
-        x_new, _ = newton_for(method, h).solve(x_in, const, (geq, hist), time=t_new)
+        const = np.zeros(comp.size + 1)
+        const[comp.n_nodes: comp.size] = -src_vals
+        np.add.at(const, comp.cap_i, hist)
+        np.subtract.at(const, comp.cap_j, hist)
+        x_new, _, stamps = newton_for(method, h).solve(
+            x_in, const, (geq, hist), time=t_new, stamps=stamps
+        )
         xp = np.append(x_new, 0.0)
         v_new = xp[comp.cap_i] - xp[comp.cap_j]
-        return x_new, v_new, geq * v_new + hist
+        return x_new, v_new, geq * v_new + hist, stamps
 
+    # A step's first Newton iterate is the previous step's solution, so the
+    # device stamps evaluated there are carried in rather than recomputed.
+    stamps = None
     for k in range(nsteps):
         t0, t1 = times[k], times[k + 1]
         h = t1 - t0
         method = Integration.BACKWARD_EULER if k == 0 else cfg.integration
         try:
-            x, cap_v, cap_i_state = step(x, cap_v, cap_i_state, src_grid[:, k + 1], t1, h, method)
+            x, cap_v, cap_i_state, stamps = step(
+                x, cap_v, cap_i_state, src_grid[:, k + 1], t1, h, method, stamps
+            )
         except ConvergenceError:
             # One rejection allowed: attempt the step as two half steps.
             src_mid = np.array([
                 el.waveform.value_at(t0 + h / 2) for el in comp.sources  # type: ignore[union-attr]
             ])
-            x_mid, v_mid, i_mid = step(x, cap_v, cap_i_state, src_mid, t0 + h / 2, h / 2, method)
-            x, cap_v, cap_i_state = step(
-                x_mid, v_mid, i_mid, src_grid[:, k + 1], t1, h / 2, cfg.integration
+            x_mid, v_mid, i_mid, mid_stamps = step(
+                x, cap_v, cap_i_state, src_mid, t0 + h / 2, h / 2, method, stamps
+            )
+            x, cap_v, cap_i_state, stamps = step(
+                x_mid, v_mid, i_mid, src_grid[:, k + 1], t1, h / 2, cfg.integration, mid_stamps
             )
         history[k + 1] = x
 
@@ -758,7 +815,7 @@ def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray, t
     newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
     newton.const = const
     newton.cap_companion = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))
-    f, _, _ = newton._assemble(x)
+    f, _, _, _ = newton._assemble(np.append(x, 0.0))
     for b, el in enumerate(comp.sources):
         p = comp.node_index[el.terminals[0]]
         m = comp.node_index[el.terminals[1]]

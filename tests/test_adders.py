@@ -92,6 +92,33 @@ class TestGateThresholds:
 
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     @pytest.mark.parametrize("function", list(GateFunction))
+    def test_threshold_matches_per_step_dc_operating_points(self, function, vdd):
+        # Reference: the same bisection with a fresh circuit and a full
+        # dc_operating_point per step; reusing one compiled inverter must
+        # not move a bit.
+        n_chir, p_chir = adders.GATE_CHIRALITIES[function.value]
+        b = adders._Builder()
+        b.vdc("vvdd", "vdd", "0", vdd)
+        b.vdc("vin", "in", "0", 0.0)
+        b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
+        base = b.circuit()
+
+        def vout(vin):
+            return solver.dc_operating_point(base.with_dc_source("vin", vin))["out"]
+
+        lo_in, hi_in = 0.0, vdd
+        for _ in range(40):
+            mid = 0.5 * (lo_in + hi_in)
+            if vout(mid) > vdd / 2:
+                lo_in = mid
+            else:
+                hi_in = mid
+            if hi_in - lo_in < 1e-6 * vdd:
+                break
+        assert measure_switching_threshold(n_chir, p_chir, vdd) == 0.5 * (lo_in + hi_in)
+
+    @pytest.mark.parametrize("vdd", [0.9, 0.65])
+    @pytest.mark.parametrize("function", list(GateFunction))
     def test_synthesis_search_returns_feasible_pair(self, function, vdd):
         cn, cp = synthesize_gate_chiralities(function, vdd)
         vm = measure_switching_threshold(cn, cp, vdd)

@@ -1,0 +1,230 @@
+"""Batched Newton assembly against the scalar stamping loop it replaced.
+
+The solver stamps device Jacobian and current values through one
+np.add.at per iterate into ground-padded arrays.  Every entry must be
+summed in the scalar loop's order, so the comparisons here use ==, not
+a tolerance.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from cnfetsim import adders, bench
+from cnfetsim.devices import Polarity, _drain_current
+from cnfetsim.netlist import parse
+from cnfetsim.solver import (
+    SolverConfig,
+    _Compiled,
+    _floating_nodes,
+    _Newton,
+    initialize_floating_nodes,
+)
+
+# --- reference: the scalar kernel, base matrix and assembly loop ------------
+
+
+def _ref_square_law(k, vth, lam, vgs, vds):
+    vov = vgs - vth
+    if vov <= 0.0:
+        return 0.0, 0.0, 0.0
+    scale = 1.0 + lam * vds
+    if vds < vov:
+        base = k * (vov * vds - 0.5 * vds * vds)
+        return base * scale, k * vds * scale, k * (vov - vds) * scale + base * lam
+    i_sat = 0.5 * k * vov * vov
+    return i_sat * scale, k * vov * scale, i_sat * lam
+
+
+def _ref_drain_current_n(k, vth, lam, vgs, vds):
+    if vds >= 0.0:
+        return _ref_square_law(k, vth, lam, vgs, vds)
+    i, gm, gds = _ref_square_law(k, vth, lam, vgs - vds, -vds)
+    return -i, -gm, gm + gds
+
+
+def _ref_drain_current(polarity, k, vth, lam, vgs, vds):
+    if polarity is Polarity.N:
+        return _ref_drain_current_n(k, vth, lam, vgs, vds)
+    i, gm, gds = _ref_drain_current_n(k, vth, lam, -vgs, -vds)
+    return -i, gm, gds
+
+
+def _ref_stamp_conductance(g, i, j, cond):
+    if i >= 0:
+        g[i, i] += cond
+    if j >= 0:
+        g[j, j] += cond
+    if i >= 0 and j >= 0:
+        g[i, j] -= cond
+        g[j, i] -= cond
+
+
+def _ref_base_matrix(comp, gmin, cap_geq):
+    g = np.zeros((comp.size, comp.size))
+    for i in range(comp.n_nodes):
+        g[i, i] += gmin
+    for i, j, cond in comp.resistors:
+        _ref_stamp_conductance(g, i, j, cond)
+    if cap_geq is not None:
+        for i, j, c in comp.capacitors:
+            _ref_stamp_conductance(g, i, j, cap_geq * c)
+    for b, el in enumerate(comp.sources):
+        row = comp.n_nodes + b
+        p, m = comp.node_index[el.terminals[0]], comp.node_index[el.terminals[1]]
+        if p >= 0:
+            g[p, row] += 1.0
+            g[row, p] += 1.0
+        if m >= 0:
+            g[m, row] -= 1.0
+            g[row, m] -= 1.0
+    return g
+
+
+def _ref_assemble(comp, base, const, cap_companion, pinned, x):
+    nn = comp.n_nodes
+    f = base @ x + const
+    jac = base.copy()
+    xp = np.append(x, 0.0)
+    scale = np.zeros(nn)
+
+    def bump(node, current):
+        if node >= 0 and abs(current) > scale[node]:
+            scale[node] = abs(current)
+
+    for i, j, g in comp.resistors:
+        current = g * (xp[i] - xp[j])
+        bump(i, current)
+        bump(j, current)
+    geq, hist = cap_companion
+    for n, (i, j, _) in enumerate(comp.capacitors):
+        current = geq[n] * (xp[i] - xp[j]) + hist[n]
+        bump(i, current)
+        bump(j, current)
+    for b, el in enumerate(comp.sources):
+        for t in el.terminals:
+            bump(comp.node_index[t], x[nn + b])
+
+    xl = x.tolist()
+    xl.append(0.0)
+    for d, g_, s, pol, k, vth, lam in comp.devices:
+        vs = xl[s]
+        i_ds, gm, gds = _ref_drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
+        a_i = abs(i_ds)
+        if d >= 0:
+            f[d] += i_ds
+            jac[d, d] += gds
+            if g_ >= 0:
+                jac[d, g_] += gm
+            if s >= 0:
+                jac[d, s] -= gm + gds
+            if a_i > scale[d]:
+                scale[d] = a_i
+        if s >= 0:
+            f[s] -= i_ds
+            jac[s, s] += gm + gds
+            if d >= 0:
+                jac[s, d] -= gds
+            if g_ >= 0:
+                jac[s, g_] -= gm
+            if a_i > scale[s]:
+                scale[s] = a_i
+
+    for row, value in pinned:
+        f[row] = x[row] - value
+        jac[row, :] = 0.0
+        jac[row, row] = 1.0
+    return f, jac, scale
+
+
+# --- cases -------------------------------------------------------------------
+
+
+def _testbench(kind, vdd):
+    config = bench.BenchConfig()
+    dut = adders.build_adder(kind, vdd, input_cap=config.unit_capacitance_f)
+    return adders.build_testbench(dut, vdd, config.transition_time_s, config.hold_time_s,
+                                  periods=1, load_cap=config.load_capacitance_f)
+
+
+# A device with every terminal grounded in turn, and one with drain and
+# gate both at ground, around a resistor and a capacitor.
+GROUNDED = parse(
+    ".model n19 cnfet polarity=n chirality=19,0 tubes=3 k=1e-4\n"
+    ".model p19 cnfet polarity=p chirality=19,0 tubes=3 k=1e-4\n"
+    ".model mn mosfet polarity=n vth=0.3 k=2e-4 lambda=0.1\n"
+    "vdd vdd 0 dc 0.9\nvin in 0 dc 0.4\n"
+    "q1 0 in a n19\nq2 a 0 vdd p19\nm3 b a 0 mn\nm4 0 0 b mn\nq5 b b vdd p19\n"
+    "r1 a b 10k\nc1 b 0 1f\nc2 a in 2f\n"
+)
+
+CIRCUITS = [
+    pytest.param(lambda kind=kind, vdd=vdd: (_testbench(kind, vdd), vdd), id=f"{kind.value}-{vdd}")
+    for kind, vdd in itertools.product(adders.BENCH_ORDER, (0.9, 0.65))
+] + [pytest.param(lambda: (GROUNDED, 0.9), id="grounded-terminals")]
+
+
+def _random_state(comp, vdd, rng):
+    x = np.empty(comp.size)
+    x[: comp.n_nodes] = rng.uniform(-0.2, vdd + 0.2, comp.n_nodes)
+    x[comp.n_nodes:] = rng.normal(0.0, 1e-5, comp.n_src)
+    const = rng.normal(0.0, 1e-6, comp.size + 1)
+    geq = rng.uniform(0.0, 1e-2, comp.n_cap)
+    hist = rng.normal(0.0, 1e-6, comp.n_cap)
+    return x, const, (geq, hist)
+
+
+@pytest.mark.parametrize("make", CIRCUITS)
+@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
+def test_assemble_equals_scalar_loop(make, analysis):
+    circuit, vdd = make()
+    comp = _Compiled(circuit)
+    cfg = SolverConfig()
+    cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
+    pinned = None
+    if analysis == "dc-pinned":
+        rows = sorted(_floating_nodes(comp)) or [0]
+        pinned = [(row, 0.3 * vdd) for row in rows]
+    base = comp.base_matrix(cfg.gmin, cap_geq)
+    ref_base = _ref_base_matrix(comp, cfg.gmin, cap_geq)
+    assert np.array_equal(base[: comp.size, : comp.size], ref_base)
+    newton = _Newton(comp, cfg, base, pinned)
+    rng = np.random.default_rng(1234)
+    for _ in range(4):
+        x, const, companion = _random_state(comp, vdd, rng)
+        newton.const, newton.cap_companion = const, companion
+        f, jac, scale, _ = newton._assemble(np.append(x, 0.0))
+        ref_f, ref_jac, ref_scale = _ref_assemble(
+            comp, ref_base, const[: comp.size], companion, pinned or [], x
+        )
+        assert np.array_equal(f[: comp.size], ref_f)
+        assert np.array_equal(jac[: comp.size, : comp.size], ref_jac)
+        assert np.array_equal(scale, ref_scale)
+
+
+def test_drain_current_equals_three_stage_kernel():
+    grid = np.linspace(-1.2, 1.2, 49).tolist() + [0.0, -0.0, 0.3, 0.5]
+    for pol, lam, vth in itertools.product(Polarity, (0.0, 0.1), (0.25, 0.5)):
+        for vgs, vds in itertools.product(grid, grid):
+            new = _drain_current(pol, 3e-4, vth, lam, vgs, vds)
+            ref = _ref_drain_current(pol, 3e-4, vth, lam, vgs, vds)
+            assert new == ref
+
+
+def test_carried_stamps_equal_fresh_evaluation():
+    tb = _testbench(adders.AdderKind.PROPOSED, 0.9)
+    cfg = SolverConfig(timestep=2e-13, use_initial_conditions=True)
+    init = initialize_floating_nodes(tb, {}, cfg)
+    comp = _Compiled(tb)
+    x = np.zeros(comp.size)
+    for name, v in init.items():
+        if comp.node_index.get(name, -1) >= 0:
+            x[comp.node_index[name]] = v
+    newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, 1.0 / cfg.timestep))
+    const = np.zeros(comp.size + 1)
+    const[comp.n_nodes: comp.size] = -0.9
+    companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
+    x_new, _, carried = newton.solve(x, const, companion)
+    _, _, _, fresh = newton._assemble(np.append(x_new, 0.0))
+    assert carried == fresh

@@ -71,6 +71,14 @@ class TestDcOperatingPoint:
             dc_operating_point(parse(INVERTER).with_dc_source("vin", 0.45), cfg)
         assert math.isfinite(err.value.residual)
 
+    def test_nonconvergence_names_worst_row(self):
+        c = parse(INVERTER).with_dc_source("vin", 0.45)
+        with pytest.raises(ConvergenceError) as err:
+            dc_operating_point(c, SolverConfig(max_newton_iters=1))
+        # The clamped first step leaves the supply's constraint row short.
+        assert err.value.node == "i(vdd)"
+        assert "'i(vdd)'" in str(err.value)
+
 
 class TestLinearOneIteration:
     def test_dc_linear_single_solve(self):
@@ -90,7 +98,7 @@ class TestLinearOneIteration:
         geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size)
-        _, iters = nt.solve(x0, const, (geq, hist))
+        _, iters, _ = nt.solve(x0, const, (geq, hist))
         assert iters == 1
 
 
@@ -133,6 +141,17 @@ class TestTransient:
 
         ratio = err(tau / 50) / err(tau / 100)
         assert 3.0 < ratio < 5.0
+
+    def test_nonconvergence_names_node_and_time(self):
+        c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nvin in 0 pwl(0 0 1p 0 2p 0.9)\n"
+                  "qn out in 0 n19\nqp out in vdd p19\ncl out 0 1f\n")
+        cfg = SolverConfig(timestep=1e-13, max_newton_iters=1, use_initial_conditions=True)
+        with pytest.raises(ConvergenceError) as err:
+            transient(c, cfg, 5e-12, initial_conditions={"vdd": 0.9, "out": 0.9})
+        # The output is the node that moves once the input ramp starts.
+        assert err.value.node == "out"
+        assert 1e-12 < err.value.time < 2e-12
+        assert "'out'" in str(err.value)
 
     def test_equilibrium_persists(self):
         cfg = SolverConfig(timestep=1e-13)
@@ -209,6 +228,27 @@ class TestFloatingNodes:
         x = init["x"]
         assert 3 * (x - 0.9) + 3 * (x - y) == pytest.approx(0.0, abs=1e-6)
         assert 3 * (y - x) + y == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("vdd", [0.9, 0.65])
+    def test_slow_fixed_point_converges_for_every_input(self, vdd):
+        # CNT-FA3's capacitive feedback contracts by only ~0.24 per pass
+        # and needs up to 10 passes for 6 of its 8 input vectors.
+        from cnfetsim.adders import AdderKind, build_adder, build_testbench
+        tb = build_testbench(build_adder(AdderKind.CNT_FA3, vdd), vdd, 1e-11, 2e-10, periods=2)
+        for bits in range(8):
+            levels = {name: vdd * (bits >> k & 1) for k, name in enumerate("abc")}
+            init = initialize_floating_nodes(tb, levels)
+            assert init["a"] == pytest.approx(levels["a"], abs=1e-6)
+
+    def test_oscillating_fixed_point_fails_fast_and_names_node(self):
+        # x feeds an inverter whose output is coupled back into x ten
+        # times more strongly than the driven side, so each pass flips
+        # both between the rails and the update never shrinks.
+        c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nva a 0 dc 0.45\n"
+                  "c1 a x 1f\nc2 out x 10f\nqn out x 0 n19\nqp out x vdd p19\n")
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            initialize_floating_nodes(c, {})
+        assert err.value.node == "x"
 
     def test_isolated_capacitive_cluster_is_ill_conditioned(self):
         c = parse("va a 0 dc 0.9\nr1 a 0 1k\nc1 x y 1f\nc2 y x 2f\n")
