@@ -33,7 +33,7 @@ from .netlist import (
     ModelCard,
     SourceWaveform,
 )
-from .solver import SolverConfig, _Compiled, _solve_dc
+from .solver import SolverConfig, dc_source_solver
 
 DEFAULT_INPUT_CAP = 1e-15
 DEFAULT_LOAD_CAP = 1e-15
@@ -255,13 +255,10 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
     b.vdc("vvdd", "vdd", "0", vdd)
     b.vdc("vin", "in", "0", 0.0)
     b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-    comp = _Compiled(b.circuit())
-    vin_branch = [el.name for el in comp.sources].index("vin")
-    out = comp.node_index["out"]
+    solve = dc_source_solver(b.circuit(), "vin", cfg)
 
     def vout(vin: float) -> float:
-        x, _ = _solve_dc(comp, cfg, src_overrides={vin_branch: vin})
-        return float(x[out])
+        return solve(vin)["out"]
 
     lo_in, hi_in = 0.0, vdd
     if not (vout(lo_in) > vdd / 2 > vout(hi_in)):

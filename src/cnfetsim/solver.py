@@ -33,6 +33,7 @@ so independent runs parallelize trivially if a caller wants that.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,18 +62,21 @@ class Integration(Enum):
 class ConvergenceError(Exception):
     """Newton iteration failed; carries the last residual, its row and the timestamp.
 
-    `node` names the row with the worst final residual: a node name, or
-    "i(<source>)" for a voltage source's branch row.
+    `node` names the row whose final residual exceeds its tolerance by
+    the largest factor: a node name, or "i(<source>)" for a voltage
+    source's branch row.  `unit` is the residual's unit: "A" for a KCL
+    row, "V" for a source or pinned row.
     """
 
     def __init__(self, message: str, residual: float = math.nan, time: float | None = None,
-                 node: str | None = None):
+                 node: str | None = None, unit: str = "A"):
         self.residual = residual
         self.time = time
         self.node = node
+        self.unit = unit
         at = "" if time is None else f" at t={time:.6g}s"
         where = "" if node is None else f" at {node!r}"
-        super().__init__(f"{message}{at} (last residual {residual:.3e} A{where})")
+        super().__init__(f"{message}{at} (last residual {residual:.3e} {unit}{where})")
 
 
 class IllConditionedDividerError(Exception):
@@ -402,7 +406,7 @@ class _Newton:
             try:
                 dx = _lin_solve(jac[:size, :size], -f[:size])
             except np.linalg.LinAlgError as exc:
-                raise self._failure(f"singular MNA matrix: {exc}", f, time) from exc
+                raise self._failure(f"singular MNA matrix: {exc}", f, scale, time) from exc
             if self.comp.has_devices:
                 # An inverter output on its vertical transfer segment (both
                 # devices saturated, gmin-only diagonal) legitimately asks
@@ -422,20 +426,32 @@ class _Newton:
                 np.clip(x[:nn], self.v_lo, self.v_hi, out=x[:nn])
             else:
                 x += dx
-        raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, time)
+        raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, scale,
+                            time)
 
-    def _failure(self, message: str, f: np.ndarray, time: float | None) -> ConvergenceError:
-        """The error for residual f, naming its worst row (node or source branch)."""
+    def _failure(self, message: str, f: np.ndarray, scale: np.ndarray,
+                 time: float | None) -> ConvergenceError:
+        """The error for residual f, naming the row (node or source branch)
+        that exceeds its own _converged criterion by the largest factor.
+
+        Node rows are currents and source or pinned rows are voltages, so
+        each is measured against its own tolerance before they are compared.
+        """
         comp = self.comp
+        cfg = self.cfg
         if not comp.size:
             return ConvergenceError(message, 0.0, time)
         res = np.abs(f[: comp.size])
-        row = int(res.argmax())
+        tol = np.full(comp.size, cfg.vtol)
+        tol[: comp.n_nodes] = cfg.abstol + cfg.reltol * scale
+        tol[self.pinned_rows] = cfg.vtol
+        row = int((res / tol).argmax())
         if row < comp.n_nodes:
             node = comp.node_names[row]
         else:
             node = f"i({comp.sources[row - comp.n_nodes].name})"
-        return ConvergenceError(message, float(res[row]), time, node)
+        unit = "A" if row < comp.n_nodes and row not in self.pinned_rows else "V"
+        return ConvergenceError(message, float(res[row]), time, node, unit)
 
 
 def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
@@ -489,13 +505,14 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig, t: float = 0.0,
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"gmin stepping stalled while re-tightening at gmin={g:.1e} S",
-                    exc.residual, node=exc.node,
+                    exc.residual, node=exc.node, unit=exc.unit,
                 ) from exc
         try:
             return attempt(cfg.gmin, x)
         except ConvergenceError as exc:
             raise ConvergenceError(
-                "gmin stepping converged only with relaxed gmin", exc.residual, node=exc.node
+                "gmin stepping converged only with relaxed gmin", exc.residual, node=exc.node,
+                unit=exc.unit,
             ) from exc
 
 
@@ -518,6 +535,28 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
                 guess[idx] = v
     x, _ = _solve_dc(comp, cfg, pinned=None, initial_guess=guess)
     return _solution_dict(comp, x)
+
+
+def dc_source_solver(circuit: Circuit, source: str,
+                     cfg: SolverConfig | None = None) -> Callable[[float], dict[str, float]]:
+    """DC operating point of `circuit` as a function of one source's level.
+
+    The circuit is compiled once; each call solves from scratch with
+    `source` held at the given volts and returns what
+    dc_operating_point(circuit.with_dc_source(source, level), cfg) would.
+    """
+    cfg = cfg or SolverConfig()
+    comp = _Compiled(circuit)
+    names = [el.name for el in comp.sources]
+    if source not in names:
+        raise KeyError(f"no voltage source named {source!r}")
+    branch = names.index(source)
+
+    def solve(level: float) -> dict[str, float]:
+        x, _ = _solve_dc(comp, cfg, src_overrides={branch: level})
+        return _solution_dict(comp, x)
+
+    return solve
 
 
 def _solution_dict(comp: _Compiled, x: np.ndarray) -> dict[str, float]:
@@ -618,8 +657,9 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
     may hang off a gate output that itself depends on another divider,
     the pin/solve cycle iterates to a fixed point (feed-forward ladders
     settle in one pass per stage; designs with capacitive feedback
-    contract geometrically and take more).  Raises ConvergenceError when
-    an update fails to shrink or FLOATING_INIT_MAX_PASSES pass.
+    contract geometrically and take more).  Raises ConvergenceError when,
+    after len(floating) + 3 passes, an update fails to shrink, or when
+    FLOATING_INIT_MAX_PASSES pass.
     """
     cfg = cfg or SolverConfig()
     comp = _Compiled(circuit)
@@ -646,10 +686,14 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
 
     floating = _floating_nodes(comp)
     tol = max(cfg.vtol, 1e-9)
+    # A feed-forward ladder moves its last stage by a full step on every
+    # pass until the correction reaches it, so the update may hold steady
+    # for one pass per floating node; only later passes must shrink.
+    settle_passes = len(floating) + 3
     values: dict[int, float] = {}
     x = None
     last_update = math.inf
-    for _ in range(FLOATING_INIT_MAX_PASSES):
+    for passes in range(FLOATING_INIT_MAX_PASSES):
         pins = [(idx, v) for idx, v in {**values, **levels}.items()]
         x, _ = _solve_dc(comp, cfg, pinned=pins, initial_guess=x, src_overrides=src_overrides)
         if not floating:
@@ -663,7 +707,7 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
             if update <= tol:
                 values = new_values
                 break
-            if update >= last_update:
+            if passes >= settle_passes and update >= last_update:
                 raise ConvergenceError(
                     f"floating-node initialization stalled (update {update:.3e} V "
                     f"after {last_update:.3e} V)", node=comp.node_names[worst],

@@ -12,6 +12,7 @@ from cnfetsim.solver import (
     Integration,
     SolverConfig,
     dc_operating_point,
+    dc_source_solver,
     initialize_floating_nodes,
     transient,
 )
@@ -72,12 +73,50 @@ class TestDcOperatingPoint:
         assert math.isfinite(err.value.residual)
 
     def test_nonconvergence_names_worst_row(self):
+        # Three clamped steps bring the supply node to its level; the
+        # output's KCL row is then the one left unmet.
+        c = parse(INVERTER).with_dc_source("vin", 0.45)
+        with pytest.raises(ConvergenceError) as err:
+            dc_operating_point(c, SolverConfig(max_newton_iters=3))
+        assert err.value.node == "out"
+        assert err.value.unit == "A"
+        assert "A at 'out'" in str(err.value)
+
+    def test_clamped_supply_row_is_named_in_volts(self):
+        # One step clamped to 0.3 V leaves v(vdd) 0.6 V short of the
+        # supply while every KCL row is met.
         c = parse(INVERTER).with_dc_source("vin", 0.45)
         with pytest.raises(ConvergenceError) as err:
             dc_operating_point(c, SolverConfig(max_newton_iters=1))
-        # The clamped first step leaves the supply's constraint row short.
         assert err.value.node == "i(vdd)"
-        assert "'i(vdd)'" in str(err.value)
+        assert err.value.residual == pytest.approx(0.6)
+        assert "V at 'i(vdd)'" in str(err.value)
+
+    def test_worst_row_ranks_each_row_by_its_own_tolerance(self):
+        # A source row at 2x vtol (2e-6 V) fails by less than a node row
+        # at 1000x abstol (1e-9 A), although 2e-6 > 1e-9.
+        from cnfetsim.solver import _Compiled, _Newton
+        cfg = SolverConfig()
+        comp = _Compiled(parse(INVERTER))
+        newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
+        f = np.zeros(comp.size + 1)
+        f[comp.node_index["out"]] = 1e-9
+        f[comp.n_nodes] = 2e-6
+        err = newton._failure("failed", f, np.zeros(comp.n_nodes), None)
+        assert err.node == "out"
+        assert err.residual == 1e-9
+
+
+class TestDcSourceSolver:
+    def test_matches_dc_operating_point_per_level(self):
+        c = parse(INVERTER)
+        solve = dc_source_solver(c, "vin")
+        for vin in (0.0, 0.3, 0.45, 0.6, 0.9):
+            assert solve(vin) == dc_operating_point(c.with_dc_source("vin", vin))
+
+    def test_unknown_source_raises(self):
+        with pytest.raises(KeyError):
+            dc_source_solver(parse(INVERTER), "nope")
 
 
 class TestLinearOneIteration:
@@ -239,6 +278,23 @@ class TestFloatingNodes:
             levels = {name: vdd * (bits >> k & 1) for k, name in enumerate("abc")}
             init = initialize_floating_nodes(tb, levels)
             assert init["a"] == pytest.approx(levels["a"], abs=1e-6)
+
+    @pytest.mark.parametrize("stages", [3, 4, 6])
+    def test_feed_forward_ladder_converges(self, stages):
+        # Each stage divides the previous output by 2/3 onto the gate of
+        # an inverter; the last stage's update stays a full swing until
+        # the correction has walked down the chain.
+        lines = [CNFET_MODELS, "vdd vdd 0 dc 0.9\nva a 0 dc 0.9\n"]
+        prev = "a"
+        for k in range(1, stages + 1):
+            lines.append(f"c{k}a {prev} f{k} 2f\nc{k}b f{k} 0 1f\n"
+                         f"qn{k} o{k} f{k} 0 n19\nqp{k} o{k} f{k} vdd p19\n")
+            prev = f"o{k}"
+        init = initialize_floating_nodes(parse("".join(lines)), {})
+        for k in range(1, stages + 1):
+            drive = init["a"] if k == 1 else init[f"o{k - 1}"]
+            assert init[f"f{k}"] == pytest.approx(2 * drive / 3, abs=1e-6)
+            assert init[f"o{k}"] == pytest.approx(0.0 if k % 2 else 0.9, abs=1e-2)
 
     def test_oscillating_fixed_point_fails_fast_and_names_node(self):
         # x feeds an inverter whose output is coupled back into x ten
