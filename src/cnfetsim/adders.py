@@ -37,11 +37,23 @@ from .solver import SolverConfig, dc_source_solver
 
 DEFAULT_INPUT_CAP = 1e-15
 DEFAULT_LOAD_CAP = 1e-15
-CNFET_TUBES = 3
-CNFET_K_PER_TUBE = 1e-4
-MOSFET_K = 4e-4
-MOSFET_VTH = 0.25
-MOSFET_LAMBDA = 0.05
+
+
+@dataclass(frozen=True)
+class DeviceParams:
+    """Device values every built-in design takes its model cards from.
+
+    Field names and units are those of the benchmark config keys, and
+    these defaults are the config's.  Upsized inverters carry a multiple
+    of cnfet_tubes.
+    """
+
+    cnfet_tubes: int = 3
+    cnfet_k_per_tube_a_per_v2: float = 1e-4
+    mosfet_k_a_per_v2: float = 4e-4
+    mosfet_vth_v: float = 0.25
+    mosfet_lambda_per_v: float = 0.05
+
 
 # Canonical chirality pairs (N, P) for the threshold-inverter gates.
 # Chosen so each gate's switching threshold sits in its band with
@@ -130,34 +142,38 @@ class GateSpec:
 class _Builder:
     """Accumulates elements and model cards in construction order."""
 
-    def __init__(self) -> None:
+    def __init__(self, devices: DeviceParams = DeviceParams()) -> None:
+        self.devices = devices
         self.elements: list[Element] = []
         self.models: dict[str, ModelCard] = {}
 
     def cnfet_model(self, chirality: Chirality, polarity: Polarity,
-                    tubes: int = CNFET_TUBES, k: float = CNFET_K_PER_TUBE) -> str:
+                    tubes: int | None = None) -> str:
+        dev = self.devices
+        tubes = dev.cnfet_tubes if tubes is None else tubes
         name = f"{polarity.value}cnt{chirality.n}_{chirality.m}"
-        if tubes != CNFET_TUBES:
+        if tubes != dev.cnfet_tubes:
             name += f"t{tubes}"
         if name not in self.models:
             self.models[name] = ModelCard(
                 name=name,
                 params=CnfetParams(
-                    chirality=chirality, polarity=polarity,
-                    tube_count=tubes, transconductance_per_tube=k,
+                    chirality=chirality, polarity=polarity, tube_count=tubes,
+                    transconductance_per_tube=dev.cnfet_k_per_tube_a_per_v2,
                 ),
             )
         return name
 
     def mosfet_model(self, polarity: Polarity) -> str:
+        dev = self.devices
         name = f"{polarity.value}mos"
         if name not in self.models:
             self.models[name] = ModelCard(
                 name=name,
                 params=MosfetParams(
-                    polarity=polarity, threshold=MOSFET_VTH,
-                    transconductance=MOSFET_K,
-                    channel_length_modulation=MOSFET_LAMBDA,
+                    polarity=polarity, threshold=dev.mosfet_vth_v,
+                    transconductance=dev.mosfet_k_a_per_v2,
+                    channel_length_modulation=dev.mosfet_lambda_per_v,
                 ),
             )
         return name
@@ -180,7 +196,7 @@ class _Builder:
 
     def cnfet_inverter(self, tag: str, inp: str, out: str,
                        n_chir: Chirality, p_chir: Chirality,
-                       tubes: int = CNFET_TUBES) -> None:
+                       tubes: int | None = None) -> None:
         nm = self.cnfet_model(n_chir, Polarity.N, tubes)
         pm = self.cnfet_model(p_chir, Polarity.P, tubes)
         self.transistor(f"qn{tag}", ElementKind.CNFET, out, inp, "0", nm)
@@ -364,7 +380,7 @@ def _build_cnt_fa1(b: _Builder, input_cap: float) -> None:
     inv_n, inv_p = _chir("inverter")
     for inp in ("a", "b", "c"):
         b.cap(f"c{inp}1", inp, "x", input_cap)
-    b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * CNFET_TUBES)
+    b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * b.devices.cnfet_tubes)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
     half = input_cap / 2
     for inp in ("a", "b", "c"):
@@ -390,8 +406,8 @@ def _build_cnt_fa2(b: _Builder, input_cap: float) -> None:
         b.cap(f"c{inp}1", inp, "x", input_cap)
     b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
-    b.cnfet_inverter("nor", "x", "noro", nor_n, nor_p, tubes=3 * CNFET_TUBES)
-    b.cnfet_inverter("nand", "x", "nando", nand_n, nand_p, tubes=3 * CNFET_TUBES)
+    b.cnfet_inverter("nor", "x", "noro", nor_n, nor_p, tubes=3 * b.devices.cnfet_tubes)
+    b.cnfet_inverter("nand", "x", "nando", nand_n, nand_p, tubes=3 * b.devices.cnfet_tubes)
     half = input_cap / 2
     for inp in ("a", "b", "c"):
         b.cap(f"c{inp}2", inp, "y", half)
@@ -416,7 +432,7 @@ def _build_cnt_fa3(b: _Builder, input_cap: float) -> None:
         b.cap(f"c{inp}", inp, "x", input_cap)
     b.cap("cmid", "x", "y", 3 * input_cap)
     b.cap("ccob", "cob", "y", input_cap)
-    b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * CNFET_TUBES)
+    b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * b.devices.cnfet_tubes)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
     b.cnfet_inverter("min5", "y", "nsum", maj_n, maj_p)
     b.cnfet_inverter("su", "nsum", "sum", inv_n, inv_p)
@@ -489,17 +505,19 @@ def _build_tga(b: _Builder) -> None:
     tgate("c2", "a", "cout", "nh", "h")  # h=0 -> cout = a
 
 
-def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_INPUT_CAP) -> Circuit:
+def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_INPUT_CAP,
+                devices: DeviceParams = DeviceParams()) -> Circuit:
     """Flat full-adder circuit with terminals a, b, c, sum, cout, vdd.
 
     vdd is not baked into the structure (the testbench supplies power);
     it gates a cheap feasibility check that the fixed gate chiralities
     work at the requested operating point.  The logic twin of the design
     is verified against the full-adder truth table on every build.
+    `devices` sets the transistor model cards.
     """
     if kind in (AdderKind.PROPOSED, AdderKind.CNT_FA1, AdderKind.CNT_FA2, AdderKind.CNT_FA3):
         _check_cnfet_operating_point(vdd)
-    b = _Builder()
+    b = _Builder(devices)
     if kind is AdderKind.PROPOSED:
         _build_proposed(b, input_cap)
     elif kind is AdderKind.CNT_FA1:
@@ -605,7 +623,8 @@ class InputSchedule:
 
 
 def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time: float,
-                    periods: int = 1, load_cap: float = DEFAULT_LOAD_CAP) -> Circuit:
+                    periods: int = 1, load_cap: float = DEFAULT_LOAD_CAP,
+                    devices: DeviceParams = DeviceParams()) -> Circuit:
     """Wrap a full adder with stimulus, supply, output buffers and loads.
 
     PWL sources walk a, b, c through the Gray sequence and its reverse;
@@ -613,12 +632,15 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
     sizing as the gate inverters).  load_cap, recorded in the benchmark
     config, stands in for the gate capacitance this static device model
     does not carry: it loads the adder output and both buffer stages.
+    The buffers take their model cards from `devices`, but a card the
+    DUT already holds keeps the DUT's values (cards merge by name), so
+    build the DUT with the same `devices`.
     """
     for term in ("a", "b", "c", "sum", "cout", "vdd"):
         if term not in dut.nodes:
             raise ValueError(f"device under test is missing terminal {term!r}")
     sched = InputSchedule(transition_time, hold_time, periods)
-    b = _Builder()
+    b = _Builder(devices)
     b.elements.extend(dut.elements)
     b.models.update(dut.models)
     b.vdc("vvdd", "vdd", "0", vdd)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from importlib import resources
+from dataclasses import asdict, dataclass, field, fields
 
 from . import adders, logic, measure, solver
 from .adders import AdderKind, DISPLAY_NAMES, InputSchedule
@@ -82,23 +81,31 @@ class LogicVerificationError(Exception):
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """Every benchmark parameter, echoed into each report; these are the
+    defaults.  The device and capacitance defaults are the `adders` ones."""
+
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
     timestep_s: float = 2e-13
     settle_window_s: float = 5e-11
-    unit_capacitance_f: float = 1e-15
-    load_capacitance_f: float = 1e-15
+    unit_capacitance_f: float = adders.DEFAULT_INPUT_CAP
+    load_capacitance_f: float = adders.DEFAULT_LOAD_CAP
     warmup_periods: int = 1
     measure_periods: int = 1
     min_sustain_fraction: float = 0.05
     full_swing_designs: tuple[str, ...] = ("proposed", "c-cmos")
     full_swing_levels: tuple[float, float] = (0.9, 0.1)
     logic_levels: tuple[float, float] = (0.7, 0.3)
-    cnfet_tubes: int = 3
-    cnfet_k_per_tube_a_per_v2: float = 1e-4
-    mosfet_k_a_per_v2: float = 4e-4
-    mosfet_vth_v: float = 0.25
-    mosfet_lambda_per_v: float = 0.05
+    cnfet_tubes: int = adders.DeviceParams.cnfet_tubes
+    cnfet_k_per_tube_a_per_v2: float = adders.DeviceParams.cnfet_k_per_tube_a_per_v2
+    mosfet_k_a_per_v2: float = adders.DeviceParams.mosfet_k_a_per_v2
+    mosfet_vth_v: float = adders.DeviceParams.mosfet_vth_v
+    mosfet_lambda_per_v: float = adders.DeviceParams.mosfet_lambda_per_v
+
+    def devices(self) -> adders.DeviceParams:
+        """The device record built from this config's five device keys."""
+        names = (f.name for f in fields(adders.DeviceParams))
+        return adders.DeviceParams(**{n: getattr(self, n) for n in names})
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -109,15 +116,17 @@ class BenchConfig:
 
 
 def load_config(path: str | None = None) -> BenchConfig:
-    """Versioned default config, overridable by path or environment."""
+    """BenchConfig() with the keys of a JSON file overriding its defaults.
+
+    The file is `path`, else the one CNFETSIM_BENCH_CONFIG names; with
+    neither, the defaults.  An unknown key raises TypeError.
+    """
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
-        raw = resources.files("cnfetsim").joinpath("data/bench_config.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
+        return BenchConfig()
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     for key in ("full_swing_designs", "full_swing_levels", "logic_levels"):
         if key in data:
             data[key] = tuple(data[key])
@@ -168,10 +177,13 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None,
     config = config or BenchConfig()
     periods = config.warmup_periods + config.measure_periods
     sched = InputSchedule(config.transition_time_s, config.hold_time_s, periods)
-    dut = adders.build_adder(kind, vdd, input_cap=config.unit_capacitance_f)
+    # One record for both builds: the testbench keeps the DUT's model
+    # cards where the names match.
+    devices = config.devices()
+    dut = adders.build_adder(kind, vdd, input_cap=config.unit_capacitance_f, devices=devices)
     tb = adders.build_testbench(
         dut, vdd, config.transition_time_s, config.hold_time_s,
-        periods=periods, load_cap=config.load_capacitance_f,
+        periods=periods, load_cap=config.load_capacitance_f, devices=devices,
     )
     cfg = solver.SolverConfig(timestep=config.timestep_s, use_initial_conditions=True)
     init = solver.initialize_floating_nodes(tb, {}, cfg)
@@ -203,7 +215,8 @@ def _measure_delays(result: solver.TransientResult, sched: InputSchedule, vdd: f
 
     Only edges inside the measurement window count, and an output is
     searched only when fa_truth says it changes for that edge; a missing
-    expected response raises through propagation_delay.
+    expected response raises through propagation_delay.  The edge times
+    come from the schedule, so no input waveform is passed.
     """
     min_sustain = config.min_sustain_fraction * sched.phase_length
     transitions: list[Transition] = []
@@ -216,7 +229,7 @@ def _measure_delays(result: solver.TransientResult, sched: InputSchedule, vdd: f
             if expect_before[out] == expect_after[out]:
                 continue
             found = measure.propagation_delay(
-                result.times, result.voltage(out), result.voltage(f"{out}_b2"),
+                result.times, None, result.voltage(f"{out}_b2"),
                 vdd, min_sustain=min_sustain, edges=[t_mid],
             )
             for tr in found:

@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write <metric>_<vdd>.svg/.csv chart data here")
     p_bench.add_argument("--out", default="-", help="report path, '-' for stdout")
     p_bench.add_argument("--config", default=None,
-                         help=f"benchmark config JSON (default: packaged; env {bench.CONFIG_ENV_VAR})")
+                         help="benchmark config JSON whose keys override the defaults "
+                              f"(default: env {bench.CONFIG_ENV_VAR}, else none)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_dev = sub.add_parser("device", help="chirality/threshold calculator")

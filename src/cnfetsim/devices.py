@@ -212,23 +212,14 @@ def _drain_current(
     return i, gm, gds
 
 
-def cnfet_current_and_derivs(p: CnfetParams, vgs: float, vds: float) -> tuple[float, float, float]:
-    """(id, dId/dvgs, dId/dvds) for the solver's Newton stamps."""
-    return _drain_current(p.polarity, p.transconductance, p.threshold, 0.0, vgs, vds)
+def square_law(p: CnfetParams | MosfetParams) -> tuple[float, float, float]:
+    """(k, vth, lambda) of a device's square law; a CNFET has lambda 0."""
+    if isinstance(p, CnfetParams):
+        return p.transconductance, p.threshold, 0.0
+    return p.transconductance, p.threshold, p.channel_length_modulation
 
 
-def cnfet_drain_current(p: CnfetParams, vgs: float, vds: float) -> float:
-    """Drain-to-source current in amperes (negative for a conducting P device)."""
-    return cnfet_current_and_derivs(p, vgs, vds)[0]
-
-
-def mosfet_current_and_derivs(p: MosfetParams, vgs: float, vds: float) -> tuple[float, float, float]:
-    """(id, dId/dvgs, dId/dvds) for the solver's Newton stamps."""
-    return _drain_current(
-        p.polarity, p.transconductance, p.threshold, p.channel_length_modulation, vgs, vds
-    )
-
-
-def mosfet_drain_current(p: MosfetParams, vgs: float, vds: float) -> float:
-    """Drain-to-source current in amperes (negative for a conducting P device)."""
-    return mosfet_current_and_derivs(p, vgs, vds)[0]
+def drain_current(p: CnfetParams | MosfetParams, vgs: float, vds: float
+                  ) -> tuple[float, float, float]:
+    """(id, dId/dvgs, dId/dvds); id is negative for a conducting P device."""
+    return _drain_current(p.polarity, *square_law(p), vgs, vds)

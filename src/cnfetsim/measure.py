@@ -10,7 +10,6 @@ PDP is the plain product of average power and worst-case delay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,28 +79,6 @@ class Measurement:
     def pdp(self) -> float:
         return self.avg_power * self.worst_delay
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "circuit": self.circuit,
-                "vdd": self.vdd,
-                "power_w": self.avg_power,
-                "delay_s": self.worst_delay,
-                "pdp_j": self.pdp,
-                "transitions": [t.as_dict() for t in self.transitions],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def csv_row(self) -> str:
-        """Design, Power, Delay, PDP column order."""
-        return f"{self.circuit},{self.avg_power:.6e},{self.worst_delay:.6e},{self.pdp:.6e}"
-
-
-def pdp(m: Measurement) -> float:
-    return m.pdp
-
 
 def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> list[tuple[float, int]]:
     """(time, direction) of every level crossing, by linear interpolation.
@@ -134,14 +111,15 @@ def _sustained(t: np.ndarray, wf: np.ndarray, cross_time: float, direction: int,
     return bool(np.all(seg <= level))
 
 
-def propagation_delay(t: np.ndarray, input_wf: np.ndarray, output_wf: np.ndarray,
+def propagation_delay(t: np.ndarray, input_wf: np.ndarray | None, output_wf: np.ndarray,
                       vdd: float, min_sustain: float = 0.0,
                       edges: list[float] | None = None,
                       require_response: bool = True) -> list[Transition]:
     """Mid-swing to mid-swing delay for each input edge.
 
     For every input crossing of vdd/2 (or each time in `edges`, when the
-    stimulus is known analytically), the delay is the first subsequent
+    stimulus is known analytically; input_wf is then not read and may be
+    None), the delay is the first subsequent
     output crossing of vdd/2 that leads to a sustained new level, minus
     the input crossing time.  The search window for an edge ends at the
     next edge; with require_response an empty window raises

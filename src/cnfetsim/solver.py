@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .devices import CnfetParams, _drain_current
+from .devices import _drain_current, square_law
 from .netlist import GROUND, Circuit, Element, ElementKind, NetlistError
 
 GMIN_STEP_CEILING = 1.0e-3
@@ -165,13 +165,8 @@ class _Compiled:
             elif el.kind is ElementKind.CAPACITOR:
                 self.capacitors.append((idx[0], idx[1], el.value))  # type: ignore[arg-type]
             elif el.kind in (ElementKind.CNFET, ElementKind.MOSFET):
-                card = circuit.models[el.model]  # validated at parse
-                p = card.params
-                if isinstance(p, CnfetParams):
-                    k, vth, lam = p.transconductance, p.threshold, 0.0
-                else:
-                    k, vth, lam = p.transconductance, p.threshold, p.channel_length_modulation
-                self.devices.append((idx[0], idx[1], idx[2], p.polarity, k, vth, lam))
+                p = circuit.models[el.model].params  # validated at parse
+                self.devices.append((idx[0], idx[1], idx[2], p.polarity, *square_law(p)))
 
         self.has_devices = bool(self.devices)
         self._build_arrays()
@@ -294,11 +289,11 @@ def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
 
 
 class _Newton:
-    """One Newton solve against a fixed base matrix and constant vector.
+    """Newton solves against one fixed base matrix.
 
-    The residual is F(x) = base @ x + const + device currents; `const`
-    holds -V(t) in source rows and capacitor companion history currents
-    in node rows.  Pinned rows replace a node's KCL equation with
+    The residual is F(x) = base @ x + const + device currents; `const`,
+    an argument of each solve, holds -V(t) in source rows and capacitor
+    companion history currents in node rows.  Pinned rows replace a node's KCL equation with
     v_node = value (used by the floating-node initializer).  Vectors and
     matrices are ground-padded (see _Compiled._build_arrays).
     """
@@ -313,18 +308,19 @@ class _Newton:
         self.pinned_rows = [row for row, _ in self.pinned]
         self.v_lo, self.v_hi = _voltage_box(comp)
 
-    def _assemble(self, x_pad: np.ndarray, stamps: _Stamps | None = None
+    def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
+                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: _Stamps | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Stamps]:
         """Padded residual and Jacobian, per-node scale and the device stamps.
 
-        `stamps` are device stamps already evaluated at this x_pad; device
-        stamps depend on x alone, so a caller may carry them between
-        solves.
+        `const` and `cap_companion` are as in solve.  `stamps` are device
+        stamps already evaluated at this x_pad; device stamps depend on x
+        alone, so a caller may carry them between solves.
         """
         comp = self.comp
         nn, size, nb = comp.n_nodes, comp.size, comp.n_branch
         x = x_pad[:size]
-        f = self.const.copy()
+        f = const.copy()
         f[:size] += self.base_core @ x
         jac = self.base.copy()
 
@@ -332,7 +328,7 @@ class _Newton:
         # stamps feed the per-node tolerance scale.
         currents = np.empty(comp.n_currents)
         currents[: comp.n_res] = comp.res_g * (x_pad[comp.res_i] - x_pad[comp.res_j])
-        geq, hist = self.cap_companion
+        geq, hist = cap_companion
         currents[comp.n_res: comp.n_res + comp.n_cap] = (
             geq * (x_pad[comp.cap_i] - x_pad[comp.cap_j]) + hist
         )
@@ -381,16 +377,16 @@ class _Newton:
         """Returns (solution, iterations, device stamps at the solution).
 
         Iterations counts linear solves.  `const` is ground-padded;
-        `stamps`, if given, are the device stamps at x0 (the previous
-        solve's third result when x0 is its solution).
+        `cap_companion` holds each capacitor's companion conductance and
+        history current, read for the tolerance scale; `stamps`, if
+        given, are the device stamps at x0 (the previous solve's third
+        result when x0 is its solution).
 
         Nonlinear steps are safeguarded by a per-component voltage clamp
         plus cumulative damping of direction-reversing components; a
         linear circuit takes the raw Newton step and lands exactly in
         one iteration.
         """
-        self.const = const
-        self.cap_companion = cap_companion
         cfg = self.cfg
         nn, size = self.comp.n_nodes, self.comp.size
         x_pad = np.append(x0, 0.0)
@@ -398,7 +394,9 @@ class _Newton:
         prev_dx: np.ndarray | None = None
         damp = np.ones(size)
         for it in range(cfg.max_newton_iters + 1):
-            f, jac, scale, stamps = self._assemble(x_pad, stamps if it == 0 else None)
+            f, jac, scale, stamps = self._assemble(
+                x_pad, const, cap_companion, stamps if it == 0 else None
+            )
             if self._converged(f, scale):
                 return x, it, stamps
             if it == cfg.max_newton_iters:
@@ -857,9 +855,8 @@ def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray, t
     src_values = [el.waveform.value_at(t) for el in comp.sources]  # type: ignore[union-attr]
     const = _source_const(comp, src_values)
     newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
-    newton.const = const
-    newton.cap_companion = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))
-    f, _, _, _ = newton._assemble(np.append(x, 0.0))
+    no_caps = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))
+    f, _, _, _ = newton._assemble(np.append(x, 0.0), const, no_caps)
     for b, el in enumerate(comp.sources):
         p = comp.node_index[el.terminals[0]]
         m = comp.node_index[el.terminals[1]]

@@ -19,7 +19,7 @@ from cnfetsim.adders import (
     oracle_network,
     synthesize_gate_chiralities,
 )
-from cnfetsim.devices import Chirality
+from cnfetsim.devices import Chirality, MosfetParams
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -256,6 +256,24 @@ class TestTestbench:
         c = netlist.parse("r1 a 0 1k\n")
         with pytest.raises(ValueError):
             build_testbench(c, 0.9, 1e-12, 1e-11)
+
+    @pytest.mark.parametrize("kind", [AdderKind.CNT_FA2, AdderKind.TGA])
+    def test_device_record_sets_every_card(self, kind):
+        dev = adders.DeviceParams(cnfet_tubes=5, cnfet_k_per_tube_a_per_v2=2e-4,
+                                  mosfet_k_a_per_v2=8e-4, mosfet_vth_v=0.3,
+                                  mosfet_lambda_per_v=0.1)
+        tb = build_testbench(build_adder(kind, devices=dev), 0.9, 1e-12, 1e-11, devices=dev)
+        default = build_testbench(build_adder(kind), 0.9, 1e-12, 1e-11)
+        transistors = [(el, ref) for el, ref in zip(tb.elements, default.elements) if el.model]
+        assert len(transistors) == netlist.stats(default).transistor_count
+        for el, ref_el in transistors:
+            p, ref = tb.models[el.model].params, default.models[ref_el.model].params
+            if isinstance(p, MosfetParams):
+                assert (p.transconductance, p.threshold, p.channel_length_modulation) == (
+                    8e-4, 0.3, 0.1)
+            else:
+                assert p.tube_count == 5 * ref.tube_count // 3
+                assert p.transconductance_per_tube == 2e-4
 
 
 class TestOracleTwins:

@@ -193,8 +193,7 @@ def test_assemble_equals_scalar_loop(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        newton.const, newton.cap_companion = const, companion
-        f, jac, scale, _ = newton._assemble(np.append(x, 0.0))
+        f, jac, scale, _ = newton._assemble(np.append(x, 0.0), const, companion)
         ref_f, ref_jac, ref_scale = _ref_assemble(
             comp, ref_base, const[: comp.size], companion, pinned or [], x
         )
@@ -226,5 +225,5 @@ def test_carried_stamps_equal_fresh_evaluation():
     const[comp.n_nodes: comp.size] = -0.9
     companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
     x_new, _, carried = newton.solve(x, const, companion)
-    _, _, _, fresh = newton._assemble(np.append(x_new, 0.0))
+    _, _, _, fresh = newton._assemble(np.append(x_new, 0.0), const, companion)
     assert carried == fresh

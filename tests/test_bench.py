@@ -1,5 +1,7 @@
 """Benchmark harness pieces that do not need a full matrix run."""
 
+import dataclasses
+import functools
 import json
 import os
 
@@ -18,11 +20,56 @@ from cnfetsim.bench import (
 from cnfetsim.measure import Measurement, Transition
 
 
+# The seventeen defaults as the removed data/bench_config.json held them.
+DEFAULTS = {
+    "transition_time_s": 1e-11,
+    "hold_time_s": 2e-10,
+    "timestep_s": 2e-13,
+    "settle_window_s": 5e-11,
+    "unit_capacitance_f": 1e-15,
+    "load_capacitance_f": 1e-15,
+    "warmup_periods": 1,
+    "measure_periods": 1,
+    "min_sustain_fraction": 0.05,
+    "full_swing_designs": ["proposed", "c-cmos"],
+    "full_swing_levels": [0.9, 0.1],
+    "logic_levels": [0.7, 0.3],
+    "cnfet_tubes": 3,
+    "cnfet_k_per_tube_a_per_v2": 1e-4,
+    "mosfet_k_a_per_v2": 4e-4,
+    "mosfet_vth_v": 0.25,
+    "mosfet_lambda_per_v": 0.05,
+}
+
+
 class TestConfig:
-    def test_packaged_default_loads(self):
-        cfg = load_config()
-        assert cfg.transition_time_s == pytest.approx(1e-11)
-        assert cfg.hold_time_s == pytest.approx(2e-10)
+    def test_default_is_the_dataclass(self, monkeypatch):
+        monkeypatch.delenv(bench.CONFIG_ENV_VAR, raising=False)
+        assert load_config() == BenchConfig()
+
+    def test_defaults_match_the_former_json(self):
+        d = BenchConfig().as_dict()
+        assert list(d) == list(DEFAULTS)
+        assert d == DEFAULTS
+        for key, value in DEFAULTS.items():
+            assert type(d[key]) is type(value), key
+
+    def test_partial_file_keeps_other_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cnfet_tubes": 6, "logic_levels": [0.8, 0.2]}))
+        expected = dataclasses.replace(BenchConfig(), cnfet_tubes=6, logic_levels=(0.8, 0.2))
+        assert load_config(str(path)) == expected
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cnfet_tube": 6}))
+        with pytest.raises(TypeError):
+            load_config(str(path))
+
+    def test_device_record_carries_the_five_device_keys(self):
+        cfg = BenchConfig(cnfet_tubes=6, mosfet_vth_v=0.3)
+        assert BenchConfig().devices() == adders.DeviceParams()
+        assert cfg.devices() == adders.DeviceParams(cnfet_tubes=6, mosfet_vth_v=0.3)
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
@@ -150,3 +197,25 @@ class TestCharts:
         a = charts.chart_svg("pdp", 0.9, rows)
         b = charts.chart_svg("pdp", 0.9, rows)
         assert a == b
+
+
+# A short stimulus and a coarse step keep each cell to a second or two.
+SHORT = BenchConfig(hold_time_s=1e-10, timestep_s=1e-12)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (AdderKind.PROPOSED, "cnfet_tubes", 6),
+    (AdderKind.PROPOSED, "cnfet_k_per_tube_a_per_v2", 2e-4),
+    (AdderKind.C_CMOS, "mosfet_k_a_per_v2", 8e-4),
+    (AdderKind.C_CMOS, "mosfet_vth_v", 0.3),
+    (AdderKind.C_CMOS, "mosfet_lambda_per_v", 0.1),
+])
+def test_every_device_key_reaches_the_circuit(kind, key, value):
+    changed = bench.run_cell(kind, 0.9, dataclasses.replace(SHORT, **{key: value}))
+    assert changed.swing_report.ok
+    assert changed.measurement.avg_power != _short_power(kind)
+
+
+@functools.lru_cache
+def _short_power(kind):
+    return bench.run_cell(kind, 0.9, SHORT).measurement.avg_power

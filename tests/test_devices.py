@@ -14,11 +14,9 @@ from cnfetsim.devices import (
     UnreachableThresholdError,
     chirality_for_threshold,
     chirality_threshold,
-    cnfet_current_and_derivs,
-    cnfet_drain_current,
     diameter,
+    drain_current,
     is_semiconducting,
-    mosfet_drain_current,
     threshold_voltage,
 )
 
@@ -124,43 +122,43 @@ def _pfet(k=1e-4, tubes=3):
 
 class TestCnfetCurrent:
     def test_cutoff_zero(self):
-        assert cnfet_drain_current(_nfet(), 0.0, 0.5) == 0.0
+        assert drain_current(_nfet(), 0.0, 0.5)[0] == 0.0
 
     def test_cutoff_throughout(self):
         p = _nfet()
         for vgs in (0.0, 0.1, p.threshold):
             for vds in (0.0, 0.3, 0.9):
-                assert cnfet_drain_current(p, vgs, vds) == 0.0
+                assert drain_current(p, vgs, vds)[0] == 0.0
 
     def test_saturation_closed_form(self):
         p = _nfet()
         vth = p.threshold
         # vgs = 2*vth, large vds: tubes * k * vth^2 / 2
-        i = cnfet_drain_current(p, 2 * vth, 5.0)
+        i = drain_current(p, 2 * vth, 5.0)[0]
         assert i == pytest.approx(3 * 1e-4 * vth * vth / 2, rel=1e-12)
 
     def test_continuity_at_triode_saturation_boundary(self):
         p = _nfet()
         vov = 0.2
         vgs = p.threshold + vov
-        below = cnfet_drain_current(p, vgs, vov - 1e-9)
-        above = cnfet_drain_current(p, vgs, vov + 1e-9)
+        below = drain_current(p, vgs, vov - 1e-9)[0]
+        above = drain_current(p, vgs, vov + 1e-9)[0]
         assert below == pytest.approx(above, abs=1e-12)
 
     def test_continuity_at_cutoff_boundary(self):
         p = _nfet()
         for vds in (0.1, 0.5):
-            below = cnfet_drain_current(p, p.threshold - 1e-9, vds)
-            above = cnfet_drain_current(p, p.threshold + 1e-9, vds)
+            below = drain_current(p, p.threshold - 1e-9, vds)[0]
+            above = drain_current(p, p.threshold + 1e-9, vds)[0]
             assert abs(above - below) < 1e-12
 
     @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
     def test_continuity_everywhere(self, vgs, vds, direction):
         p = _nfet()
         eps = 1e-8
-        i0 = cnfet_drain_current(p, vgs, vds)
-        i1 = cnfet_drain_current(p, vgs + eps * math.copysign(1, direction or 1), vds)
-        i2 = cnfet_drain_current(p, vgs, vds + eps * math.copysign(1, direction or 1))
+        i0 = drain_current(p, vgs, vds)[0]
+        i1 = drain_current(p, vgs + eps * math.copysign(1, direction or 1), vds)[0]
+        i2 = drain_current(p, vgs, vds + eps * math.copysign(1, direction or 1))[0]
         lip = p.transconductance * 4.0  # generous Lipschitz bound on this range
         assert abs(i1 - i0) <= lip * eps + 1e-15
         assert abs(i2 - i0) <= lip * eps + 1e-15
@@ -169,29 +167,29 @@ class TestCnfetCurrent:
     def test_monotone_in_overdrive(self, vgs1, delta, vds):
         p = _nfet()
         vgs2 = vgs1 + delta
-        assert cnfet_drain_current(p, vgs2, vds) >= cnfet_drain_current(p, vgs1, vds)
+        assert drain_current(p, vgs2, vds)[0] >= drain_current(p, vgs1, vds)[0]
 
     def test_reverse_conduction_antisymmetric(self):
         # Drain/source symmetry: swapping terminals flips the sign.
         p = _nfet()
         vd, vg, vs = 0.2, 0.9, 0.7
-        forward = cnfet_drain_current(p, vg - vs, vd - vs)
-        swapped = cnfet_drain_current(p, vg - vd, vs - vd)
+        forward = drain_current(p, vg - vs, vd - vs)[0]
+        swapped = drain_current(p, vg - vd, vs - vd)[0]
         assert forward == pytest.approx(-swapped, rel=1e-12)
 
     def test_polarity_mirror(self):
         n, p = _nfet(), _pfet()
-        assert cnfet_drain_current(n, 0.6, 0.4) == pytest.approx(
-            -cnfet_drain_current(p, -0.6, -0.4), rel=1e-12
+        assert drain_current(n, 0.6, 0.4)[0] == pytest.approx(
+            -drain_current(p, -0.6, -0.4)[0], rel=1e-12
         )
 
     @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
     def test_derivatives_match_finite_differences(self, vgs, vds):
         p = _nfet()
         h = 1e-7
-        _, gm, gds = cnfet_current_and_derivs(p, vgs, vds)
-        gm_fd = (cnfet_drain_current(p, vgs + h, vds) - cnfet_drain_current(p, vgs - h, vds)) / (2 * h)
-        gds_fd = (cnfet_drain_current(p, vgs, vds + h) - cnfet_drain_current(p, vgs, vds - h)) / (2 * h)
+        _, gm, gds = drain_current(p, vgs, vds)
+        gm_fd = (drain_current(p, vgs + h, vds)[0] - drain_current(p, vgs - h, vds)[0]) / (2 * h)
+        gds_fd = (drain_current(p, vgs, vds + h)[0] - drain_current(p, vgs, vds - h)[0]) / (2 * h)
         assert gm == pytest.approx(gm_fd, abs=5e-9)
         assert gds == pytest.approx(gds_fd, abs=5e-9)
 
@@ -202,35 +200,35 @@ class TestCnfetCurrent:
     def test_tube_count_scales_current(self):
         one = CnfetParams(Chirality(19, 0), Polarity.N, tube_count=1)
         four = CnfetParams(Chirality(19, 0), Polarity.N, tube_count=4)
-        assert cnfet_drain_current(four, 0.6, 0.9) == pytest.approx(
-            4 * cnfet_drain_current(one, 0.6, 0.9), rel=1e-12
+        assert drain_current(four, 0.6, 0.9)[0] == pytest.approx(
+            4 * drain_current(one, 0.6, 0.9)[0], rel=1e-12
         )
 
 
 class TestMosfetCurrent:
     def test_cutoff(self):
         p = MosfetParams(Polarity.N, threshold=0.25, transconductance=4e-4)
-        assert mosfet_drain_current(p, 0.0, 0.5) == 0.0
+        assert drain_current(p, 0.0, 0.5)[0] == 0.0
 
     def test_symmetric_pair_mirrors(self):
         n = MosfetParams(Polarity.N, 0.25, 4e-4, 0.05)
         p = MosfetParams(Polarity.P, 0.25, 4e-4, 0.05)
         for x in (0.3, 0.6, 0.9):
-            assert mosfet_drain_current(n, x, x / 2) == pytest.approx(
-                -mosfet_drain_current(p, -x, -x / 2), rel=1e-12
+            assert drain_current(n, x, x / 2)[0] == pytest.approx(
+                -drain_current(p, -x, -x / 2)[0], rel=1e-12
             )
 
     def test_zero_lambda_saturation_flat(self):
         p = MosfetParams(Polarity.N, 0.25, 4e-4, 0.0)
-        i1 = mosfet_drain_current(p, 0.6, 0.5)
-        i2 = mosfet_drain_current(p, 0.6, 5.0)
+        i1 = drain_current(p, 0.6, 0.5)[0]
+        i2 = drain_current(p, 0.6, 5.0)[0]
         assert i1 == i2
 
     def test_lambda_keeps_current_continuous_at_saturation(self):
         p = MosfetParams(Polarity.N, 0.25, 4e-4, 0.05)
         vov = 0.35
-        below = mosfet_drain_current(p, 0.25 + vov, vov - 1e-9)
-        above = mosfet_drain_current(p, 0.25 + vov, vov + 1e-9)
+        below = drain_current(p, 0.25 + vov, vov - 1e-9)[0]
+        above = drain_current(p, 0.25 + vov, vov + 1e-9)[0]
         assert below == pytest.approx(above, abs=1e-12)
 
     def test_invalid_params(self):
