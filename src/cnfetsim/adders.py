@@ -632,9 +632,9 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
     sizing as the gate inverters).  load_cap, recorded in the benchmark
     config, stands in for the gate capacitance this static device model
     does not carry: it loads the adder output and both buffer stages.
-    The buffers take their model cards from `devices`, but a card the
-    DUT already holds keeps the DUT's values (cards merge by name), so
-    build the DUT with the same `devices`.
+    The buffers take their model cards from `devices`.  Cards merge by
+    name, so a DUT card named like a buffer card must match it: build the
+    DUT with the same `devices`, or this raises ValueError naming the card.
     """
     for term in ("a", "b", "c", "sum", "cout", "vdd"):
         if term not in dut.nodes:
@@ -642,7 +642,6 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
     sched = InputSchedule(transition_time, hold_time, periods)
     b = _Builder(devices)
     b.elements.extend(dut.elements)
-    b.models.update(dut.models)
     b.vdc("vvdd", "vdd", "0", vdd)
     for i, inp in enumerate(("a", "b", "c")):
         b.vpwl(f"v{inp}", inp, "0", sched.pwl_points(i, vdd))
@@ -660,6 +659,13 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
             b.cap(f"cl_{out}", out, "0", load_cap)
             b.cap(f"cl_{stage1}", stage1, "0", load_cap)
             b.cap(f"cl_{stage2}", stage2, "0", load_cap)
+    for name, card in b.models.items():
+        if dut.models.get(name, card) != card:
+            raise ValueError(
+                f"model card {name!r} of the device under test differs from the "
+                f"testbench's; build both with the same devices"
+            )
+    b.models = {**dut.models, **b.models}
     return b.circuit()
 
 

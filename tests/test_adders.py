@@ -276,6 +276,17 @@ class TestTestbench:
                 assert p.transconductance_per_tube == 2e-4
 
 
+    @pytest.mark.parametrize("kind, dev, card", [
+        (AdderKind.PROPOSED, adders.DeviceParams(cnfet_tubes=6), "ncnt19_0"),
+        (AdderKind.TGA, adders.DeviceParams(mosfet_vth_v=0.3), "nmos"),
+    ])
+    def test_mismatched_dut_card_rejected(self, kind, dev, card):
+        # The buffers would otherwise run silently on the DUT's card.
+        with pytest.raises(ValueError, match=repr(card)):
+            build_testbench(build_adder(kind), 0.9, 1e-11, 2e-10, devices=dev)
+        build_testbench(build_adder(kind, devices=dev), 0.9, 1e-11, 2e-10, devices=dev)
+
+
 class TestOracleTwins:
     @pytest.mark.parametrize("kind", list(AdderKind))
     def test_every_twin_matches_truth_table(self, kind):

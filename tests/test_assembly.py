@@ -1,9 +1,11 @@
 """Batched Newton assembly against the scalar stamping loop it replaced.
 
 The solver stamps device Jacobian and current values through one
-np.add.at per iterate into ground-padded arrays.  Every entry must be
-summed in the scalar loop's order, so the comparisons here use ==, not
-a tolerance.
+np.add.at per iterate into ground-padded arrays: `_Newton._assemble`
+builds the residual and scale, `_Newton._jacobian` the Jacobian.  Every
+entry must be summed in the scalar loop's order, so the comparisons here
+use ==, not a tolerance.  The single equilibrated LU solve of each
+iterate is checked here too, by its row-wise backward error.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from cnfetsim.solver import (
     SolverConfig,
     _Compiled,
     _floating_nodes,
+    _lin_solve,
     _Newton,
     initialize_floating_nodes,
 )
@@ -164,6 +167,10 @@ CIRCUITS = [
     for kind, vdd in itertools.product(adders.BENCH_ORDER, (0.9, 0.65))
 ] + [pytest.param(lambda: (GROUNDED, 0.9), id="grounded-terminals")]
 
+LINEAR_RC = pytest.param(
+    lambda: (parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"), 0.9), id="linear-rc"
+)
+
 
 def _random_state(comp, vdd, rng):
     x = np.empty(comp.size)
@@ -175,31 +182,62 @@ def _random_state(comp, vdd, rng):
     return x, const, (geq, hist)
 
 
-@pytest.mark.parametrize("make", CIRCUITS)
-@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
-def test_assemble_equals_scalar_loop(make, analysis):
+def _newton_case(make, analysis, pin_fallback=(0,)):
+    """(comp, vdd, pinned rows, cap_geq, newton) for one circuit and analysis.
+
+    "dc-pinned" pins the floating nodes, or the `pin_fallback` rows in a
+    circuit that has none.
+    """
     circuit, vdd = make()
     comp = _Compiled(circuit)
     cfg = SolverConfig()
     cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
     pinned = None
     if analysis == "dc-pinned":
-        rows = sorted(_floating_nodes(comp)) or [0]
+        rows = sorted(_floating_nodes(comp)) or list(pin_fallback)
         pinned = [(row, 0.3 * vdd) for row in rows]
-    base = comp.base_matrix(cfg.gmin, cap_geq)
-    ref_base = _ref_base_matrix(comp, cfg.gmin, cap_geq)
-    assert np.array_equal(base[: comp.size, : comp.size], ref_base)
-    newton = _Newton(comp, cfg, base, pinned)
+    newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, cap_geq), pinned)
+    return comp, vdd, pinned, cap_geq, newton
+
+
+@pytest.mark.parametrize("make", CIRCUITS)
+@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
+def test_assemble_equals_scalar_loop(make, analysis):
+    comp, vdd, pinned, cap_geq, newton = _newton_case(make, analysis)
+    ref_base = _ref_base_matrix(comp, newton.cfg.gmin, cap_geq)
+    assert np.array_equal(newton.base[: comp.size, : comp.size], ref_base)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, jac, scale, _ = newton._assemble(np.append(x, 0.0), const, companion)
+        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        jac = newton._jacobian(stamps)
         ref_f, ref_jac, ref_scale = _ref_assemble(
             comp, ref_base, const[: comp.size], companion, pinned or [], x
         )
         assert np.array_equal(f[: comp.size], ref_f)
         assert np.array_equal(jac[: comp.size, : comp.size], ref_jac)
         assert np.array_equal(scale, ref_scale)
+
+
+@pytest.mark.parametrize("make", CIRCUITS + [LINEAR_RC])
+@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
+def test_single_solve_is_backward_stable_per_row(make, analysis):
+    # One equilibrated LU, no refinement: every row of J dx = -f must hold
+    # to within a few ulps of that row's own magnitude.  A pinned row on a
+    # source-driven node would repeat the source's row (a singular
+    # system), so a circuit without floating nodes is solved unpinned.
+    comp, vdd, _, _, newton = _newton_case(make, analysis, pin_fallback=())
+    size = comp.size
+    rng = np.random.default_rng(1234)
+    for _ in range(4):
+        x, const, companion = _random_state(comp, vdd, rng)
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        jac = newton._jacobian(stamps)[:size, :size]
+        rhs = -f[:size]
+        dx = _lin_solve(jac, rhs)
+        resid = np.abs(jac @ dx - rhs)
+        bound = 1e-14 * (np.abs(jac).max(axis=1) * np.abs(dx).max() + np.abs(rhs))
+        assert (resid <= bound).all(), (resid / bound).max()
 
 
 def test_drain_current_equals_three_stage_kernel():
@@ -224,6 +262,6 @@ def test_carried_stamps_equal_fresh_evaluation():
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
     companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
-    x_new, _, carried = newton.solve(x, const, companion)
-    _, _, _, fresh = newton._assemble(np.append(x_new, 0.0), const, companion)
+    x_new, _, carried = newton.solve(np.append(x, 0.0), const, companion)
+    _, _, fresh = newton._assemble(x_new, const, companion)
     assert carried == fresh

@@ -136,12 +136,37 @@ class TestLinearOneIteration:
         const = _source_const(comp, [0.9])
         geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
-        x0 = np.zeros(comp.size)
+        x0 = np.zeros(comp.size + 1)
         _, iters, _ = nt.solve(x0, const, (geq, hist))
         assert iters == 1
 
 
 class TestTransient:
+    def test_fixed_step_builds_one_companion_matrix_per_method(self, monkeypatch):
+        # A benchmark cell's 33,600 steps of 0.2 ps: k*dt sample times
+        # differ by 18 distinct float values, but every full step must use
+        # one length, so backward Euler and trapezoidal build one each.
+        from cnfetsim import solver
+        built = []
+        base_matrix = solver._Compiled.base_matrix
+
+        def counting(comp, gmin, cap_geq):
+            if cap_geq is not None:
+                built.append(cap_geq)
+            return base_matrix(comp, gmin, cap_geq)
+
+        monkeypatch.setattr(solver._Compiled, "base_matrix", counting)
+        c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
+        cfg = SolverConfig(timestep=2e-13)
+        res = transient(c, cfg, 6.72e-9)
+        assert len(res.times) == 33_601
+        assert len(built) <= 2
+        # A short final step adds at most one more.
+        built.clear()
+        res = transient(c, cfg, 2.05e-11)
+        assert len(res.times) == 104
+        assert len(built) <= 3
+
     def test_rc_charging_matches_analytic(self):
         tau = 1e-12
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
