@@ -185,7 +185,8 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None,
         dut, vdd, config.transition_time_s, config.hold_time_s,
         periods=periods, load_cap=config.load_capacitance_f, devices=devices,
     )
-    cfg = solver.SolverConfig(timestep=config.timestep_s, use_initial_conditions=True)
+    cfg = solver.SolverConfig(timestep=config.timestep_s, use_initial_conditions=True,
+                              timestep_control=True)
     init = solver.initialize_floating_nodes(tb, {}, cfg)
     result = solver.transient(tb, cfg, sched.total_time, initial_conditions=init)
 

@@ -4,7 +4,9 @@ Delay is measured from the middle of the input voltage swing to the
 middle of the output voltage swing; crossings are located by linear
 interpolation between samples, and an output crossing only counts if the
 output then stays on the new side long enough to rule out glitches.
-Average power integrates vdd * (-i_supply) by trapezoidal quadrature.
+Average power integrates vdd * (-i_supply) by trapezoidal quadrature, and
+the settled-level check takes time averages the same way, so every figure
+holds on a nonuniform (error-controlled) time grid.
 PDP is the plain product of average power and worst-case delay.
 """
 
@@ -170,12 +172,18 @@ def average_power(result: TransientResult, supply_name: str, vdd: float,
     t = result.times
     if t0 < t[0] - 1e-18 or t1 > t[-1] * (1 + 1e-12) + 1e-18:
         raise ValueError(f"window ({t0}, {t1}) outside simulated span ({t[0]}, {t[-1]})")
-    i_s = result.current(supply_name)
-    p = vdd * (-i_s)
+    return _time_average(t, vdd * (-result.current(supply_name)), t0, t1)
+
+
+def _time_average(t: np.ndarray, y: np.ndarray, t0: float, t1: float) -> float:
+    """Time average of the sampled waveform y over [t0, t1], t0 < t1, by the
+    trapezoid rule, with y interpolated at window endpoints between
+    samples: exact for a piecewise-linear waveform sampled at its
+    corners, however unevenly."""
     inside = (t > t0) & (t < t1)
     ts = np.concatenate(([t0], t[inside], [t1]))
-    ps = np.concatenate(([np.interp(t0, t, p)], p[inside], [np.interp(t1, t, p)]))
-    return float(np.trapezoid(ps, ts) / (t1 - t0))
+    ys = np.concatenate(([np.interp(t0, t, y)], y[inside], [np.interp(t1, t, y)]))
+    return float(np.trapezoid(ys, ts) / (t1 - t0))
 
 
 @dataclass
@@ -207,20 +215,21 @@ def full_swing_check(result: TransientResult, outputs: list[str],
     """Settled-interval level check against expected logic values.
 
     `truth` lists (t_start, t_end, {output: expected bit}) intervals;
-    within the final settle_window of each interval, the mean of each
-    output must clear v_high_min (expected 1) or stay under v_low_max
-    (expected 0).  Failures are report entries, never exceptions.
+    over the final settle_window of each interval, the time average of
+    each output must clear v_high_min (expected 1) or stay under
+    v_low_max (expected 0).  The window is clipped to the simulated span;
+    an empty one averages to NaN and fails.  Failures are report entries,
+    never exceptions.
     """
     t = result.times
     entries: list[SwingCheckEntry] = []
     for t_start, t_end, expected in truth:
         w_start = max(t_start, t_end - th.settle_window) if th.settle_window > 0 else t_start
-        sel = (t >= w_start) & (t <= t_end)
+        w0, w1 = max(w_start, float(t[0])), min(t_end, float(t[-1]))
         for out in outputs:
             if out not in expected:
                 continue
-            seg = result.voltage(out)[sel]
-            mean = float(np.mean(seg)) if len(seg) else float("nan")
+            mean = _time_average(t, result.voltage(out), w0, w1) if w1 > w0 else float("nan")
             want = expected[out]
             ok = (mean >= th.v_high_min) if want == 1 else (mean <= th.v_low_max)
             entries.append(SwingCheckEntry(t_start, t_end, out, want, mean, bool(ok)))

@@ -1,4 +1,4 @@
-"""Modified nodal analysis: DC operating point and fixed-step transient.
+"""Modified nodal analysis: DC operating point and implicit transient.
 
 Unknowns are node voltages plus one branch current per voltage source.
 Nonlinear devices are linearized by Newton-Raphson; convergence demands
@@ -9,8 +9,20 @@ the matrix (capacitive-input gates make nodes that are DC-floating);
 DC non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
 then re-tighten).
 
-Transient integration is fixed-step backward Euler or trapezoidal with
-a single backward-Euler startup step, using capacitor companion models.
+Transient integration is backward Euler or trapezoidal on capacitor
+companion models, with a backward-Euler first step.  By default every
+step is SolverConfig.timestep long.  With SolverConfig.timestep_control
+the trapezoidal step is error-controlled (Nagel, SPICE2, UCB/ERL M520,
+1975): the local truncation error of each capacitor voltage, h^3/12
+times its third derivative, is estimated from the third divided
+difference over the last four points and held to
+TRTOL * (reltol * |v| + vtol).  Step lengths come from a geometric
+ladder, timestep/16 * 2**rung up to 64 * timestep, so a run is
+deterministic and builds few companion matrices; every PWL corner is a
+breakpoint that a step lands on, and a backward-Euler step follows it.
+In both modes a step whose Newton solve fails is retried one rung
+shorter.
+
 The linear solve is one row-equilibrated dense LU with partial pivoting
 per Newton iterate; benchmark circuits stay under a hundred nodes, so
 sparse machinery would be dead weight.  An iterate assembles the
@@ -26,9 +38,11 @@ and applies the six Jacobian and two current values per device with one
 np.add.at each, through flat indices built at compile time in
 device-major, stamp-minor order; every entry is therefore summed in the
 order a scalar stamping loop would use, and results match it bit for
-bit.  Device stamps depend on x alone, and a transient step's first
+bit.  The stamps of one evaluation are one float array that feeds both
+scatters.  Device stamps depend on x alone, and a fixed step's first
 iterate is the previous step's solution, so the stamps evaluated there
-are carried into the next step instead of being recomputed.
+are carried into the next step instead of being recomputed; a controlled
+step starts from the linear predictor through the last two points.
 
 One run is single-threaded and deterministic.  Circuits are immutable,
 so independent runs parallelize trivially if a caller wants that.
@@ -53,9 +67,32 @@ GMIN_STEP_CEILING = 1.0e-3
 # pass) needs; a sequence whose update stops shrinking fails sooner.
 FLOATING_INIT_MAX_PASSES = 100
 
-# Device stamps of one Newton iterate: six Jacobian values and two
-# currents per transistor, in _Compiled.dev_jac / dev_rows order.
-_Stamps = tuple[list[float], list[float]]
+# Error-controlled transient (SolverConfig.timestep_control).  Time counts
+# in units of timestep / UNITS_PER_TIMESTEP and a step is 2**rung units
+# long, rung 0 to MAX_RUNG (12.8 ps on the benchmark's 0.2 ps timestep),
+# so a run needs few companion matrices.
+UNITS_PER_TIMESTEP = 16
+TIMESTEP_RUNG = 4
+MAX_RUNG = 10
+# SPICE2's multiplier on the truncation-error tolerance.
+TRTOL = 7.0
+# Steps of one timestep after each breakpoint, the first backward Euler,
+# before the estimate (which needs four points past the breakpoint) leads.
+BREAKPOINT_STEPS = 3
+
+
+class _Stamps:
+    """Device stamps of one Newton iterate as one float array: six Jacobian
+    values per transistor in _Compiled.dev_jac order, then two currents per
+    transistor in _Compiled.dev_rows order.  Equal when every value is."""
+
+    __slots__ = ("vals",)
+
+    def __init__(self, vals: np.ndarray):
+        self.vals = vals
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Stamps) and bool(np.array_equal(self.vals, other.vals))
 
 
 class Integration(Enum):
@@ -89,6 +126,15 @@ class IllConditionedDividerError(Exception):
 
 @dataclass
 class SolverConfig:
+    """Newton tolerances and limits, and the transient step policy.
+
+    `timestep` is the transient step.  With `timestep_control` it is the
+    base of the error-controlled ladder instead (see transient): the step
+    taken after each breakpoint, 16 times the shortest step and 1/64 of
+    the longest.  Error control estimates the trapezoidal truncation
+    error, so it requires trapezoidal integration.
+    """
+
     abstol: float = 1e-12
     reltol: float = 1e-4
     vtol: float = 1e-6
@@ -102,6 +148,7 @@ class SolverConfig:
     # junction scale: larger moves overshoot whole square-law regions and
     # re-randomize the device states every iteration.
     max_voltage_step: float = 0.3
+    timestep_control: bool = False
 
     def __post_init__(self) -> None:
         for name in ("abstol", "reltol", "vtol", "gmin", "timestep", "max_voltage_step"):
@@ -109,15 +156,28 @@ class SolverConfig:
                 raise ValueError(f"SolverConfig.{name} must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("SolverConfig.max_newton_iters must be >= 1")
+        if self.timestep_control and self.integration is not Integration.TRAPEZOIDAL:
+            raise ValueError("SolverConfig.timestep_control requires trapezoidal integration")
 
 
 @dataclass
 class TransientResult:
-    """Time series of node voltages and source branch currents."""
+    """Time series of node voltages and source branch currents, and step counts.
+
+    accepted_steps counts every accepted step, in a fixed-step run also
+    the shorter ones a Newton rejection leaves between grid points;
+    lte_rejections and newton_rejections count the steps retried shorter
+    for truncation error and for a failed Newton solve; newton_iterations
+    counts the linear solves of the Newton solves that converged.
+    """
 
     times: np.ndarray
     node_voltages: dict[str, np.ndarray]
     source_currents: dict[str, np.ndarray]
+    accepted_steps: int = 0
+    lte_rejections: int = 0
+    newton_rejections: int = 0
+    newton_iterations: int = 0
 
     def voltage(self, node: str) -> np.ndarray:
         return self.node_voltages[node]
@@ -209,6 +269,7 @@ class _Compiled:
             d, g, s = d % w, g % w, s % w
             jac_idx += (d * w + d, d * w + g, d * w + s, s * w + s, s * w + d, s * w + g)
         self.dev_jac = np.array(jac_idx, dtype=np.intp)
+        self.n_jac = len(jac_idx)
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
         # Current vector layout: resistors, capacitors, sources, then the
         # two device stamps.  scale_node[k] takes max(|current[scale_branch[k]]|).
@@ -349,9 +410,10 @@ class _Newton:
                     i_ds, gm, gds = _drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
                     jac_vals += (gds, gm, -(gm + gds), gm + gds, -gds, -gm)
                     cur_vals += (i_ds, -i_ds)
-                stamps = (jac_vals, cur_vals)
-            currents[nb:] = stamps[1]
-            np.add.at(f, comp.dev_rows, currents[nb:])
+                stamps = _Stamps(np.array(jac_vals + cur_vals))
+            dev_currents = stamps.vals[comp.n_jac:]
+            currents[nb:] = dev_currents
+            np.add.at(f, comp.dev_rows, dev_currents)
         scale = np.zeros(nn + 1)
         np.maximum.at(scale, comp.scale_node, np.abs(currents[comp.scale_branch]))
 
@@ -364,7 +426,7 @@ class _Newton:
         each pinned row replaced by its v_node = value equation."""
         jac = self.base.copy()
         if self.comp.has_devices:
-            np.add.at(jac.ravel(), self.comp.dev_jac, stamps[0])
+            np.add.at(jac.ravel(), self.comp.dev_jac, stamps.vals[: self.comp.n_jac])
         for row in self.pinned_rows:
             jac[row, :] = 0.0
             jac[row, row] = 1.0
@@ -744,8 +806,6 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
 def _time_grid(tstop: float, dt: float) -> tuple[np.ndarray, int]:
     """Sample times k*dt up to tstop, with tstop appended when dt does not
     divide it, and the number of full dt steps among them."""
-    if tstop <= 0:
-        raise ValueError(f"tstop must be positive, got {tstop}")
     n = int(math.floor(tstop / dt + 1e-9))
     times = [k * dt for k in range(n + 1)]
     if times[-1] < tstop * (1.0 - 1e-12):
@@ -753,23 +813,103 @@ def _time_grid(tstop: float, dt: float) -> tuple[np.ndarray, int]:
     return np.array(times), n
 
 
+def _breakpoints(comp: _Compiled, tstop: float, unit: float) -> list[float]:
+    """Every PWL corner in (0, tstop), then tstop.  A corner within a
+    thousandth of a unit of t=0 or of the next one kept is dropped."""
+    corners = sorted({t for el in comp.sources if el.waveform.kind != "dc"  # type: ignore[union-attr]
+                      for t, _ in el.waveform.points if 0.0 < t < tstop})  # type: ignore[union-attr]
+    kept = [tstop]
+    for b in reversed(corners):
+        if kept[-1] - b > 1e-3 * unit and b > 1e-3 * unit:
+            kept.append(b)
+    return kept[::-1]
+
+
+def _source_values(comp: _Compiled) -> Callable[[float | np.ndarray], np.ndarray]:
+    """Source levels at a time or an array of times, one row per source.
+
+    PWL is interpolation with constant extrapolation, which is exactly
+    np.interp, so a level read at one time equals the one read on a grid.
+    """
+    table: list[float | tuple[np.ndarray, np.ndarray]] = []
+    for el in comp.sources:
+        wf = el.waveform
+        assert wf is not None
+        if wf.kind == "dc":
+            table.append(wf.level)
+        else:
+            table.append((np.array([t for t, _ in wf.points]), np.array([v for _, v in wf.points])))
+
+    def at(t: float | np.ndarray) -> np.ndarray:
+        out = np.empty((comp.n_src, *np.shape(t)))
+        for b, entry in enumerate(table):
+            out[b] = np.interp(t, *entry) if isinstance(entry, tuple) else entry
+        return out
+
+    return at
+
+
+def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> float:
+    """Largest trapezoidal truncation-error estimate over its tolerance.
+
+    `points` are the last four (time, capacitor voltages), newest last.
+    The error of the newest step h is h^3 * DD3 / 2, DD3 being the third
+    divided difference over the four points (a sixth of the third
+    derivative, so this is the trapezoidal rule's h^3/12 times it); each
+    capacitor voltage v is held to TRTOL * (reltol * |v| + vtol).
+    """
+    (t0, v0), (t1, v1), (t2, v2), (t3, v3) = points
+    d01 = (v1 - v0) / (t1 - t0)
+    d12 = (v2 - v1) / (t2 - t1)
+    d23 = (v3 - v2) / (t3 - t2)
+    dd3 = ((d23 - d12) / (t3 - t1) - (d12 - d01) / (t2 - t0)) / (t3 - t0)
+    err = 0.5 * (t3 - t2) ** 3 * np.abs(dd3)
+    return float((err / (TRTOL * (cfg.reltol * np.abs(v3) + cfg.vtol))).max(initial=0.0))
+
+
 def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
               initial_conditions: dict[str, float] | None = None) -> TransientResult:
-    """Fixed-step implicit transient over [0, tstop].
+    """Implicit transient over [0, tstop], fixed-step or error-controlled.
 
     Starts from the DC operating point unless cfg.use_initial_conditions,
     in which case `initial_conditions` supplies the t=0 node voltages
     (missing nodes default to 0).  The first step is always backward
-    Euler; later steps follow cfg.integration.  Every step is exactly
-    cfg.timestep long except a short final one when the timestep does not
-    divide tstop (the differences of the k*dt sample times jitter in their
-    last bits, and each distinct length would build its own companion
-    matrix).  A non-converging step is retried once as two half steps
-    before failing.
+    Euler; later steps follow cfg.integration.
+
+    Fixed step (the default): the samples are the k*cfg.timestep grid.
+    Every step is exactly cfg.timestep long except a short final one when
+    the timestep does not divide tstop (the differences of the k*dt sample
+    times jitter in their last bits, and each distinct length would build
+    its own companion matrix).
+
+    With cfg.timestep_control, time counts in units of cfg.timestep / 16
+    and steps are 2**rung units long, up to 64 * cfg.timestep.  Every PWL
+    corner is a breakpoint that a step lands on exactly (one short
+    off-ladder step when the corner is off the unit grid).  After each
+    breakpoint come BREAKPOINT_STEPS steps of cfg.timestep, the first
+    backward Euler; from then on a step whose truncation-error ratio r
+    (_lte_ratio) exceeds 1 is rejected and retried ceil(log2(r)/3) rungs
+    down, and an accepted step with r <= 1/8 lets the next one be a rung
+    longer.  Newton starts from the linear predictor through the last two
+    points, except on a breakpoint's first step.  Every accepted point is
+    a sample.
+
+    In both modes a step whose Newton solve fails is retried one rung
+    down; the ConvergenceError is raised when a step of one unit fails.
+    A fixed-step run records only its grid points.
     """
+    if tstop <= 0:
+        raise ValueError(f"tstop must be positive, got {tstop}")
     comp = _Compiled(circuit)
-    times, n_full = _time_grid(tstop, cfg.timestep)
-    nsteps = len(times) - 1
+    control = cfg.timestep_control
+    unit = cfg.timestep / UNITS_PER_TIMESTEP
+    sources_at = _source_values(comp)
+    if control:
+        targets = _breakpoints(comp, tstop, unit)
+    else:
+        times, n_full = _time_grid(tstop, cfg.timestep)
+        targets = times[1:].tolist()
+        src_grid = sources_at(times)
 
     x = np.zeros(comp.size)
     if cfg.use_initial_conditions:
@@ -795,77 +935,123 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
 
-    history = np.empty((nsteps + 1, comp.size))
-    history[0] = x
-
-    # Source values for the whole grid, up front (PWL is interpolation
-    # with constant extrapolation, which is exactly np.interp).
-    src_grid = np.empty((comp.n_src, len(times)))
-    for b, el in enumerate(comp.sources):
-        wf = el.waveform
-        assert wf is not None
-        if wf.kind == "dc":
-            src_grid[b, :] = wf.level
-        else:
-            pts_t = np.array([t for t, _ in wf.points])
-            pts_v = np.array([v for _, v in wf.points])
-            src_grid[b, :] = np.interp(times, pts_t, pts_v)
-
+    # Companion matrices of ladder lengths are kept; an off-ladder step
+    # (a landing on a breakpoint) builds its own.
     base_cache: dict[tuple[str, float], _Newton] = {}
 
-    def newton_for(method: Integration, h: float) -> _Newton:
-        key = (method.value, h)
-        if key not in base_cache:
-            geq_mult = (1.0 / h) if method is Integration.BACKWARD_EULER else (2.0 / h)
-            base_cache[key] = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, geq_mult))
-        return base_cache[key]
-
-    def step(x_in, v_state, i_state, src_vals, t_new, h, method, stamps):
+    def step(x_in, stamps_in, src_vals, t_new, h, method, ladder):
         geq_mult = (1.0 / h) if method is Integration.BACKWARD_EULER else (2.0 / h)
         geq = geq_mult * comp.cap_c
         if method is Integration.BACKWARD_EULER:
-            hist = -geq * v_state
+            hist = -geq * cap_v
         else:
-            hist = -geq * v_state - i_state
+            hist = -geq * cap_v - cap_i_state
         const = np.zeros(comp.size + 1)
         const[comp.n_nodes: comp.size] = -src_vals
         np.add.at(const, comp.cap_i, hist)
         np.subtract.at(const, comp.cap_j, hist)
-        x_new, _, stamps = newton_for(method, h).solve(
-            x_in, const, (geq, hist), time=t_new, stamps=stamps
+        key = (method.value, h)
+        newton = base_cache.get(key)
+        if newton is None:
+            newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, geq_mult))
+            if ladder:
+                base_cache[key] = newton
+        x_new, iters, stamps_out = newton.solve(
+            x_in, const, (geq, hist), time=t_new, stamps=stamps_in
         )
         v_new = x_new[comp.cap_i] - x_new[comp.cap_j]
-        return x_new, v_new, geq * v_new + hist, stamps
+        return x_new, v_new, geq * v_new + hist, stamps_out, iters
 
+    out_times = [0.0]
+    history = [x_pad[: comp.size]]
+    accepted = lte_rejections = newton_rejections = newton_iterations = 0
+    # t is anchor + n units, or the last target reached.  A fixed-step
+    # run keeps its anchor at 0, so its grid points are k * timestep.
+    t, anchor, n = 0.0, 0.0, 0
+    rung, since = TIMESTEP_RUNG, 0  # since: accepted steps since the last breakpoint
+    x_prev, h_prev = x_pad, 0.0
+    # The last three (time, capacitor voltages) since the last breakpoint.
+    recent = [(0.0, cap_v)]
     # A step's first Newton iterate is the previous step's solution, so the
     # device stamps evaluated there are carried in rather than recomputed.
     stamps = None
-    for k in range(nsteps):
-        t0, t1 = times[k], times[k + 1]
-        h = cfg.timestep if k < n_full else t1 - t0
-        method = Integration.BACKWARD_EULER if k == 0 else cfg.integration
-        try:
-            x_pad, cap_v, cap_i_state, stamps = step(
-                x_pad, cap_v, cap_i_state, src_grid[:, k + 1], t1, h, method, stamps
-            )
-        except ConvergenceError:
-            # One rejection allowed: attempt the step as two half steps.
-            src_mid = np.array([
-                el.waveform.value_at(t0 + h / 2) for el in comp.sources  # type: ignore[union-attr]
-            ])
-            x_mid, v_mid, i_mid, mid_stamps = step(
-                x_pad, cap_v, cap_i_state, src_mid, t0 + h / 2, h / 2, method, stamps
-            )
-            x_pad, cap_v, cap_i_state, stamps = step(
-                x_mid, v_mid, i_mid, src_grid[:, k + 1], t1, h / 2, cfg.integration, mid_stamps
-            )
-        history[k + 1] = x_pad[: comp.size]
+    for k, b in enumerate(targets):
+        p = (b - anchor) / unit
+        if control:
+            nb = round(p)
+            on_grid = nb >= 1 and abs(p - nb) <= 1e-6
+        else:
+            nb, on_grid = UNITS_PER_TIMESTEP * (k + 1), k < n_full
+        end = nb if on_grid else p  # the target, in units past the anchor
+        while True:
+            m = 1 << rung
+            landed = n + m >= end
+            if landed:
+                units = end - n
+                t_new = b
+                h = units * unit if on_grid else b - t
+            else:
+                units = m
+                t_new = anchor + (n + m) * unit
+                h = m * unit
+            ladder = isinstance(units, int) and units & (units - 1) == 0
+            method = Integration.BACKWARD_EULER if since == 0 else cfg.integration
+            src = src_grid[:, k + 1] if landed and not control else sources_at(t_new)
+            if control and since:
+                x_in, stamps_in = x_pad + (h / h_prev) * (x_pad - x_prev), None
+            else:
+                x_in, stamps_in = x_pad, stamps
+            try:
+                x_new, v_new, i_new, stamps_new, iters = step(
+                    x_in, stamps_in, src, t_new, h, method, ladder
+                )
+            except ConvergenceError:
+                if units <= 1:
+                    raise
+                newton_rejections += 1
+                rung = math.ceil(math.log2(units)) - 1
+                continue
+            newton_iterations += iters
+            if control and since >= BREAKPOINT_STEPS:
+                ratio = _lte_ratio([*recent, (t_new, v_new)], cfg)
+                if ratio > 1.0 and units > 1:
+                    lte_rejections += 1
+                    drop = math.ceil(math.log2(ratio) / 3)
+                    rung = max(math.ceil(math.log2(units)) - drop, 0)
+                    continue
+                if ratio <= 0.125 and rung < MAX_RUNG:
+                    rung += 1
+            accepted += 1
+            x_prev, h_prev = x_pad, h
+            x_pad, cap_v, cap_i_state, stamps = x_new, v_new, i_new, stamps_new
+            t = t_new
+            since += 1
+            if control:
+                recent = [*recent[-2:], (t, cap_v)]
+                out_times.append(t)
+                history.append(x_pad[: comp.size])
+            if landed:
+                break
+            n += m
+        rung = TIMESTEP_RUNG
+        if control:
+            anchor, n, since = b, 0, 0
+            recent = [(b, cap_v)]
+        else:
+            n = nb
+            history.append(x_pad[: comp.size])
 
-    node_voltages = {name: history[:, comp.node_index[name]].copy() for name in comp.node_names}
+    samples = np.array(history)
+    node_voltages = {name: samples[:, comp.node_index[name]].copy() for name in comp.node_names}
     source_currents = {
-        el.name: history[:, comp.n_nodes + b].copy() for b, el in enumerate(comp.sources)
+        el.name: samples[:, comp.n_nodes + b].copy() for b, el in enumerate(comp.sources)
     }
-    return TransientResult(times=times, node_voltages=node_voltages, source_currents=source_currents)
+    return TransientResult(
+        times=np.array(out_times) if control else times, node_voltages=node_voltages,
+        source_currents=source_currents, accepted_steps=accepted,
+        lte_rejections=lte_rejections, newton_rejections=newton_rejections,
+        newton_iterations=newton_iterations,
+    )
 
 
 def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray, t: float) -> None:

@@ -219,3 +219,26 @@ def test_every_device_key_reaches_the_circuit(kind, key, value):
 @functools.lru_cache
 def _short_power(kind):
     return bench.run_cell(kind, 0.9, SHORT).measurement.avg_power
+
+
+@functools.cache
+def _proposed_cell() -> bench.CellResult:
+    return bench.run_cell(AdderKind.PROPOSED, 0.9)
+
+
+class TestControlledCell:
+    def test_default_cell_takes_at_most_8000_steps(self):
+        # A fixed 0.2 ps step takes 33,600.
+        res = _proposed_cell().result
+        assert res.accepted_steps == len(res.times) - 1 <= 8000
+        assert res.newton_rejections == 0
+
+    def test_every_pwl_corner_is_a_sample(self):
+        config = BenchConfig()
+        sched = InputSchedule(config.transition_time_s, config.hold_time_s,
+                              config.warmup_periods + config.measure_periods)
+        times = set(_proposed_cell().result.times.tolist())
+        corners = {t for i in range(3) for t, _ in sched.pwl_points(i, 0.9)}
+        assert len(corners) > 50
+        assert corners <= times
+

@@ -220,3 +220,62 @@ class TestFullSwingCheck:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             LogicThresholds(vdd=1.0, v_high_min=0.2, v_low_max=0.5)
+
+
+class TestNonuniformGrid:
+    """An error-controlled run samples unevenly; every figure must read the
+    same piecewise-linear waveform the same way on any grid holding its corners."""
+
+    CORNERS = {
+        "in": ([0.0, 40e-12, 50e-12, 100e-12], [0.0, 0.0, 0.9, 0.9]),
+        "sum": ([0.0, 47e-12, 57e-12, 100e-12], [0.9, 0.9, 0.0, 0.0]),
+        "v1": ([0.0, 45e-12, 60e-12, 100e-12], [-1e-6, -5e-5, -2e-6, -1e-6]),
+    }
+
+    def _result(self, t):
+        wave = {name: np.interp(t, *pts) for name, pts in self.CORNERS.items()}
+        return TransientResult(times=t, node_voltages={"in": wave["in"], "sum": wave["sum"]},
+                               source_currents={"v1": wave["v1"]})
+
+    def _grids(self):
+        corners = sorted({c for pts, _ in self.CORNERS.values() for c in pts})
+        uniform = np.union1d(np.linspace(0.0, 100e-12, 1001), corners)
+        rng = np.random.default_rng(7)
+        uneven = np.unique(np.concatenate([corners, rng.uniform(0.0, 100e-12, 40),
+                                           rng.uniform(45e-12, 58e-12, 200)]))
+        return self._result(uniform), self._result(uneven)
+
+    def test_power_and_delay_agree(self):
+        a, b = self._grids()
+        window = (20e-12, 90e-12)
+        pa, pb = (average_power(r, "v1", 0.9, window) for r in (a, b))
+        assert pa == pytest.approx(pb, rel=1e-12)
+        da, db = (propagation_delay(r.times, r.voltage("in"), r.voltage("sum"), 0.9,
+                                    min_sustain=5e-12)[0].delay for r in (a, b))
+        assert da == pytest.approx(7e-12, rel=1e-9)
+        assert db == pytest.approx(da, rel=1e-9)
+
+    def test_swing_check_agrees(self):
+        # The second window takes in the tail of the falling ramp.
+        th = LogicThresholds(vdd=0.9, settle_window=50e-12)
+        truth = [(0.0, 47e-12, {"sum": 1}), (47e-12, 100e-12, {"sum": 0})]
+        ra, rb = (full_swing_check(r, ["sum"], truth, th) for r in self._grids())
+        assert ra.ok and rb.ok
+        for ea, eb in zip(ra.entries, rb.entries):
+            assert ea.mean_level == pytest.approx(eb.mean_level, rel=1e-12, abs=1e-15)
+        # The ramp falls from 0.63 V at 50 ps to 0 V at 57 ps; then 0 V.
+        assert ra.entries[1].mean_level == pytest.approx(0.63 * 7e-12 / 2 / 50e-12, rel=1e-9)
+
+    def test_time_average_gives_the_verdict_a_sample_mean_misses(self):
+        # The output holds 0.9 V but for a 2 ps dip to 0 V, and 200 of the
+        # 211 samples fall in the dip.
+        corners = ([0.0, 60e-12, 61e-12, 62e-12, 100e-12], [0.9, 0.9, 0.0, 0.9, 0.9])
+        t = np.unique(np.concatenate([np.linspace(0.0, 100e-12, 11), corners[0],
+                                      np.linspace(60e-12, 62e-12, 200)]))
+        v = np.interp(t, *corners)
+        res = TransientResult(times=t, node_voltages={"sum": v}, source_currents={})
+        th = LogicThresholds(vdd=0.9, settle_window=100e-12)
+        assert np.mean(v) < th.v_high_min
+        report = full_swing_check(res, ["sum"], [(0.0, 100e-12, {"sum": 1})], th)
+        assert report.ok
+        assert report.entries[0].mean_level == pytest.approx(0.9 - 0.9 * 1e-12 / 100e-12, rel=1e-9)

@@ -256,6 +256,59 @@ class TestTransient:
         assert len(mantissa.replace("-", "").replace(".", "")) == 9
 
 
+class TestStepControl:
+    RC_RAMP = "v1 in 0 pwl(0 0 1p 0 3p 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
+
+    @staticmethod
+    def _ramp_response(t, tau=1e-12, t1=1e-12, t2=3e-12, vdd=0.9):
+        """RC output for an input at 0 V until t1, ramping to vdd at t2."""
+        a = vdd / (t2 - t1)
+
+        def ramp(s):
+            return a * (s - tau * (1.0 - np.exp(-s / tau)))
+
+        rising = np.where(t <= t1, 0.0, ramp(np.clip(t - t1, 0.0, None)))
+        return np.where(t <= t2, rising, vdd + (ramp(t2 - t1) - vdd) * np.exp(-(t - t2) / tau))
+
+    def test_rc_under_pwl_ramp_matches_analytic(self):
+        cfg = SolverConfig(timestep=5e-14, use_initial_conditions=True, timestep_control=True)
+        res = transient(parse(self.RC_RAMP), cfg, 1e-11,
+                        initial_conditions={"in": 0.0, "out": 0.0})
+        err = np.abs(res.voltage("out") - self._ramp_response(res.times))
+        assert err.max() <= 1e-3
+        # A quarter of the fixed-step run's 200 steps would do; the long
+        # tail after the ramp takes steps far above the timestep.
+        assert res.accepted_steps == len(res.times) - 1 < 100
+        assert np.diff(res.times).max() > 10 * cfg.timestep
+
+    def test_every_corner_is_a_sample_on_or_off_the_unit_grid(self):
+        # 1.0037 ps is off the 6.25 fs unit grid and is reached by one short step.
+        corners = [1e-12, 1.0037e-12, 2.5e-12]
+        c = parse("v1 in 0 pwl(0 0 1p 0 1.0037p 0.9 2.5p 0.3)\nr1 in out 1k\nc1 out 0 1f\n")
+        cfg = SolverConfig(timestep=1e-13, timestep_control=True)
+        res = transient(c, cfg, 4e-12)
+        for corner in corners:
+            assert corner in res.times
+        assert res.times[-1] == 4e-12
+        assert np.all(np.diff(res.times) > 0)
+        assert res.voltage("in")[res.times == 1.0037e-12][0] == pytest.approx(0.9)
+
+    def test_fixed_step_counts_steps_and_no_lte_rejections(self):
+        cfg = SolverConfig(timestep=1e-13, use_initial_conditions=True)
+        res = transient(parse(self.RC_RAMP), cfg, 1e-11,
+                        initial_conditions={"in": 0.0, "out": 0.0})
+        assert res.lte_rejections == 0
+        assert res.newton_rejections == 0
+        assert res.accepted_steps == len(res.times) - 1 == 100
+        # A linear circuit lands in one solve per step, and the ten steps
+        # before the ramp start converged and take none.
+        assert res.newton_iterations == 90
+
+    def test_control_requires_trapezoidal(self):
+        with pytest.raises(ValueError):
+            SolverConfig(timestep_control=True, integration=Integration.BACKWARD_EULER)
+
+
 class TestFloatingNodes:
     def test_equal_caps_all_high(self):
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0.9\nvc c 0 dc 0.9\n"
