@@ -6,13 +6,14 @@
 Rows are matched by design and supply.  For power, delay, PDP and the
 delay of every transition, prints the largest relative difference
 |after - before| / |before| over all rows; exits 1 when any exceeds
---rtol, or when the two reports do not hold the same rows and
+--rtol, when either report holds a NaN in one of them, or when the two reports do not hold the same rows and
 transitions.  Use it where a change may move the last bits of a result,
 so the reports are no longer byte-identical.
 """
 
 import argparse
 import json
+import math
 import sys
 
 FIELDS = ("power_w", "delay_s", "pdp_j")
@@ -24,6 +25,8 @@ def _rows(path: str) -> dict[tuple[str, float], dict]:
 
 
 def _rel(a: float, b: float) -> float:
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
     if a == b:
         return 0.0
     return abs(b - a) / abs(a) if a else float("inf")

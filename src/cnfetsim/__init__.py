@@ -4,7 +4,7 @@ Subpackages by concern:
 
 - devices: chirality/threshold laws and square-law transistor models
 - netlist: SPICE-subset parser, flattener, canonical serializer
-- solver:  MNA Newton solver, DC operating point, fixed-step transient
+- solver:  MNA Newton solver, DC operating point, fixed-step or error-controlled transient
 - measure: average power, mid-swing propagation delay, PDP
 - adders:  built-in gate/adder constructors and the benchmark testbench
 - logic:   threshold-logic oracle for exhaustive truth-table checks

@@ -141,10 +141,6 @@ class CellResult:
     swing_report: measure.SwingReport
     result: solver.TransientResult = field(repr=False)
 
-    @property
-    def display_name(self) -> str:
-        return DISPLAY_NAMES[self.kind]
-
 
 def phase_truth(sched: InputSchedule, transition_time: float) -> list[tuple[float, float, dict[str, int]]]:
     """Settled-interval expectations: each phase up to the start of its ramp."""

@@ -62,6 +62,12 @@ from .netlist import GROUND, Circuit, Element, ElementKind, NetlistError
 
 GMIN_STEP_CEILING = 1.0e-3
 
+# Newton's per-node update clamp, applied only when nonlinear devices are
+# present (a linear circuit must converge in one full-length step).  Kept
+# at junction scale: larger moves overshoot whole square-law regions and
+# re-randomize the device states every iteration.
+MAX_VOLTAGE_STEP = 0.3
+
 # Pass bound of the floating-node fixed point, far above the 10 passes
 # the slowest benchmark design (CNT-FA3, contracting about 0.24 per
 # pass) needs; a sequence whose update stops shrinking fails sooner.
@@ -79,20 +85,6 @@ TRTOL = 7.0
 # Steps of one timestep after each breakpoint, the first backward Euler,
 # before the estimate (which needs four points past the breakpoint) leads.
 BREAKPOINT_STEPS = 3
-
-
-class _Stamps:
-    """Device stamps of one Newton iterate as one float array: six Jacobian
-    values per transistor in _Compiled.dev_jac order, then two currents per
-    transistor in _Compiled.dev_rows order.  Equal when every value is."""
-
-    __slots__ = ("vals",)
-
-    def __init__(self, vals: np.ndarray):
-        self.vals = vals
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Stamps) and bool(np.array_equal(self.vals, other.vals))
 
 
 class Integration(Enum):
@@ -143,15 +135,10 @@ class SolverConfig:
     timestep: float = 1e-12
     integration: Integration = Integration.TRAPEZOIDAL
     use_initial_conditions: bool = False
-    # Newton step clamp, applied only when nonlinear devices are present
-    # (a linear circuit must converge in one full-length step).  Kept at
-    # junction scale: larger moves overshoot whole square-law regions and
-    # re-randomize the device states every iteration.
-    max_voltage_step: float = 0.3
     timestep_control: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("abstol", "reltol", "vtol", "gmin", "timestep", "max_voltage_step"):
+        for name in ("abstol", "reltol", "vtol", "gmin", "timestep"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"SolverConfig.{name} must be positive")
         if self.max_newton_iters < 1:
@@ -375,14 +362,16 @@ class _Newton:
         self.v_lo, self.v_hi = _voltage_box(comp)
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
-                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: _Stamps | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, _Stamps]:
+                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded residual, per-node scale and the device stamps.
 
-        `const` and `cap_companion` are as in solve.  `stamps` are device
-        stamps already evaluated at this x_pad; device stamps depend on x
-        alone, so a caller may carry them between solves.  The Jacobian
-        at x_pad is _jacobian(stamps).
+        `const` and `cap_companion` are as in solve.  The device stamps
+        are one float array: six Jacobian values per transistor in
+        _Compiled.dev_jac order, then two currents per transistor in
+        _Compiled.dev_rows order.  `stamps` are those already evaluated at
+        this x_pad; device stamps depend on x alone, so a caller may carry
+        them between solves.  The Jacobian at x_pad is _jacobian(stamps).
         """
         comp = self.comp
         nn, size, nb = comp.n_nodes, comp.size, comp.n_branch
@@ -410,8 +399,8 @@ class _Newton:
                     i_ds, gm, gds = _drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
                     jac_vals += (gds, gm, -(gm + gds), gm + gds, -gds, -gm)
                     cur_vals += (i_ds, -i_ds)
-                stamps = _Stamps(np.array(jac_vals + cur_vals))
-            dev_currents = stamps.vals[comp.n_jac:]
+                stamps = np.array(jac_vals + cur_vals)
+            dev_currents = stamps[comp.n_jac:]
             currents[nb:] = dev_currents
             np.add.at(f, comp.dev_rows, dev_currents)
         scale = np.zeros(nn + 1)
@@ -421,12 +410,12 @@ class _Newton:
             f[row] = x[row] - value
         return f, scale[:nn], stamps
 
-    def _jacobian(self, stamps: _Stamps | None) -> np.ndarray:
+    def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
         """Padded Jacobian: the base matrix plus the device stamps, with
         each pinned row replaced by its v_node = value equation."""
         jac = self.base.copy()
         if self.comp.has_devices:
-            np.add.at(jac.ravel(), self.comp.dev_jac, stamps.vals[: self.comp.n_jac])
+            np.add.at(jac.ravel(), self.comp.dev_jac, stamps[: self.comp.n_jac])
         for row in self.pinned_rows:
             jac[row, :] = 0.0
             jac[row, row] = 1.0
@@ -448,7 +437,7 @@ class _Newton:
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray,
               cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None,
-              stamps: _Stamps | None = None) -> tuple[np.ndarray, int, _Stamps]:
+              stamps: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray]:
         """Returns (padded solution, iterations, device stamps at the solution).
 
         Iterations counts linear solves.  `x0_pad` and `const` are
@@ -459,19 +448,15 @@ class _Newton:
         is its solution).  The Jacobian is built only when a linear
         solve follows, so a converged iterate builds none.
 
-        Nonlinear steps are safeguarded by a per-component voltage clamp
-        plus cumulative damping of direction-reversing components; a
-        linear circuit takes the raw Newton step and lands exactly in
-        one iteration.
+        A nonlinear iterate clamps each node's update to
+        MAX_VOLTAGE_STEP, takes it, and clips the node voltages into
+        _voltage_box; a linear circuit takes the raw Newton step and
+        lands exactly in one iteration.
         """
         cfg = self.cfg
         nn, size = self.comp.n_nodes, self.comp.size
         x_pad = x0_pad.copy()
         x = x_pad[:size]
-        prev_dx: np.ndarray | None = None
-        # Every component starts undamped; the per-component array is
-        # made at the first direction test.
-        damp: float | np.ndarray = 1.0
         for it in range(cfg.max_newton_iters + 1):
             f, scale, stamps = self._assemble(
                 x_pad, const, cap_companion, stamps if it == 0 else None
@@ -488,19 +473,11 @@ class _Newton:
             if self.comp.has_devices:
                 # An inverter output on its vertical transfer segment (both
                 # devices saturated, gmin-only diagonal) legitimately asks
-                # for a kilovolt move; clamping per component lets that node
-                # walk to its region in a few steps without squashing the
-                # rest of the update.  Components that keep reversing
-                # direction get a cumulative damping factor: that collapses
-                # the period-2 orbits Newton falls into at the square law's
-                # curvature kinks (the usual transmission-gate contention
-                # jam), while monotone region walks keep full speed.
-                np.clip(dx[:nn], -cfg.max_voltage_step, cfg.max_voltage_step, out=dx[:nn])
-                if prev_dx is not None:
-                    damp = np.where(dx * prev_dx < 0.0, np.maximum(damp * 0.5, 1.0 / 256.0),
-                                    np.minimum(damp * 2.0, 1.0))
-                prev_dx = dx
-                x += damp * dx
+                # for a kilovolt move; clamping per node lets that node walk
+                # to its region in a few steps without squashing the rest
+                # of the update.
+                np.clip(dx[:nn], -MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP, out=dx[:nn])
+                x += dx
                 np.clip(x[:nn], self.v_lo, self.v_hi, out=x[:nn])
             else:
                 x += dx

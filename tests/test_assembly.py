@@ -264,4 +264,4 @@ def test_carried_stamps_equal_fresh_evaluation():
     companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
     x_new, _, carried = newton.solve(np.append(x, 0.0), const, companion)
     _, _, fresh = newton._assemble(x_new, const, companion)
-    assert carried == fresh
+    assert np.array_equal(carried, fresh)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -58,3 +59,12 @@ def test_different_transitions_fail(tmp_path, capsys):
     b = _report(tmp_path / "b.json", edges=(1e-10, 2e-10))
     assert compare_reports.main([a, b]) == 1
     assert "transitions differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("before, after", [(1e-6, math.nan), (math.nan, 1e-6), (math.nan, math.nan)])
+def test_nan_power_fails(tmp_path, capsys, before, after):
+    a = _report(tmp_path / "a.json", power=before)
+    b = _report(tmp_path / "b.json", power=after)
+    assert compare_reports.main([a, b]) == 1
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == ["power_w", "pdp_j"]

@@ -13,11 +13,52 @@ from cnfetsim.logic import (
     eval_network,
     fa_truth,
     majority,
-    parse_network,
     verify_adder_network,
 )
 
 ALL_BITS = list(product((0, 1), repeat=3))
+
+
+def parse_network(text: str) -> LogicNetwork:
+    """Network from a small line format:
+
+    input <name>
+    gate <name> inv|buf <p>/<q> <sig>:<weight> ...
+    output <alias> <signal>
+    """
+    net = LogicNetwork()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0].lower()
+        try:
+            if kind == "input":
+                net.add_input(parts[1])
+            elif kind == "gate":
+                name, mode, thresh = parts[1], parts[2].lower(), parts[3]
+                if mode not in ("inv", "buf"):
+                    raise ValueError(f"gate mode must be inv or buf, got {mode!r}")
+                p, q = thresh.split("/")
+                refs, weights = [], []
+                for token in parts[4:]:
+                    sig, w = token.split(":")
+                    refs.append(sig)
+                    weights.append(int(w))
+                gate = ThresholdGate(
+                    weights=tuple(weights),
+                    threshold=Fraction(int(p), int(q)),
+                    inverting=(mode == "inv"),
+                )
+                net.add_gate(name, gate, tuple(refs))
+            elif kind == "output":
+                net.add_output(parts[1], parts[2])
+            else:
+                raise ValueError(f"unknown directive {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"network text line {lineno}: {exc}") from exc
+    return net
 
 
 class TestMajority:

@@ -409,6 +409,38 @@ class TestFloatingNodes:
         assert res.voltage("x")[-1] == pytest.approx(2 * 0.9 / 3, rel=1e-3)
 
 
+class TestColdConvergence:
+    @pytest.mark.parametrize("vdd", [0.9, 0.65])
+    def test_every_testbench_converges_without_gmin_stepping(self, monkeypatch, vdd):
+        # Newton's only guards are the per-node clamp and the voltage box;
+        # every benchmark testbench must still reach its floating-node
+        # initialization and a cold DC point at each input vector without
+        # a failed solve, so the gmin ladder is never entered.
+        from cnfetsim import solver
+        from cnfetsim.adders import BENCH_ORDER, build_adder, build_testbench
+        failures = []
+        plain_solve = solver._Newton.solve
+
+        def counted_solve(self, *args, **kwargs):
+            try:
+                return plain_solve(self, *args, **kwargs)
+            except ConvergenceError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(solver._Newton, "solve", counted_solve)
+        for kind in BENCH_ORDER:
+            tb = build_testbench(build_adder(kind, vdd), vdd, 1e-11, 2e-10)
+            for bits in range(8):
+                levels = {name: vdd * (bits >> k & 1) for k, name in enumerate("abc")}
+                initialize_floating_nodes(tb, levels)
+                dc = tb
+                for name, level in levels.items():
+                    dc = dc.with_dc_source(f"v{name}", level)
+                dc_operating_point(dc)
+        assert failures == []
+
+
 class TestPassivity:
     def test_single_supply_average_power_nonnegative(self):
         c = parse(INVERTER).with_dc_source("vin", 0.45)
