@@ -14,6 +14,7 @@ closed forms keep the nonlinear solver testable against hand arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,42 +175,50 @@ class MosfetParams:
             raise DeviceError("channel_length_modulation must be >= 0")
 
 
-def _drain_current(
-    polarity: Polarity, k: float, vth: float, lam: float, vgs: float, vds: float
-) -> tuple[float, float, float]:
-    """(id, dId/dvgs, dId/dvds) of the three-region square law.
+def drain_currents(devices: Sequence[tuple[int, int, int, bool, float, float, float]],
+                   v: Sequence[float]) -> list[float]:
+    """(gds, gm, gm + gds, id) of every device, flat, in device order.
 
-    A P device mirrors the N math (conductances keep their sign), and
-    vds < 0 swaps the roles of drain and source, so pass transistors
-    conduct either way.  The (1 + lam*vds) factor applies in triode and
-    saturation alike, which keeps the current C1 across the region
-    boundary; scaling saturation only would leave a jump of
-    lam*vds*i_sat there, and Newton limit-cycles on such a kink.  The
-    solver calls this once per transistor per Newton iterate, so it is
-    one flat function.
+    Each device is (drain, gate, source, mirrored, k, vth, lam): indices
+    into the node voltages `v` (-1 reads its last entry, which a caller
+    keeps at ground) and the square law of a P (mirrored) or N device.
+    The law has three regions, cutoff, triode and saturation; id is
+    positive into the drain of a conducting N device.  A P device
+    mirrors the N math (conductances keep their sign), and vds < 0 swaps
+    the roles of drain and source, so pass transistors conduct either
+    way.  The (1 + lam*vds) factor applies in triode and saturation
+    alike, which keeps the current C1 across the region boundary;
+    scaling saturation only would leave a jump of lam*vds*i_sat there,
+    and Newton limit-cycles on such a kink.  The solver evaluates every
+    transistor of a circuit with one call per Newton iterate, so the
+    loop makes no call per device.
     """
-    mirrored = polarity is Polarity.P
-    if mirrored:
-        vgs, vds = -vgs, -vds
-    reversed_ = vds < 0.0
-    if reversed_:
-        vgs, vds = vgs - vds, -vds
-    vov = vgs - vth
-    if vov <= 0.0:
-        i, gm, gds = 0.0, 0.0, 0.0
-    elif vds < vov:
-        scale = 1.0 + lam * vds
-        base = k * (vov * vds - 0.5 * vds * vds)
-        i, gm, gds = base * scale, k * vds * scale, k * (vov - vds) * scale + base * lam
-    else:
-        scale = 1.0 + lam * vds
-        i_sat = 0.5 * k * vov * vov
-        i, gm, gds = i_sat * scale, k * vov * scale, i_sat * lam
-    if reversed_:
-        i, gm, gds = -i, -gm, gm + gds
-    if mirrored:
-        i = -i
-    return i, gm, gds
+    out: list[float] = []
+    for d, g, s, mirrored, k, vth, lam in devices:
+        vs = v[s]
+        vgs, vds = v[g] - vs, v[d] - vs
+        if mirrored:
+            vgs, vds = -vgs, -vds
+        reversed_ = vds < 0.0
+        if reversed_:
+            vgs, vds = vgs - vds, -vds
+        vov = vgs - vth
+        if vov <= 0.0:
+            i, gm, gds = 0.0, 0.0, 0.0
+        elif vds < vov:
+            scale = 1.0 + lam * vds
+            base = k * (vov * vds - 0.5 * vds * vds)
+            i, gm, gds = base * scale, k * vds * scale, k * (vov - vds) * scale + base * lam
+        else:
+            scale = 1.0 + lam * vds
+            i_sat = 0.5 * k * vov * vov
+            i, gm, gds = i_sat * scale, k * vov * scale, i_sat * lam
+        if reversed_:
+            i, gm, gds = -i, -gm, gm + gds
+        if mirrored:
+            i = -i
+        out += (gds, gm, gm + gds, i)
+    return out
 
 
 def square_law(p: CnfetParams | MosfetParams) -> tuple[float, float, float]:
@@ -222,4 +231,8 @@ def square_law(p: CnfetParams | MosfetParams) -> tuple[float, float, float]:
 def drain_current(p: CnfetParams | MosfetParams, vgs: float, vds: float
                   ) -> tuple[float, float, float]:
     """(id, dId/dvgs, dId/dvds); id is negative for a conducting P device."""
-    return _drain_current(p.polarity, *square_law(p), vgs, vds)
+    # Drain, gate and source on nodes 0, 1 and 2, the source at 0 V; a
+    # voltage minus 0.0 is that voltage, so the kernel sees vgs and vds.
+    device = (0, 1, 2, p.polarity is Polarity.P, *square_law(p))
+    gds, gm, _, i = drain_currents([device], [vds, vgs, 0.0])
+    return i, gm, gds

@@ -33,16 +33,18 @@ ends every solve builds none.
 Assembly works on a ground-padded system: the base matrix, residual,
 solution and per-node scale carry one trailing entry whose row and
 column stand for ground (node index -1), so no stamp branches on a
-grounded terminal.  Each Newton iterate evaluates every transistor once
-and applies the six Jacobian and two current values per device with one
-np.add.at each, through flat indices built at compile time in
-device-major, stamp-minor order; every entry is therefore summed in the
-order a scalar stamping loop would use, and results match it bit for
-bit.  The stamps of one evaluation are one float array that feeds both
-scatters.  Device stamps depend on x alone, and a fixed step's first
-iterate is the previous step's solution, so the stamps evaluated there
-are carried into the next step instead of being recomputed; a controlled
-step starts from the linear predictor through the last two points.
+grounded terminal.  Each Newton iterate evaluates every transistor in
+one call of the batch kernel devices.drain_currents, which returns four
+values per device; one take and one sign multiply expand them into the
+six Jacobian and two current stamps per device.  The Jacobian stamps and
+the currents each go in with one np.add.at, through flat indices built
+at compile time in device-major, stamp-minor order; every entry is
+therefore summed in the order a scalar stamping loop would use, and
+results match it bit for bit.  Device stamps depend on x alone, and a
+fixed step's first iterate is the previous step's solution, so the
+stamps evaluated there are carried into the next step instead of being
+recomputed; a controlled step starts from the linear predictor through
+the last two points.
 
 One run is single-threaded and deterministic.  Circuits are immutable,
 so independent runs parallelize trivially if a caller wants that.
@@ -57,7 +59,7 @@ from enum import Enum
 
 import numpy as np
 
-from .devices import _drain_current, square_law
+from .devices import Polarity, drain_currents, square_law
 from .netlist import GROUND, Circuit, Element, ElementKind, NetlistError
 
 GMIN_STEP_CEILING = 1.0e-3
@@ -206,8 +208,9 @@ class _Compiled:
         self.resistors: list[tuple[int, int, float]] = []
         # (i, j, capacitance)
         self.capacitors: list[tuple[int, int, float]] = []
-        # (d, g, s, polarity_is_handled_inside, k, vth, lam)
-        self.devices: list[tuple[int, int, int, object, float, float, float]] = []
+        # (d, g, s, mirrored, k, vth, lam), the layout devices.drain_currents
+        # reads; a P device is mirrored
+        self.devices: list[tuple[int, int, int, bool, float, float, float]] = []
 
         for el in circuit.elements:
             idx = [self.node_index[t] for t in el.terminals]
@@ -217,7 +220,8 @@ class _Compiled:
                 self.capacitors.append((idx[0], idx[1], el.value))  # type: ignore[arg-type]
             elif el.kind in (ElementKind.CNFET, ElementKind.MOSFET):
                 p = circuit.models[el.model].params  # validated at parse
-                self.devices.append((idx[0], idx[1], idx[2], p.polarity, *square_law(p)))
+                mirrored = p.polarity is Polarity.P
+                self.devices.append((idx[0], idx[1], idx[2], mirrored, *square_law(p)))
 
         self.has_devices = bool(self.devices)
         self._build_arrays()
@@ -247,17 +251,28 @@ class _Compiled:
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
         # row (d, g, s), then source row (s, d, g) of the padded Jacobian,
-        # and the drain current into d then out of s.
+        # and the drain current into d then out of s.  The kernel's four
+        # values per device (gds, gm, gm + gds, id) expand into those six
+        # Jacobian values and two currents by stamp_take and stamp_sign;
+        # a product with -1.0 is an exact negation.
         w = self.size + 1
         jac_idx: list[int] = []
         dev_rows: list[int] = []
-        for d, g, s, *_ in self.devices:
+        jac_take: list[int] = []
+        cur_take: list[int] = []
+        for n, (d, g, s, *_) in enumerate(self.devices):
             dev_rows += (d, s)
             d, g, s = d % w, g % w, s % w
             jac_idx += (d * w + d, d * w + g, d * w + s, s * w + s, s * w + d, s * w + g)
+            gds, gm, gm_gds, i_ds = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
+            jac_take += (gds, gm, gm_gds, gm_gds, gds, gm)
+            cur_take += (i_ds, i_ds)
         self.dev_jac = np.array(jac_idx, dtype=np.intp)
         self.n_jac = len(jac_idx)
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
+        n_dev = len(self.devices)
+        self.stamp_take = np.array(jac_take + cur_take, dtype=np.intp)
+        self.stamp_sign = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0] * n_dev + [1.0, -1.0] * n_dev)
         # Current vector layout: resistors, capacitors, sources, then the
         # two device stamps.  scale_node[k] takes max(|current[scale_branch[k]]|).
         ends_i = res_i + cap_i + [self.node_index[el.terminals[0]] for el in self.sources]
@@ -391,15 +406,8 @@ class _Newton:
 
         if comp.has_devices:
             if stamps is None:
-                xl = x_pad.tolist()
-                jac_vals: list[float] = []
-                cur_vals: list[float] = []
-                for d, g_, s, pol, k, vth, lam in comp.devices:
-                    vs = xl[s]
-                    i_ds, gm, gds = _drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
-                    jac_vals += (gds, gm, -(gm + gds), gm + gds, -gds, -gm)
-                    cur_vals += (i_ds, -i_ds)
-                stamps = np.array(jac_vals + cur_vals)
+                values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
+                stamps = values.take(comp.stamp_take) * comp.stamp_sign
             dev_currents = stamps[comp.n_jac:]
             currents[nb:] = dev_currents
             np.add.at(f, comp.dev_rows, dev_currents)
@@ -422,16 +430,17 @@ class _Newton:
         return jac
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
+        """Every row within its tolerance; a NaN in any row fails."""
         cfg = self.cfg
         n = self.comp.n_nodes
         node_tol = cfg.abstol + cfg.reltol * scale
         node_res = np.abs(f[:n])
         if self.pinned_rows:
             for row in self.pinned_rows:
-                if abs(f[row]) > cfg.vtol:
+                if not abs(f[row]) <= cfg.vtol:
                     return False
                 node_res[row] = 0.0
-        if (node_res > node_tol).any():
+        if not (node_res <= node_tol).all():
             return False
         return bool((np.abs(f[n: self.comp.size]) <= cfg.vtol).all())
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cnfetsim import adders, bench
-from cnfetsim.devices import Polarity, _drain_current
+from cnfetsim.devices import Polarity, drain_currents
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
     SolverConfig,
@@ -111,7 +111,8 @@ def _ref_assemble(comp, base, const, cap_companion, pinned, x):
 
     xl = x.tolist()
     xl.append(0.0)
-    for d, g_, s, pol, k, vth, lam in comp.devices:
+    for d, g_, s, mirrored, k, vth, lam in comp.devices:
+        pol = Polarity.P if mirrored else Polarity.N
         vs = xl[s]
         i_ds, gm, gds = _ref_drain_current(pol, k, vth, lam, xl[g_] - vs, xl[d] - vs)
         a_i = abs(i_ds)
@@ -241,12 +242,27 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
 
 
 def test_drain_current_equals_three_stage_kernel():
+    # One batch call, one device per grid point, each on its own three
+    # nodes (drain, gate, source at ground); the values must match the
+    # reference to the bit, the sign of a zero included.
     grid = np.linspace(-1.2, 1.2, 49).tolist() + [0.0, -0.0, 0.3, 0.5]
-    for pol, lam, vth in itertools.product(Polarity, (0.0, 0.1), (0.25, 0.5)):
-        for vgs, vds in itertools.product(grid, grid):
-            new = _drain_current(pol, 3e-4, vth, lam, vgs, vds)
-            ref = _ref_drain_current(pol, 3e-4, vth, lam, vgs, vds)
-            assert new == ref
+    cases = [
+        (pol, lam, vth, vgs, vds)
+        for pol, lam, vth in itertools.product(Polarity, (0.0, 0.1), (0.25, 0.5))
+        for vgs, vds in itertools.product(grid, grid)
+    ]
+    devices, v = [], []
+    for n, (pol, lam, vth, vgs, vds) in enumerate(cases):
+        devices.append((3 * n, 3 * n + 1, 3 * n + 2, pol is Polarity.P, 3e-4, vth, lam))
+        v += (vds, vgs, 0.0)
+    new = np.array(drain_currents(devices, v)).reshape(-1, 4)
+    ref = []
+    for pol, lam, vth, vgs, vds in cases:
+        i, gm, gds = _ref_drain_current(pol, 3e-4, vth, lam, vgs, vds)
+        ref.append((gds, gm, gm + gds, i))
+    ref = np.array(ref)
+    assert np.array_equal(new, ref)
+    assert np.array_equal(np.signbit(new), np.signbit(ref))
 
 
 def test_carried_stamps_equal_fresh_evaluation():

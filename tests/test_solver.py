@@ -106,6 +106,26 @@ class TestDcOperatingPoint:
         assert err.node == "out"
         assert err.residual == 1e-9
 
+    def test_nan_residual_does_not_converge(self):
+        # NaN > tol is False, so a test written as "fail when above the
+        # tolerance" would accept a NaN iterate as a solution.
+        from cnfetsim.solver import _Compiled, _Newton
+        cfg = SolverConfig()
+        comp = _Compiled(parse(INVERTER))
+        newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
+        scale = np.zeros(comp.n_nodes)
+        f = np.zeros(comp.size + 1)
+        assert newton._converged(f, scale)
+        for row in range(comp.size):
+            f[:] = 0.0
+            f[row] = math.nan
+            assert not newton._converged(f, scale), row
+        pinned = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None),
+                         [(comp.node_index["out"], 0.3)])
+        f[:] = 0.0
+        f[comp.node_index["out"]] = math.nan
+        assert not pinned._converged(f, scale)
+
 
 class TestDcSourceSolver:
     def test_matches_dc_operating_point_per_level(self):
