@@ -106,16 +106,6 @@ DISPLAY_NAMES = {
     AdderKind.PROPOSED: "Proposed Adder",
 }
 
-# (transistors, capacitors); the first four are published counts.
-EXPECTED_STATS = {
-    AdderKind.PROPOSED: (14, 3),
-    AdderKind.CNT_FA1: (8, 7),
-    AdderKind.CNT_FA3: (8, 5),
-    AdderKind.C_CMOS: (28, 0),
-    AdderKind.TGA: (20, 0),
-    AdderKind.CNT_FA2: (10, 8),
-}
-
 BENCH_ORDER = [
     AdderKind.C_CMOS,
     AdderKind.TGA,

@@ -163,8 +163,7 @@ def thresholds_for(kind: AdderKind, vdd: float, config: BenchConfig) -> LogicThr
     )
 
 
-def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None,
-             verify: bool = True) -> CellResult:
+def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> CellResult:
     """Simulate one (adder, supply) cell and measure it.
 
     Raises LogicVerificationError when any settled phase disagrees with
@@ -181,16 +180,15 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None,
         dut, vdd, config.transition_time_s, config.hold_time_s,
         periods=periods, load_cap=config.load_capacitance_f, devices=devices,
     )
-    cfg = solver.SolverConfig(timestep=config.timestep_s, use_initial_conditions=True,
-                              timestep_control=True)
-    init = solver.initialize_floating_nodes(tb, {}, cfg)
+    cfg = solver.SolverConfig(timestep=config.timestep_s, timestep_control=True)
+    init = solver.initialize_floating_nodes(tb, cfg)
     result = solver.transient(tb, cfg, sched.total_time, initial_conditions=init)
 
     swing = measure.full_swing_check(
         result, ["sum", "cout"], phase_truth(sched, config.transition_time_s),
         thresholds_for(kind, vdd, config),
     )
-    if verify and not swing.ok:
+    if not swing.ok:
         raise LogicVerificationError(DISPLAY_NAMES[kind], vdd, swing)
 
     one_period = 16 * sched.phase_length

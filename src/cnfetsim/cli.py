@@ -57,9 +57,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print("cnfetsim: warning: --vdd given but no source named vdd/vvdd",
                   file=sys.stderr)
     dt = args.dt if args.dt is not None else args.tstop / 1000.0
-    cfg = solver.SolverConfig(timestep=dt, use_initial_conditions=args.ic)
+    cfg = solver.SolverConfig(timestep=dt)
     try:
-        ics = solver.initialize_floating_nodes(circuit, {}, cfg) if args.ic else None
+        ics = solver.initialize_floating_nodes(circuit, cfg) if args.ic else None
         result = solver.transient(circuit, cfg, args.tstop, initial_conditions=ics)
     except solver.IllConditionedDividerError as exc:
         return _fail(EXIT_CONVERGENCE, f"floating-node initialization: {exc}")
@@ -130,8 +130,6 @@ def cmd_device(args: argparse.Namespace) -> int:
         return EXIT_OK
     try:
         c = devices.chirality_for_threshold(args.target_vth, args.tolerance)
-    except devices.UnreachableThresholdError as exc:
-        return _fail(EXIT_USAGE, str(exc))
     except devices.DeviceError as exc:
         return _fail(EXIT_USAGE, str(exc))
     d = devices.diameter(c)

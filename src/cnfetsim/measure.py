@@ -34,15 +34,11 @@ class LogicThresholds:
     """Operationalized logic levels for settled-interval checks."""
 
     vdd: float
-    v_high_min: float | None = None
-    v_low_max: float | None = None
+    v_high_min: float
+    v_low_max: float
     settle_window: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.v_high_min is None:
-            object.__setattr__(self, "v_high_min", 0.9 * self.vdd)
-        if self.v_low_max is None:
-            object.__setattr__(self, "v_low_max", 0.1 * self.vdd)
         if not (0 <= self.v_low_max < self.v_high_min <= self.vdd):
             raise ValueError(
                 f"need 0 <= v_low_max < v_high_min <= vdd, got "
@@ -115,8 +111,7 @@ def _sustained(t: np.ndarray, wf: np.ndarray, cross_time: float, direction: int,
 
 def propagation_delay(t: np.ndarray, input_wf: np.ndarray | None, output_wf: np.ndarray,
                       vdd: float, min_sustain: float = 0.0,
-                      edges: list[float] | None = None,
-                      require_response: bool = True) -> list[Transition]:
+                      edges: list[float] | None = None) -> list[Transition]:
     """Mid-swing to mid-swing delay for each input edge.
 
     For every input crossing of vdd/2 (or each time in `edges`, when the
@@ -124,8 +119,8 @@ def propagation_delay(t: np.ndarray, input_wf: np.ndarray | None, output_wf: np.
     None), the delay is the first subsequent
     output crossing of vdd/2 that leads to a sustained new level, minus
     the input crossing time.  The search window for an edge ends at the
-    next edge; with require_response an empty window raises
-    MissingTransitionError naming the edge.
+    next edge; an empty window raises MissingTransitionError naming the
+    edge.
     """
     level = vdd / 2.0
     if edges is None:
@@ -151,9 +146,7 @@ def propagation_delay(t: np.ndarray, input_wf: np.ndarray | None, output_wf: np.
                 found = tc
                 break
         if found is None:
-            if require_response:
-                raise MissingTransitionError(edge)
-            continue
+            raise MissingTransitionError(edge)
         transitions.append(Transition(edge_time=edge, output="", delay=found - edge))
     return transitions
 

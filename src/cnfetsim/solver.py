@@ -9,19 +9,18 @@ the matrix (capacitive-input gates make nodes that are DC-floating);
 DC non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
 then re-tighten).
 
-Transient integration is backward Euler or trapezoidal on capacitor
-companion models, with a backward-Euler first step.  By default every
-step is SolverConfig.timestep long.  With SolverConfig.timestep_control
-the trapezoidal step is error-controlled (Nagel, SPICE2, UCB/ERL M520,
-1975): the local truncation error of each capacitor voltage, h^3/12
-times its third derivative, is estimated from the third divided
-difference over the last four points and held to
-TRTOL * (reltol * |v| + vtol).  Step lengths come from a geometric
-ladder, timestep/16 * 2**rung up to 64 * timestep, so a run is
-deterministic and builds few companion matrices; every PWL corner is a
-breakpoint that a step lands on, and a backward-Euler step follows it.
-In both modes a step whose Newton solve fails is retried one rung
-shorter.
+Transient integration is trapezoidal on capacitor companion models, with
+a backward-Euler first step, as in SPICE2 (Nagel, UCB/ERL M520, 1975).
+By default every step is SolverConfig.timestep long.  With
+SolverConfig.timestep_control the step is error-controlled: the local
+truncation error of each capacitor voltage, h^3/12 times its third
+derivative, is estimated from the third divided difference over the
+last four points and held to TRTOL * (reltol * |v| + vtol).  Step
+lengths come from a geometric ladder, timestep/16 * 2**rung up to
+64 * timestep, so a run is deterministic and builds few companion
+matrices; every PWL corner is a breakpoint that a step lands on, and a
+backward-Euler step follows it.  In both modes a step whose Newton
+solve fails is retried one rung shorter.
 
 The linear solve is one row-equilibrated dense LU with partial pivoting
 per Newton iterate; benchmark circuits stay under a hundred nodes, so
@@ -55,7 +54,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -89,11 +87,6 @@ TRTOL = 7.0
 BREAKPOINT_STEPS = 3
 
 
-class Integration(Enum):
-    BACKWARD_EULER = "backward_euler"
-    TRAPEZOIDAL = "trapezoidal"
-
-
 class ConvergenceError(Exception):
     """Newton iteration failed; carries the last residual, its row and the timestamp.
 
@@ -125,8 +118,8 @@ class SolverConfig:
     `timestep` is the transient step.  With `timestep_control` it is the
     base of the error-controlled ladder instead (see transient): the step
     taken after each breakpoint, 16 times the shortest step and 1/64 of
-    the longest.  Error control estimates the trapezoidal truncation
-    error, so it requires trapezoidal integration.
+    the longest.  Steps are trapezoidal, with a backward-Euler first
+    step (see transient).
     """
 
     abstol: float = 1e-12
@@ -135,8 +128,6 @@ class SolverConfig:
     max_newton_iters: int = 100
     gmin: float = 1e-12
     timestep: float = 1e-12
-    integration: Integration = Integration.TRAPEZOIDAL
-    use_initial_conditions: bool = False
     timestep_control: bool = False
 
     def __post_init__(self) -> None:
@@ -145,8 +136,6 @@ class SolverConfig:
                 raise ValueError(f"SolverConfig.{name} must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("SolverConfig.max_newton_iters must be >= 1")
-        if self.timestep_control and self.integration is not Integration.TRAPEZOIDAL:
-            raise ValueError("SolverConfig.timestep_control requires trapezoidal integration")
 
 
 @dataclass
@@ -429,20 +418,19 @@ class _Newton:
             jac[row, row] = 1.0
         return jac
 
+    def _tolerance(self, scale: np.ndarray) -> np.ndarray:
+        """Per-row tolerance: abstol + reltol * scale on a KCL row, where
+        the residual is a current, and vtol on a source or pinned row."""
+        cfg = self.cfg
+        tol = np.full(self.comp.size, cfg.vtol)
+        tol[: self.comp.n_nodes] = cfg.abstol + cfg.reltol * scale
+        if self.pinned_rows:
+            tol[self.pinned_rows] = cfg.vtol
+        return tol
+
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
         """Every row within its tolerance; a NaN in any row fails."""
-        cfg = self.cfg
-        n = self.comp.n_nodes
-        node_tol = cfg.abstol + cfg.reltol * scale
-        node_res = np.abs(f[:n])
-        if self.pinned_rows:
-            for row in self.pinned_rows:
-                if not abs(f[row]) <= cfg.vtol:
-                    return False
-                node_res[row] = 0.0
-        if not (node_res <= node_tol).all():
-            return False
-        return bool((np.abs(f[n: self.comp.size]) <= cfg.vtol).all())
+        return bool((np.abs(f[: self.comp.size]) <= self._tolerance(scale)).all())
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray,
               cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None,
@@ -502,14 +490,10 @@ class _Newton:
         each is measured against its own tolerance before they are compared.
         """
         comp = self.comp
-        cfg = self.cfg
         if not comp.size:
             return ConvergenceError(message, 0.0, time)
         res = np.abs(f[: comp.size])
-        tol = np.full(comp.size, cfg.vtol)
-        tol[: comp.n_nodes] = cfg.abstol + cfg.reltol * scale
-        tol[self.pinned_rows] = cfg.vtol
-        row = int((res / tol).argmax())
+        row = int((res / self._tolerance(scale)).argmax())
         if row < comp.n_nodes:
             node = comp.node_names[row]
         else:
@@ -525,12 +509,13 @@ def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
     return const
 
 
-def _solve_dc(comp: _Compiled, cfg: SolverConfig, t: float = 0.0,
+def _solve_dc(comp: _Compiled, cfg: SolverConfig,
               pinned: list[tuple[int, float]] | None = None,
               initial_guess: np.ndarray | None = None,
               src_overrides: dict[int, float] | None = None) -> tuple[np.ndarray, int]:
-    """DC solve with gmin stepping fallback: relax x10 to 1e-3 S, re-tighten."""
-    src_values = [el.waveform.value_at(t) for el in comp.sources]  # type: ignore[union-attr]
+    """DC solve at the t=0 source levels, with gmin stepping fallback:
+    relax x10 to 1e-3 S, re-tighten."""
+    src_values = [el.waveform.value_at(0.0) for el in comp.sources]  # type: ignore[union-attr]
     if src_overrides:
         for b, v in src_overrides.items():
             src_values[b] = v
@@ -597,7 +582,7 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
             idx = comp.node_index.get(name, -1)
             if idx >= 0:
                 guess[idx] = v
-    x, _ = _solve_dc(comp, cfg, pinned=None, initial_guess=guess)
+    x, _ = _solve_dc(comp, cfg, initial_guess=guess)
     return _solution_dict(comp, x)
 
 
@@ -711,43 +696,24 @@ def _charge_share(comp: _Compiled, floating: set[int], known: dict[int, float]) 
     return {n: float(sol[pos[n]]) for n in order}
 
 
-def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] | None = None,
+def initialize_floating_nodes(circuit: Circuit,
                               cfg: SolverConfig | None = None) -> dict[str, float]:
     """Consistent initial node voltages with capacitive nodes charge-shared.
 
     Purely-capacitive nodes take the zero-stored-charge divider value of
     their far-end driven voltages; every other node comes from a DC
-    operating point computed with those nodes pinned.  Because a divider
-    may hang off a gate output that itself depends on another divider,
-    the pin/solve cycle iterates to a fixed point (feed-forward ladders
-    settle in one pass per stage; designs with capacitive feedback
-    contract geometrically and take more).  Raises ConvergenceError when,
+    operating point at the t=0 source levels, computed with those nodes
+    pinned.  Because a divider may hang off a gate output that itself
+    depends on another divider, the pin/solve cycle iterates to a fixed
+    point (feed-forward ladders settle in one pass per stage; designs
+    with capacitive feedback contract geometrically and take more).
+    Other input levels are set on the circuit with
+    Circuit.with_dc_source.  Raises ConvergenceError when,
     after len(floating) + 3 passes, an update fails to shrink, or when
     FLOATING_INIT_MAX_PASSES pass.
     """
     cfg = cfg or SolverConfig()
     comp = _Compiled(circuit)
-    # For a node already driven by a grounded source, an input level
-    # overrides the source value; otherwise the node's KCL row is pinned.
-    source_at: dict[int, int] = {}
-    for b, el in enumerate(comp.sources):
-        p, m = comp.node_index[el.terminals[0]], comp.node_index[el.terminals[1]]
-        if p >= 0 and m == -1:
-            source_at.setdefault(p, b)
-    levels: dict[int, float] = {}
-    src_overrides: dict[int, float] = {}
-    if input_levels:
-        for name, v in input_levels.items():
-            idx = comp.node_index.get(name)
-            if idx is None:
-                raise KeyError(f"input level names unknown node {name!r}")
-            if idx < 0:
-                continue
-            if idx in source_at:
-                src_overrides[source_at[idx]] = float(v)
-            else:
-                levels[idx] = float(v)
-
     floating = _floating_nodes(comp)
     tol = max(cfg.vtol, 1e-9)
     # A feed-forward ladder moves its last stage by a full step on every
@@ -758,12 +724,10 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
     x = None
     last_update = math.inf
     for passes in range(FLOATING_INIT_MAX_PASSES):
-        pins = [(idx, v) for idx, v in {**values, **levels}.items()]
-        x, _ = _solve_dc(comp, cfg, pinned=pins, initial_guess=x, src_overrides=src_overrides)
+        x, _ = _solve_dc(comp, cfg, pinned=list(values.items()), initial_guess=x)
         if not floating:
             break
         known = {i: float(x[i]) for i in range(comp.n_nodes)}
-        known.update(levels)
         new_values = _charge_share(comp, floating, known)
         if values:
             worst = max(floating, key=lambda n: abs(new_values[n] - values[n]))
@@ -781,8 +745,7 @@ def initialize_floating_nodes(circuit: Circuit, input_levels: dict[str, float] |
     else:
         raise ConvergenceError("floating-node initialization did not reach a fixed point")
 
-    pins = [(idx, v) for idx, v in {**values, **levels}.items()]
-    x, _ = _solve_dc(comp, cfg, pinned=pins, initial_guess=x, src_overrides=src_overrides)
+    x, _ = _solve_dc(comp, cfg, pinned=list(values.items()), initial_guess=x)
     return _solution_dict(comp, x)
 
 
@@ -857,10 +820,13 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
               initial_conditions: dict[str, float] | None = None) -> TransientResult:
     """Implicit transient over [0, tstop], fixed-step or error-controlled.
 
-    Starts from the DC operating point unless cfg.use_initial_conditions,
-    in which case `initial_conditions` supplies the t=0 node voltages
-    (missing nodes default to 0).  The first step is always backward
-    Euler; later steps follow cfg.integration.
+    With `initial_conditions` None the run starts from the DC operating
+    point; a dict, even an empty one, supplies the t=0 node voltages
+    (missing nodes default to 0, and source currents given as
+    "i(<source>)" are taken, else settled from the node voltages).
+    Steps are trapezoidal, except the first one and, with
+    cfg.timestep_control, the first one after each breakpoint, which are
+    backward Euler.
 
     Fixed step (the default): the samples are the k*cfg.timestep grid.
     Every step is exactly cfg.timestep long except a short final one when
@@ -895,14 +861,14 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     else:
         times, n_full = _time_grid(tstop, cfg.timestep)
         targets = times[1:].tolist()
-        src_grid = sources_at(times)
 
-    x = np.zeros(comp.size)
-    if cfg.use_initial_conditions:
-        ics = initial_conditions or {}
+    if initial_conditions is None:
+        x, _ = _solve_dc(comp, cfg)
+    else:
+        x = np.zeros(comp.size)
         source_rows = {f"i({el.name})": comp.n_nodes + b for b, el in enumerate(comp.sources)}
         have_currents = False
-        for name, v in ics.items():
+        for name, v in initial_conditions.items():
             if name in source_rows:
                 x[source_rows[name]] = float(v)
                 have_currents = True
@@ -913,9 +879,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             if idx >= 0:
                 x[idx] = float(v)
         if not have_currents:
-            _settle_source_currents(comp, cfg, x, t=0.0)
-    else:
-        x, _ = _solve_dc(comp, cfg, pinned=None)
+            _settle_source_currents(comp, cfg, x)
 
     x_pad = np.append(x, 0.0)
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
@@ -923,12 +887,12 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
 
     # Companion matrices of ladder lengths are kept; an off-ladder step
     # (a landing on a breakpoint) builds its own.
-    base_cache: dict[tuple[str, float], _Newton] = {}
+    base_cache: dict[tuple[bool, float], _Newton] = {}
 
-    def step(x_in, stamps_in, src_vals, t_new, h, method, ladder):
-        geq_mult = (1.0 / h) if method is Integration.BACKWARD_EULER else (2.0 / h)
+    def step(x_in, stamps_in, src_vals, t_new, h, euler, ladder):
+        geq_mult = (1.0 / h) if euler else (2.0 / h)
         geq = geq_mult * comp.cap_c
-        if method is Integration.BACKWARD_EULER:
+        if euler:
             hist = -geq * cap_v
         else:
             hist = -geq * cap_v - cap_i_state
@@ -936,7 +900,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         const[comp.n_nodes: comp.size] = -src_vals
         np.add.at(const, comp.cap_i, hist)
         np.subtract.at(const, comp.cap_j, hist)
-        key = (method.value, h)
+        key = (euler, h)
         newton = base_cache.get(key)
         if newton is None:
             newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, geq_mult))
@@ -981,15 +945,13 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 t_new = anchor + (n + m) * unit
                 h = m * unit
             ladder = isinstance(units, int) and units & (units - 1) == 0
-            method = Integration.BACKWARD_EULER if since == 0 else cfg.integration
-            src = src_grid[:, k + 1] if landed and not control else sources_at(t_new)
             if control and since:
                 x_in, stamps_in = x_pad + (h / h_prev) * (x_pad - x_prev), None
             else:
                 x_in, stamps_in = x_pad, stamps
             try:
                 x_new, v_new, i_new, stamps_new, iters = step(
-                    x_in, stamps_in, src, t_new, h, method, ladder
+                    x_in, stamps_in, sources_at(t_new), t_new, h, since == 0, ladder
                 )
             except ConvergenceError:
                 if units <= 1:
@@ -1040,14 +1002,14 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     )
 
 
-def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray, t: float) -> None:
+def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray) -> None:
     """Back-fill source branch currents for a supplied-IC starting point.
 
     With node voltages fixed and capacitor currents taken as zero at
     t=0, each source current must absorb the static device/resistor
     current at its positive terminal (or negative, if + is ground).
     """
-    src_values = [el.waveform.value_at(t) for el in comp.sources]  # type: ignore[union-attr]
+    src_values = [el.waveform.value_at(0.0) for el in comp.sources]  # type: ignore[union-attr]
     const = _source_const(comp, src_values)
     newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
     no_caps = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))

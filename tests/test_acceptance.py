@@ -17,7 +17,7 @@ import pytest
 from cnfetsim import adders, bench, logic, measure, netlist, solver
 from cnfetsim.adders import AdderKind, GateFunction, GateSpec
 from cnfetsim.devices import Chirality, diameter, threshold_voltage
-from cnfetsim.solver import Integration, SolverConfig
+from cnfetsim.solver import SolverConfig
 
 
 def _report(criterion: int, description: str, ok: bool) -> None:
@@ -53,8 +53,7 @@ def test_criterion_1_device_formulas():
 def test_criterion_2_rc_solver_fidelity():
     tau = 1e-12
     circuit = netlist.parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
-    cfg = SolverConfig(timestep=tau / 100, integration=Integration.TRAPEZOIDAL,
-                       use_initial_conditions=True)
+    cfg = SolverConfig(timestep=tau / 100)
     t0 = time.monotonic()
     res = solver.transient(circuit, cfg, 5 * tau,
                            initial_conditions={"in": 0.9, "out": 0.0})
@@ -75,13 +74,13 @@ def test_criterion_3_mvl_levels():
     base = netlist.serialize(gate) + f"vdd vdd 0 dc {vdd}\n"
     t0 = time.monotonic()
     worst = 0.0
-    cfg = SolverConfig(timestep=1e-12, use_initial_conditions=True)
+    cfg = SolverConfig(timestep=1e-12)
     for bits in product((0, 1), repeat=3):
         text = base + "".join(
             f"v{n} {n} 0 dc {bit * vdd}\n" for n, bit in zip("abc", bits)
         )
         circuit = netlist.parse(text)
-        init = solver.initialize_floating_nodes(circuit, {}, cfg)
+        init = solver.initialize_floating_nodes(circuit, cfg)
         res = solver.transient(circuit, cfg, 1e-10, initial_conditions=init)
         settled = float(np.mean(res.voltage("x")[-20:]))
         target = sum(bits) * vdd / 3
@@ -171,7 +170,7 @@ def test_criterion_8_measurement_units():
     # RC 50% crossing returns tau*ln2 within 1%
     tau = 1e-12
     circuit = netlist.parse("v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n")
-    cfg = SolverConfig(timestep=tau / 200, use_initial_conditions=True)
+    cfg = SolverConfig(timestep=tau / 200)
     res = solver.transient(circuit, cfg, 6 * tau,
                            initial_conditions={"in": 0.0, "out": 0.0})
     delay = measure.propagation_delay(res.times, res.voltage("in"),

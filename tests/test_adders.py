@@ -160,8 +160,8 @@ class TestGateBehavior:
         for name, bit in b.items():
             text += f"v{name} {name} 0 dc {bit * self.VDD}\n"
         c = netlist.parse(text)
-        cfg = solver.SolverConfig(timestep=1e-12, use_initial_conditions=True)
-        init = solver.initialize_floating_nodes(c, {}, cfg)
+        cfg = solver.SolverConfig(timestep=1e-12)
+        init = solver.initialize_floating_nodes(c, cfg)
         res = solver.transient(c, cfg, 5e-11, initial_conditions=init)
         return float(res.voltage("out")[-1]), init["x"]
 

@@ -267,8 +267,8 @@ def test_drain_current_equals_three_stage_kernel():
 
 def test_carried_stamps_equal_fresh_evaluation():
     tb = _testbench(adders.AdderKind.PROPOSED, 0.9)
-    cfg = SolverConfig(timestep=2e-13, use_initial_conditions=True)
-    init = initialize_floating_nodes(tb, {}, cfg)
+    cfg = SolverConfig(timestep=2e-13)
+    init = initialize_floating_nodes(tb, cfg)
     comp = _Compiled(tb)
     x = np.zeros(comp.size)
     for name, v in init.items():

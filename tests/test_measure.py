@@ -37,7 +37,7 @@ class TestPropagationDelay:
     def test_rc_50_percent_crossing_is_tau_ln2(self):
         tau = 1e-12
         c = parse("v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n")
-        cfg = SolverConfig(timestep=tau / 200, use_initial_conditions=True)
+        cfg = SolverConfig(timestep=tau / 200)
         res = transient(c, cfg, 6 * tau, initial_conditions={"in": 0.0, "out": 0.0})
         delays = propagation_delay(res.times, res.voltage("in"), res.voltage("out"), 0.9)
         assert delays[0].delay == pytest.approx(tau * math.log(2), rel=0.01)
@@ -192,7 +192,7 @@ class TestFullSwingCheck:
         )
 
     def test_ideal_rails_pass(self):
-        th = LogicThresholds(vdd=0.9, settle_window=2e-10)
+        th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=2e-10)
         res = self._result(0.9, 0.0)
         report = full_swing_check(res, ["sum", "cout"],
                                   [(0.0, 1e-9, {"sum": 1, "cout": 0})], th)
@@ -200,22 +200,17 @@ class TestFullSwingCheck:
 
     def test_threshold_drop_fails(self):
         # An output stuck one Vth below the rail misses the 0.9*vdd bar.
-        th = LogicThresholds(vdd=0.9)
+        th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09)
         res = self._result(0.9 - 0.28, 0.0)
         report = full_swing_check(res, ["sum"], [(0.0, 1e-9, {"sum": 1})], th)
         assert not report.ok
         assert report.failures[0].output == "sum"
 
     def test_empty_outputs_vacuous_pass(self):
-        th = LogicThresholds(vdd=0.9)
+        th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09)
         report = full_swing_check(self._result(0, 0), [], [(0.0, 1e-9, {"sum": 1})], th)
         assert report.ok
         assert report.entries == []
-
-    def test_threshold_defaults(self):
-        th = LogicThresholds(vdd=1.0)
-        assert th.v_high_min == pytest.approx(0.9)
-        assert th.v_low_max == pytest.approx(0.1)
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -257,7 +252,7 @@ class TestNonuniformGrid:
 
     def test_swing_check_agrees(self):
         # The second window takes in the tail of the falling ramp.
-        th = LogicThresholds(vdd=0.9, settle_window=50e-12)
+        th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=50e-12)
         truth = [(0.0, 47e-12, {"sum": 1}), (47e-12, 100e-12, {"sum": 0})]
         ra, rb = (full_swing_check(r, ["sum"], truth, th) for r in self._grids())
         assert ra.ok and rb.ok
@@ -274,7 +269,7 @@ class TestNonuniformGrid:
                                       np.linspace(60e-12, 62e-12, 200)]))
         v = np.interp(t, *corners)
         res = TransientResult(times=t, node_voltages={"sum": v}, source_currents={})
-        th = LogicThresholds(vdd=0.9, settle_window=100e-12)
+        th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=100e-12)
         assert np.mean(v) < th.v_high_min
         report = full_swing_check(res, ["sum"], [(0.0, 100e-12, {"sum": 1})], th)
         assert report.ok

@@ -9,7 +9,6 @@ from cnfetsim.netlist import parse
 from cnfetsim.solver import (
     ConvergenceError,
     IllConditionedDividerError,
-    Integration,
     SolverConfig,
     dc_operating_point,
     dc_source_solver,
@@ -28,6 +27,13 @@ vin in 0 dc 0
 qn out in 0 n19
 qp out in vdd p19
 """
+
+
+def _hold_inputs(tb, levels):
+    """The testbench with each input source v<name> held at its level."""
+    for name, level in levels.items():
+        tb = tb.with_dc_source(f"v{name}", level)
+    return tb
 
 
 class TestDcOperatingPoint:
@@ -190,8 +196,7 @@ class TestTransient:
     def test_rc_charging_matches_analytic(self):
         tau = 1e-12
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
-        cfg = SolverConfig(timestep=tau / 100, integration=Integration.TRAPEZOIDAL,
-                           use_initial_conditions=True)
+        cfg = SolverConfig(timestep=tau / 100)
         res = transient(c, cfg, 5 * tau, initial_conditions={"in": 0.9, "out": 0.0})
         for mult in (1, 2, 5):
             idx = int(round(mult * 100))
@@ -199,26 +204,26 @@ class TestTransient:
             expected = 0.9 * (1 - math.exp(-t / tau))
             assert res.voltage("out")[idx] == pytest.approx(expected, rel=1e-3)
 
-    def test_backward_euler_converges_first_order(self):
-        tau = 1e-12
+    def test_initial_conditions_dict_is_the_start(self):
+        # A dict is the t=0 state with no flag to set: the given voltages,
+        # 0 V for every node when it is empty.  None starts from the DC point.
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
-
-        def err(dt):
-            cfg = SolverConfig(timestep=dt, integration=Integration.BACKWARD_EULER,
-                               use_initial_conditions=True)
-            res = transient(c, cfg, tau, initial_conditions={"in": 0.9, "out": 0.0})
-            exact = 0.9 * (1 - math.exp(-res.times[-1] / tau))
-            return abs(res.voltage("out")[-1] - exact)
-
-        ratio = err(tau / 50) / err(tau / 100)
-        assert 1.6 < ratio < 2.4
+        cfg = SolverConfig(timestep=1e-13)
+        given = transient(c, cfg, 1e-12, initial_conditions={"in": 0.9, "out": 0.3})
+        assert given.voltage("in")[0] == 0.9
+        assert given.voltage("out")[0] == 0.3
+        zeros = transient(c, cfg, 1e-12, initial_conditions={})
+        assert zeros.voltage("in")[0] == 0.0
+        assert zeros.voltage("out")[0] == 0.0
+        dc = transient(c, cfg, 1e-12)
+        assert np.all(np.abs(dc.voltage("out") - 0.9) <= 1e-9)
 
     def test_trapezoidal_second_order(self):
         tau = 1e-12
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
 
         def err(dt):
-            cfg = SolverConfig(timestep=dt, use_initial_conditions=True)
+            cfg = SolverConfig(timestep=dt)
             res = transient(c, cfg, tau, initial_conditions={"in": 0.9, "out": 0.0})
             exact = 0.9 * (1 - math.exp(-res.times[-1] / tau))
             return abs(res.voltage("out")[-1] - exact)
@@ -229,7 +234,7 @@ class TestTransient:
     def test_nonconvergence_names_node_and_time(self):
         c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nvin in 0 pwl(0 0 1p 0 2p 0.9)\n"
                   "qn out in 0 n19\nqp out in vdd p19\ncl out 0 1f\n")
-        cfg = SolverConfig(timestep=1e-13, max_newton_iters=1, use_initial_conditions=True)
+        cfg = SolverConfig(timestep=1e-13, max_newton_iters=1)
         with pytest.raises(ConvergenceError) as err:
             transient(c, cfg, 5e-12, initial_conditions={"vdd": 0.9, "out": 0.9})
         # The output is the node that moves once the input ramp starts.
@@ -291,7 +296,7 @@ class TestStepControl:
         return np.where(t <= t2, rising, vdd + (ramp(t2 - t1) - vdd) * np.exp(-(t - t2) / tau))
 
     def test_rc_under_pwl_ramp_matches_analytic(self):
-        cfg = SolverConfig(timestep=5e-14, use_initial_conditions=True, timestep_control=True)
+        cfg = SolverConfig(timestep=5e-14, timestep_control=True)
         res = transient(parse(self.RC_RAMP), cfg, 1e-11,
                         initial_conditions={"in": 0.0, "out": 0.0})
         err = np.abs(res.voltage("out") - self._ramp_response(res.times))
@@ -314,7 +319,7 @@ class TestStepControl:
         assert res.voltage("in")[res.times == 1.0037e-12][0] == pytest.approx(0.9)
 
     def test_fixed_step_counts_steps_and_no_lte_rejections(self):
-        cfg = SolverConfig(timestep=1e-13, use_initial_conditions=True)
+        cfg = SolverConfig(timestep=1e-13)
         res = transient(parse(self.RC_RAMP), cfg, 1e-11,
                         initial_conditions={"in": 0.0, "out": 0.0})
         assert res.lte_rejections == 0
@@ -324,33 +329,29 @@ class TestStepControl:
         # before the ramp start converged and take none.
         assert res.newton_iterations == 90
 
-    def test_control_requires_trapezoidal(self):
-        with pytest.raises(ValueError):
-            SolverConfig(timestep_control=True, integration=Integration.BACKWARD_EULER)
-
 
 class TestFloatingNodes:
     def test_equal_caps_all_high(self):
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0.9\nvc c 0 dc 0.9\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n")
-        init = initialize_floating_nodes(c, {})
+        init = initialize_floating_nodes(c)
         assert init["x"] == pytest.approx(0.9, abs=1e-6)
 
     def test_equal_caps_one_third(self):
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0\nvc c 0 dc 0\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n")
-        init = initialize_floating_nodes(c, {})
+        init = initialize_floating_nodes(c)
         assert init["x"] == pytest.approx(0.3, abs=1e-6)
 
     def test_weighted_divider(self):
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0\nc1 a x 2f\nc2 b x 1f\n")
-        init = initialize_floating_nodes(c, {})
+        init = initialize_floating_nodes(c)
         assert init["x"] == pytest.approx(0.6, abs=1e-6)
 
-    def test_input_levels_override(self):
+    def test_divider_follows_source_levels(self):
         c = parse("va a 0 dc 0\nvb b 0 dc 0\nvc c 0 dc 0\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n")
-        init = initialize_floating_nodes(c, {"a": 0.9, "b": 0.0, "c": 0.9})
+        init = initialize_floating_nodes(c.with_dc_source("va", 0.9).with_dc_source("vc", 0.9))
         assert init["x"] == pytest.approx(0.6, abs=1e-6)
 
     def test_coupled_floating_pair_solves_jointly(self):
@@ -359,7 +360,7 @@ class TestFloatingNodes:
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0.9\nvc c 0 dc 0.9\nvn n 0 dc 0\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n"
                   "cm x y 3f\ncw n y 1f\n")
-        init = initialize_floating_nodes(c, {})
+        init = initialize_floating_nodes(c)
         # charge equations: 3(x-0.9) + 3(x-y) = 0; 3(y-x) + (y-0) = 0
         y = init["y"]
         x = init["x"]
@@ -374,7 +375,7 @@ class TestFloatingNodes:
         tb = build_testbench(build_adder(AdderKind.CNT_FA3, vdd), vdd, 1e-11, 2e-10, periods=2)
         for bits in range(8):
             levels = {name: vdd * (bits >> k & 1) for k, name in enumerate("abc")}
-            init = initialize_floating_nodes(tb, levels)
+            init = initialize_floating_nodes(_hold_inputs(tb, levels))
             assert init["a"] == pytest.approx(levels["a"], abs=1e-6)
 
     @pytest.mark.parametrize("stages", [3, 4, 6])
@@ -388,7 +389,7 @@ class TestFloatingNodes:
             lines.append(f"c{k}a {prev} f{k} 2f\nc{k}b f{k} 0 1f\n"
                          f"qn{k} o{k} f{k} 0 n19\nqp{k} o{k} f{k} vdd p19\n")
             prev = f"o{k}"
-        init = initialize_floating_nodes(parse("".join(lines)), {})
+        init = initialize_floating_nodes(parse("".join(lines)))
         for k in range(1, stages + 1):
             drive = init["a"] if k == 1 else init[f"o{k - 1}"]
             assert init[f"f{k}"] == pytest.approx(2 * drive / 3, abs=1e-6)
@@ -401,13 +402,13 @@ class TestFloatingNodes:
         c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nva a 0 dc 0.45\n"
                   "c1 a x 1f\nc2 out x 10f\nqn out x 0 n19\nqp out x vdd p19\n")
         with pytest.raises(ConvergenceError, match="stalled") as err:
-            initialize_floating_nodes(c, {})
+            initialize_floating_nodes(c)
         assert err.value.node == "x"
 
     def test_isolated_capacitive_cluster_is_ill_conditioned(self):
         c = parse("va a 0 dc 0.9\nr1 a 0 1k\nc1 x y 1f\nc2 y x 2f\n")
         with pytest.raises(IllConditionedDividerError):
-            initialize_floating_nodes(c, {})
+            initialize_floating_nodes(c)
 
     def test_gate_terminals_do_not_anchor(self):
         # The divider node drives transistor gates only; it still counts
@@ -416,15 +417,15 @@ class TestFloatingNodes:
                   "vdd vdd 0 dc 0.9\nva a 0 dc 0.9\nvb b 0 dc 0\nvc c 0 dc 0.9\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n"
                   "qn out x 0 n19\nqp out x vdd p19\n")
-        init = initialize_floating_nodes(c, {})
+        init = initialize_floating_nodes(c)
         assert init["x"] == pytest.approx(0.6, abs=1e-6)
         assert init["out"] == pytest.approx(0.0, abs=1e-2)  # x above threshold
 
     def test_divider_level_persists_in_transient(self):
         c = parse("va a 0 dc 0.9\nvb b 0 dc 0\nvc c 0 dc 0.9\n"
                   "c1 a x 1f\nc2 b x 1f\nc3 c x 1f\n")
-        cfg = SolverConfig(timestep=1e-13, use_initial_conditions=True)
-        init = initialize_floating_nodes(c, {})
+        cfg = SolverConfig(timestep=1e-13)
+        init = initialize_floating_nodes(c)
         res = transient(c, cfg, 2e-11, initial_conditions=init)
         assert res.voltage("x")[-1] == pytest.approx(2 * 0.9 / 3, rel=1e-3)
 
@@ -453,10 +454,8 @@ class TestColdConvergence:
             tb = build_testbench(build_adder(kind, vdd), vdd, 1e-11, 2e-10)
             for bits in range(8):
                 levels = {name: vdd * (bits >> k & 1) for k, name in enumerate("abc")}
-                initialize_floating_nodes(tb, levels)
-                dc = tb
-                for name, level in levels.items():
-                    dc = dc.with_dc_source(f"v{name}", level)
+                dc = _hold_inputs(tb, levels)
+                initialize_floating_nodes(dc)
                 dc_operating_point(dc)
         assert failures == []
 
