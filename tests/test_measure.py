@@ -212,6 +212,11 @@ class TestFullSwingCheck:
         assert report.ok
         assert report.entries == []
 
+    def test_thresholds_require_levels(self):
+        # The levels have no default; a run states them (BenchConfig.full_swing_levels).
+        with pytest.raises(TypeError):
+            LogicThresholds(vdd=1.0)
+
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             LogicThresholds(vdd=1.0, v_high_min=0.2, v_low_max=0.5)

@@ -218,6 +218,19 @@ class TestTransient:
         dc = transient(c, cfg, 1e-12)
         assert np.all(np.abs(dc.voltage("out") - 0.9) <= 1e-9)
 
+    def test_first_step_is_backward_euler(self):
+        # The run opens with one backward-Euler step, then turns trapezoidal.
+        tau, h = 1e-12, 1e-13
+        c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
+        res = transient(c, SolverConfig(timestep=h), 3 * h,
+                        initial_conditions={"in": 0.9, "out": 0.0})
+        out = res.voltage("out")
+        r = h / tau
+        assert out[1] == pytest.approx((out[0] + r * 0.9) / (1 + r), rel=1e-9)
+        # The Euler step leaves the capacitor current at (0.9 - out[1]) / R.
+        trap = (out[1] * (1 - r / 2) + r * 0.9) / (1 + r / 2)
+        assert out[2] == pytest.approx(trap, rel=1e-9)
+
     def test_trapezoidal_second_order(self):
         tau = 1e-12
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
@@ -317,6 +330,18 @@ class TestStepControl:
         assert res.times[-1] == 4e-12
         assert np.all(np.diff(res.times) > 0)
         assert res.voltage("in")[res.times == 1.0037e-12][0] == pytest.approx(0.9)
+
+    def test_step_after_each_breakpoint_is_backward_euler(self):
+        tau = 1e-12
+        cfg = SolverConfig(timestep=5e-14, timestep_control=True)
+        res = transient(parse(self.RC_RAMP), cfg, 1e-11,
+                        initial_conditions={"in": 0.0, "out": 0.0})
+        vin, out = res.voltage("in"), res.voltage("out")
+        for b in (0.0, 1e-12, 3e-12):
+            i = int(np.flatnonzero(res.times == b)[0])
+            r = (res.times[i + 1] - b) / tau
+            euler = (out[i] + r * vin[i + 1]) / (1 + r)
+            assert out[i + 1] == pytest.approx(euler, rel=1e-9)
 
     def test_fixed_step_counts_steps_and_no_lte_rejections(self):
         cfg = SolverConfig(timestep=1e-13)
