@@ -82,7 +82,8 @@ class LogicVerificationError(Exception):
 @dataclass(frozen=True)
 class BenchConfig:
     """Every benchmark parameter, echoed into each report; these are the
-    defaults.  The device and capacitance defaults are the `adders` ones."""
+    defaults.  The device and capacitance defaults are the `adders` ones.
+    A value out of its range raises ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -101,6 +102,22 @@ class BenchConfig:
     mosfet_k_a_per_v2: float = adders.DeviceParams.mosfet_k_a_per_v2
     mosfet_vth_v: float = adders.DeviceParams.mosfet_vth_v
     mosfet_lambda_per_v: float = adders.DeviceParams.mosfet_lambda_per_v
+
+    def __post_init__(self) -> None:
+        for name in ("transition_time_s", "hold_time_s", "timestep_s", "unit_capacitance_f",
+                     "load_capacitance_f", "measure_periods", "cnfet_tubes",
+                     "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("settle_window_s", "warmup_periods", "min_sustain_fraction",
+                     "mosfet_lambda_per_v"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("full_swing_levels", "logic_levels"):
+            hi, lo = getattr(self, name)
+            if not 0 <= lo < hi <= 1:
+                raise ValueError(f"{name} must be [high, low] fractions of vdd with "
+                                 f"0 <= low < high <= 1, got {list(getattr(self, name))}")
 
     def devices(self) -> adders.DeviceParams:
         """The device record built from this config's five device keys."""

@@ -3,7 +3,8 @@
 Exit codes partition the failure classes:
 
     0  success
-    2  usage error (bad flags, unreadable file, nonpositive tstop)
+    2  usage error (bad flags or config, unreadable file, nonpositive
+       tstop or vdd, a supply the built-in gates cannot be made for)
     3  netlist parse/validation error
     4  solver convergence failure
     5  measurement error
@@ -90,8 +91,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         vdds = [float(v) for v in args.vdd.split(",")]
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"bad --vdd list: {exc}")
+    if not all(v > 0 for v in vdds):
+        return _fail(EXIT_USAGE, f"--vdd levels must be positive, got {args.vdd}")
     try:
         results, errors = bench.run_matrix(kinds, vdds, config)
+    except adders.GateSynthesisError as exc:
+        return _fail(EXIT_USAGE, f"unusable --vdd: {exc}")
     except solver.ConvergenceError as exc:
         return _fail(EXIT_CONVERGENCE, str(exc))
     except measure.MissingTransitionError as exc:

@@ -3,11 +3,13 @@
 Unknowns are node voltages plus one branch current per voltage source.
 Nonlinear devices are linearized by Newton-Raphson; convergence demands
 the KCL residual at every node fall below abstol + reltol * (largest
-branch current incident on that node), with source/pin constraint rows
-held to vtol.  A gmin conductance from every node to ground regularizes
-the matrix (capacitive-input gates make nodes that are DC-floating);
-DC non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
-then re-tighten).
+branch current incident on that node), with source rows held to vtol.
+A gmin conductance from every node to ground regularizes the matrix
+(capacitive-input gates make nodes that are DC-floating); DC
+non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
+then re-tighten).  The floating-node initializer is one such DC solve in
+which each node that only capacitors reach holds, in place of its KCL
+row, its zero-charge equation in volts, also to vtol.
 
 Transient integration is trapezoidal on capacitor companion models, with
 a backward-Euler first step, as in SPICE2 (Nagel, UCB/ERL M520, 1975).
@@ -52,7 +54,7 @@ so independent runs parallelize trivially if a caller wants that.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +69,6 @@ GMIN_STEP_CEILING = 1.0e-3
 # at junction scale: larger moves overshoot whole square-law regions and
 # re-randomize the device states every iteration.
 MAX_VOLTAGE_STEP = 0.3
-
-# Pass bound of the floating-node fixed point, far above the 10 passes
-# the slowest benchmark design (CNT-FA3, contracting about 0.24 per
-# pass) needs; a sequence whose update stops shrinking fails sooner.
-FLOATING_INIT_MAX_PASSES = 100
 
 # Error-controlled transient (SolverConfig.timestep_control).  Time counts
 # in units of timestep / UNITS_PER_TIMESTEP and a step is 2**rung units
@@ -93,7 +90,7 @@ class ConvergenceError(Exception):
     `node` names the row whose final residual exceeds its tolerance by
     the largest factor: a node name, or "i(<source>)" for a voltage
     source's branch row.  `unit` is the residual's unit: "A" for a KCL
-    row, "V" for a source or pinned row.
+    row, "V" for a source row or a floating node's zero-charge row.
     """
 
     def __init__(self, message: str, residual: float = math.nan, time: float | None = None,
@@ -298,6 +295,24 @@ class _Compiled:
             g[row, m] -= 1.0
         return g
 
+    def stamp_charge_rows(self, g: np.ndarray, charge_rows: Sequence[int]) -> None:
+        """Replace each row of a DC base matrix named in `charge_rows`, a
+        floating node's (see _floating_nodes), by its zero-charge equation
+        v_n - sum(C_j v_j) / sum(C_j) over its capacitors' far ends.  No
+        device, resistor or source stamp reaches such a row."""
+        total = dict.fromkeys(charge_rows, 0.0)
+        for i, j, c in self.capacitors:
+            for n in (i, j):
+                if n in total:
+                    total[n] += c
+        for n in charge_rows:
+            g[n] = 0.0
+            g[n, n] = 1.0
+        for i, j, c in self.capacitors:
+            for n, other in ((i, j), (j, i)):
+                if n in total:
+                    g[n, other] -= c / total[n]
+
 
 def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row-equilibrated dense LU solve.
@@ -317,27 +332,6 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(jac / r[:, None], rhs / r)
 
 
-def _voltage_box(comp: _Compiled) -> tuple[float, float]:
-    """Node-voltage bounds for Newton: the source range plus headroom.
-
-    Every voltage in a source-driven RC/FET circuit lies between the
-    extreme source levels; allowing half the swing (at least 1 V) of
-    overshoot keeps iterates out of absurd square-law regions without
-    ever binding at the solution.
-    """
-    levels = [0.0]
-    for el in comp.sources:
-        wf = el.waveform
-        assert wf is not None
-        if wf.kind == "dc":
-            levels.append(wf.level)
-        else:
-            levels.extend(v for _, v in wf.points)
-    lo, hi = min(levels), max(levels)
-    slack = max(hi - lo, 1.0)
-    return lo - 0.5 * slack, hi + 0.5 * slack
-
-
 def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
     g[i, i] += cond
     g[j, j] += cond
@@ -350,20 +344,19 @@ class _Newton:
 
     The residual is F(x) = base @ x + const + device currents; `const`,
     an argument of each solve, holds -V(t) in source rows and capacitor
-    companion history currents in node rows.  Pinned rows replace a node's KCL equation with
-    v_node = value (used by the floating-node initializer).  Vectors and
+    companion history currents in node rows.  `charge_rows` are the
+    node rows whose base-matrix row is a zero-charge equation in volts
+    (see _Compiled.stamp_charge_rows); they are held to vtol.  Vectors and
     matrices are ground-padded (see _Compiled._build_arrays).
     """
 
     def __init__(self, comp: _Compiled, cfg: SolverConfig, base: np.ndarray,
-                 pinned: list[tuple[int, float]] | None = None):
+                 charge_rows: Sequence[int] = ()):
         self.comp = comp
         self.cfg = cfg
         self.base = base
         self.base_core = base[: comp.size, : comp.size]
-        self.pinned = pinned or []
-        self.pinned_rows = [row for row, _ in self.pinned]
-        self.v_lo, self.v_hi = _voltage_box(comp)
+        self.charge_rows = list(charge_rows)
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
                   cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None
@@ -402,30 +395,23 @@ class _Newton:
             np.add.at(f, comp.dev_rows, dev_currents)
         scale = np.zeros(nn + 1)
         np.maximum.at(scale, comp.scale_node, np.abs(currents[comp.scale_branch]))
-
-        for row, value in self.pinned:
-            f[row] = x[row] - value
         return f, scale[:nn], stamps
 
     def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
-        """Padded Jacobian: the base matrix plus the device stamps, with
-        each pinned row replaced by its v_node = value equation."""
+        """Padded Jacobian: the base matrix plus the device stamps."""
         jac = self.base.copy()
         if self.comp.has_devices:
             np.add.at(jac.ravel(), self.comp.dev_jac, stamps[: self.comp.n_jac])
-        for row in self.pinned_rows:
-            jac[row, :] = 0.0
-            jac[row, row] = 1.0
         return jac
 
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
         """Per-row tolerance: abstol + reltol * scale on a KCL row, where
-        the residual is a current, and vtol on a source or pinned row."""
+        the residual is a current, and vtol on a source or charge row."""
         cfg = self.cfg
         tol = np.full(self.comp.size, cfg.vtol)
         tol[: self.comp.n_nodes] = cfg.abstol + cfg.reltol * scale
-        if self.pinned_rows:
-            tol[self.pinned_rows] = cfg.vtol
+        if self.charge_rows:
+            tol[self.charge_rows] = cfg.vtol
         return tol
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
@@ -446,9 +432,8 @@ class _Newton:
         solve follows, so a converged iterate builds none.
 
         A nonlinear iterate clamps each node's update to
-        MAX_VOLTAGE_STEP, takes it, and clips the node voltages into
-        _voltage_box; a linear circuit takes the raw Newton step and
-        lands exactly in one iteration.
+        MAX_VOLTAGE_STEP and takes it; a linear circuit takes the raw
+        Newton step and lands exactly in one iteration.
         """
         cfg = self.cfg
         nn, size = self.comp.n_nodes, self.comp.size
@@ -474,10 +459,7 @@ class _Newton:
                 # to its region in a few steps without squashing the rest
                 # of the update.
                 np.clip(dx[:nn], -MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP, out=dx[:nn])
-                x += dx
-                np.clip(x[:nn], self.v_lo, self.v_hi, out=x[:nn])
-            else:
-                x += dx
+            x += dx
         raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, scale,
                             time)
 
@@ -486,7 +468,7 @@ class _Newton:
         """The error for residual f, naming the row (node or source branch)
         that exceeds its own _converged criterion by the largest factor.
 
-        Node rows are currents and source or pinned rows are voltages, so
+        KCL rows are currents and source or charge rows are voltages, so
         each is measured against its own tolerance before they are compared.
         """
         comp = self.comp
@@ -498,7 +480,7 @@ class _Newton:
             node = comp.node_names[row]
         else:
             node = f"i({comp.sources[row - comp.n_nodes].name})"
-        unit = "A" if row < comp.n_nodes and row not in self.pinned_rows else "V"
+        unit = "A" if row < comp.n_nodes and row not in self.charge_rows else "V"
         return ConvergenceError(message, float(res[row]), time, node, unit)
 
 
@@ -509,12 +491,12 @@ def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
     return const
 
 
-def _solve_dc(comp: _Compiled, cfg: SolverConfig,
-              pinned: list[tuple[int, float]] | None = None,
+def _solve_dc(comp: _Compiled, cfg: SolverConfig, charge_rows: Sequence[int] = (),
               initial_guess: np.ndarray | None = None,
               src_overrides: dict[int, float] | None = None) -> tuple[np.ndarray, int]:
     """DC solve at the t=0 source levels, with gmin stepping fallback:
-    relax x10 to 1e-3 S, re-tighten."""
+    relax x10 to 1e-3 S, re-tighten.  Each floating node in `charge_rows`
+    meets its zero-charge equation in place of KCL."""
     src_values = [el.waveform.value_at(0.0) for el in comp.sources]  # type: ignore[union-attr]
     if src_overrides:
         for b, v in src_overrides.items():
@@ -524,7 +506,9 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig,
     x0 = initial_guess if initial_guess is not None else np.zeros(comp.size)
 
     def attempt(gmin: float, guess: np.ndarray) -> tuple[np.ndarray, int]:
-        newton = _Newton(comp, cfg, comp.base_matrix(gmin, None), pinned)
+        base = comp.base_matrix(gmin, None)
+        comp.stamp_charge_rows(base, charge_rows)
+        newton = _Newton(comp, cfg, base, charge_rows)
         x, iters, _ = newton.solve(np.append(guess, 0.0), const, no_caps)
         return x[: comp.size], iters
 
@@ -553,7 +537,7 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig,
                 x, _ = attempt(g, x)
             except ConvergenceError as exc:
                 raise ConvergenceError(
-                    f"gmin stepping stalled while re-tightening at gmin={g:.1e} S",
+                    f"gmin stepping failed while re-tightening at gmin={g:.1e} S",
                     exc.residual, node=exc.node, unit=exc.unit,
                 ) from exc
         try:
@@ -642,110 +626,49 @@ def _floating_nodes(comp: _Compiled) -> set[int]:
     return {n for n in caps_at if n not in anchored}
 
 
-def _charge_share(comp: _Compiled, floating: set[int], known: dict[int, float]) -> dict[int, float]:
-    """Zero-stored-charge solution of each floating cluster.
-
-    A single floating node reduces to sum(C_i * V_i) / sum(C_i) over its
-    capacitors' far-end driven voltages; clusters coupled through
-    capacitors solve as one linear system.  A cluster with no driven
-    boundary at all has no unique solution and raises.
-    """
-    order = sorted(floating)
-    pos = {n: i for i, n in enumerate(order)}
-    k = len(order)
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    driven_touch = [False] * k
-    for i, j, c in comp.capacitors:
-        for this, other in ((i, j), (j, i)):
-            if this not in pos:
-                continue
-            r = pos[this]
-            a[r, r] += c
-            if other in pos:
-                a[r, pos[other]] -= c
-            else:
-                b[r] += c * (known[other] if other >= 0 else 0.0)
-                driven_touch[r] = True
-
-    # Every connected component must touch at least one driven node.
-    adj: dict[int, set[int]] = {n: set() for n in order}
-    for i, j, _ in comp.capacitors:
-        if i in pos and j in pos:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen: set[int] = set()
-    for start in order:
-        if start in seen:
-            continue
-        comp_nodes = []
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            comp_nodes.append(n)
-            stack.extend(adj[n] - seen)
-        if not any(driven_touch[pos[n]] for n in comp_nodes):
-            names = ", ".join(comp.node_names[n] for n in sorted(comp_nodes))
-            raise IllConditionedDividerError(
-                f"capacitive nodes coupled only to other capacitive nodes: {names}"
-            )
-    sol = np.linalg.solve(a, b)
-    return {n: float(sol[pos[n]]) for n in order}
-
-
 def initialize_floating_nodes(circuit: Circuit,
                               cfg: SolverConfig | None = None) -> dict[str, float]:
-    """Consistent initial node voltages with capacitive nodes charge-shared.
+    """DC operating point with every capacitive node charge-shared.
 
-    Purely-capacitive nodes take the zero-stored-charge divider value of
-    their far-end driven voltages; every other node comes from a DC
-    operating point at the t=0 source levels, computed with those nodes
-    pinned.  Because a divider may hang off a gate output that itself
-    depends on another divider, the pin/solve cycle iterates to a fixed
-    point (feed-forward ladders settle in one pass per stage; designs
-    with capacitive feedback contract geometrically and take more).
-    Other input levels are set on the circuit with
-    Circuit.with_dc_source.  Raises ConvergenceError when,
-    after len(floating) + 3 passes, an update fails to shrink, or when
-    FLOATING_INIT_MAX_PASSES pass.
+    A purely-capacitive node (see _floating_nodes) holds no stored charge:
+    its voltage is the capacitance-weighted mean of its capacitors' far
+    ends.  That equation replaces the node's KCL row in one DC solve at
+    the t=0 source levels, so dividers coupled to each other or hanging
+    off gate outputs that other dividers drive are all solved jointly.
+    Other input levels are set on the circuit with Circuit.with_dc_source.
+    Returns what dc_operating_point does.  Raises
+    IllConditionedDividerError when a cluster of capacitive nodes touches
+    no other node, so its charge cannot fix its voltages.
     """
     cfg = cfg or SolverConfig()
     comp = _Compiled(circuit)
-    floating = _floating_nodes(comp)
-    tol = max(cfg.vtol, 1e-9)
-    # A feed-forward ladder moves its last stage by a full step on every
-    # pass until the correction reaches it, so the update may hold steady
-    # for one pass per floating node; only later passes must shrink.
-    settle_passes = len(floating) + 3
-    values: dict[int, float] = {}
-    x = None
-    last_update = math.inf
-    for passes in range(FLOATING_INIT_MAX_PASSES):
-        x, _ = _solve_dc(comp, cfg, pinned=list(values.items()), initial_guess=x)
-        if not floating:
-            break
-        known = {i: float(x[i]) for i in range(comp.n_nodes)}
-        new_values = _charge_share(comp, floating, known)
-        if values:
-            worst = max(floating, key=lambda n: abs(new_values[n] - values[n]))
-            update = abs(new_values[worst] - values[worst])
-            if update <= tol:
-                values = new_values
-                break
-            if passes >= settle_passes and update >= last_update:
-                raise ConvergenceError(
-                    f"floating-node initialization stalled (update {update:.3e} V "
-                    f"after {last_update:.3e} V)", node=comp.node_names[worst],
-                )
-            last_update = update
-        values = new_values
-    else:
-        raise ConvergenceError("floating-node initialization did not reach a fixed point")
-
-    x, _ = _solve_dc(comp, cfg, pinned=list(values.items()), initial_guess=x)
+    floating = sorted(_floating_nodes(comp))
+    adj: dict[int, set[int]] = {n: set() for n in floating}
+    driven: set[int] = set()
+    for i, j, _ in comp.capacitors:
+        for this, other in ((i, j), (j, i)):
+            if this in adj:
+                if other in adj:
+                    adj[this].add(other)
+                else:
+                    driven.add(this)
+    seen: set[int] = set()
+    for start in floating:
+        if start in seen:
+            continue
+        cluster, stack = [], [start]
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                cluster.append(n)
+                stack.extend(adj[n] - seen)
+        if driven.isdisjoint(cluster):
+            names = ", ".join(comp.node_names[n] for n in sorted(cluster))
+            raise IllConditionedDividerError(
+                f"capacitive nodes coupled only to other capacitive nodes: {names}"
+            )
+    x, _ = _solve_dc(comp, cfg, floating)
     return _solution_dict(comp, x)
 
 

@@ -64,7 +64,7 @@ def _ref_stamp_conductance(g, i, j, cond):
         g[j, i] -= cond
 
 
-def _ref_base_matrix(comp, gmin, cap_geq):
+def _ref_base_matrix(comp, gmin, cap_geq, charge_rows):
     g = np.zeros((comp.size, comp.size))
     for i in range(comp.n_nodes):
         g[i, i] += gmin
@@ -82,10 +82,19 @@ def _ref_base_matrix(comp, gmin, cap_geq):
         if m >= 0:
             g[m, row] -= 1.0
             g[row, m] -= 1.0
+    for n in charge_rows:
+        # v_n - sum(C_j v_j) / sum(C_j) over the capacitors at n
+        far = [(j if i == n else i, c) for i, j, c in comp.capacitors if n in (i, j)]
+        total = sum(c for _, c in far)
+        g[n, :] = 0.0
+        g[n, n] = 1.0
+        for other, c in far:
+            if other >= 0:
+                g[n, other] -= c / total
     return g
 
 
-def _ref_assemble(comp, base, const, cap_companion, pinned, x):
+def _ref_assemble(comp, base, const, cap_companion, x):
     nn = comp.n_nodes
     f = base @ x + const
     jac = base.copy()
@@ -134,11 +143,6 @@ def _ref_assemble(comp, base, const, cap_companion, pinned, x):
                 jac[s, g_] -= gm
             if a_i > scale[s]:
                 scale[s] = a_i
-
-    for row, value in pinned:
-        f[row] = x[row] - value
-        jac[row, :] = 0.0
-        jac[row, row] = 1.0
     return f, jac, scale
 
 
@@ -183,51 +187,46 @@ def _random_state(comp, vdd, rng):
     return x, const, (geq, hist)
 
 
-def _newton_case(make, analysis, pin_fallback=(0,)):
-    """(comp, vdd, pinned rows, cap_geq, newton) for one circuit and analysis.
+def _newton_case(make, analysis):
+    """(comp, vdd, charge rows, cap_geq, newton) for one circuit and analysis.
 
-    "dc-pinned" pins the floating nodes, or the `pin_fallback` rows in a
-    circuit that has none.
+    "dc-charge" is the floating-node initializer's system: each floating
+    node's row holds its zero-charge equation.
     """
     circuit, vdd = make()
     comp = _Compiled(circuit)
     cfg = SolverConfig()
     cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
-    pinned = None
-    if analysis == "dc-pinned":
-        rows = sorted(_floating_nodes(comp)) or list(pin_fallback)
-        pinned = [(row, 0.3 * vdd) for row in rows]
-    newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, cap_geq), pinned)
-    return comp, vdd, pinned, cap_geq, newton
+    charge_rows = sorted(_floating_nodes(comp)) if analysis == "dc-charge" else []
+    base = comp.base_matrix(cfg.gmin, cap_geq)
+    comp.stamp_charge_rows(base, charge_rows)
+    newton = _Newton(comp, cfg, base, charge_rows)
+    return comp, vdd, charge_rows, cap_geq, newton
 
 
 @pytest.mark.parametrize("make", CIRCUITS)
-@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
+@pytest.mark.parametrize("analysis", ["transient", "dc-charge"])
 def test_assemble_equals_scalar_loop(make, analysis):
-    comp, vdd, pinned, cap_geq, newton = _newton_case(make, analysis)
-    ref_base = _ref_base_matrix(comp, newton.cfg.gmin, cap_geq)
+    comp, vdd, charge_rows, cap_geq, newton = _newton_case(make, analysis)
+    ref_base = _ref_base_matrix(comp, newton.cfg.gmin, cap_geq, charge_rows)
     assert np.array_equal(newton.base[: comp.size, : comp.size], ref_base)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
         f, scale, stamps = newton._assemble(np.append(x, 0.0), const, companion)
         jac = newton._jacobian(stamps)
-        ref_f, ref_jac, ref_scale = _ref_assemble(
-            comp, ref_base, const[: comp.size], companion, pinned or [], x
-        )
+        ref_f, ref_jac, ref_scale = _ref_assemble(comp, ref_base, const[: comp.size], companion, x)
         assert np.array_equal(f[: comp.size], ref_f)
         assert np.array_equal(jac[: comp.size, : comp.size], ref_jac)
         assert np.array_equal(scale, ref_scale)
 
 
 @pytest.mark.parametrize("make", CIRCUITS + [LINEAR_RC])
-@pytest.mark.parametrize("analysis", ["transient", "dc-pinned"])
+@pytest.mark.parametrize("analysis", ["transient", "dc-charge"])
 def test_single_solve_is_backward_stable_per_row(make, analysis):
     # One equilibrated LU, no refinement: every row of J dx = -f must hold
-    # to within a few ulps of that row's own magnitude.  A pinned row on a
-    # source-driven node would repeat the source's row (a singular
-    # system), so a circuit without floating nodes is solved unpinned.
-    comp, vdd, _, _, newton = _newton_case(make, analysis, pin_fallback=())
+    # to within a few ulps of that row's own magnitude.
+    comp, vdd, _, _, newton = _newton_case(make, analysis)
     size = comp.size
     rng = np.random.default_rng(1234)
     for _ in range(4):

@@ -9,6 +9,18 @@ from cnfetsim import cli
 
 RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
 RC_STEP = "v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
+# An inverter whose gate x sits on a 2f/1f divider; a falls from 0.9 V to 0.
+KICKED_GATE = """\
+.model n19 cnfet polarity=n chirality=19,0 tubes=3 k=1e-4
+.model p19 cnfet polarity=p chirality=19,0 tubes=3 k=1e-4
+vdd vdd 0 dc 0.9
+va a 0 pwl(0 0.9 2p 0.9 3p 0)
+vb b 0 dc 0
+c1 a x 2f
+c2 b x 1f
+qn out x 0 n19
+qp out x vdd p19
+"""
 
 
 @pytest.fixture
@@ -36,6 +48,21 @@ class TestSimulate:
         tau = 1e-12
         idx = np.argmin(np.abs(t - tau))
         assert vout[idx] == pytest.approx(0.9 * (1 - math.exp(-t[idx] / tau)), rel=5e-3)
+
+    def test_coupled_node_is_driven_below_every_source_level(self, tmp_path, capsys):
+        # Without --ic, x starts at 0 V from the DC point, and the 0.9 V
+        # fall on a couples two thirds of it onto x: x ends at -0.6 V,
+        # below the lowest source level (0 V) by two thirds of the swing.
+        src = tmp_path / "kicked.cir"
+        src.write_text(KICKED_GATE)
+        out = tmp_path / "wave.csv"
+        code = cli.main(["simulate", str(src), "--tstop", "1e-11", "--dt", "1e-13",
+                         "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()
+        x = [float(r.split(",")[rows[0].split(",").index("x")]) for r in rows[1:]]
+        assert x[0] == pytest.approx(0.0, abs=1e-9)
+        assert x[-1] == pytest.approx(-0.6, abs=1e-6)
 
     def test_stdout_output(self, rc_path, capsys):
         code = cli.main(["simulate", rc_path, "--tstop", "1e-12"])
@@ -109,3 +136,27 @@ class TestBenchUsage:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{\"no_such_field\": 1}")
         assert cli.main(["bench", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        '{"unit_capacitance_f": 0}',
+        '{"timestep_s": -1e-13}',
+        '{"warmup_periods": 0, "measure_periods": 0}',
+        '{"full_swing_levels": [0.1, 0.9]}',
+        '{"cnfet_tubes": 0}',
+    ])
+    def test_out_of_range_config_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "cannot load benchmark config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vdd", ["-1", "0", "0.9,0"])
+    def test_nonpositive_vdd_rejected(self, capsys, vdd):
+        assert cli.main(["bench", "--adders", "c-cmos", "--vdd", vdd]) == cli.EXIT_USAGE
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_supply_below_the_gate_floor_rejected(self, capsys):
+        # The built-in NAND/NOR gate chiralities need at least 0.62 V.
+        assert cli.main(["bench", "--adders", "cnt-fa1", "--vdd", "0.3"]) == cli.EXIT_USAGE
+        assert "floor" in capsys.readouterr().err

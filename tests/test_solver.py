@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cnfetsim.devices import drain_current
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
     ConvergenceError,
@@ -26,6 +27,17 @@ vdd vdd 0 dc 0.9
 vin in 0 dc 0
 qn out in 0 n19
 qp out in vdd p19
+"""
+
+# x feeds an inverter whose output is coupled back onto x ten times more
+# strongly than the driven side; x has no DC path, so it is a floating node.
+COUPLED_INVERTER = CNFET_MODELS + """\
+vdd vdd 0 dc 0.9
+va a 0 dc 0.45
+c1 a x 1f
+c2 out x 10f
+qn out x 0 n19
+qp out x vdd p19
 """
 
 
@@ -126,11 +138,31 @@ class TestDcOperatingPoint:
             f[:] = 0.0
             f[row] = math.nan
             assert not newton._converged(f, scale), row
-        pinned = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None),
-                         [(comp.node_index["out"], 0.3)])
-        f[:] = 0.0
-        f[comp.node_index["out"]] = math.nan
-        assert not pinned._converged(f, scale)
+        comp = _Compiled(parse(COUPLED_INVERTER))
+        x = comp.node_index["x"]
+        charge = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None), [x])
+        f = np.zeros(comp.size + 1)
+        f[x] = math.nan
+        assert not charge._converged(f, np.zeros(comp.n_nodes))
+
+    def test_failure_on_a_charge_row_names_the_floating_node_in_volts(self):
+        # A zero-charge row's residual is a voltage, held to vtol: at 2x
+        # vtol it fails by less than a KCL row at 1000x abstol, and alone
+        # it is reported in volts at the floating node.
+        from cnfetsim.solver import _Compiled, _Newton
+        cfg = SolverConfig()
+        comp = _Compiled(parse(COUPLED_INVERTER))
+        x = comp.node_index["x"]
+        newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None), [x])
+        scale = np.zeros(comp.n_nodes)
+        f = np.zeros(comp.size + 1)
+        f[x] = 2e-6
+        f[comp.node_index["out"]] = 1e-9
+        assert newton._failure("failed", f, scale, None).node == "out"
+        f[comp.node_index["out"]] = 0.0
+        err = newton._failure("failed", f, scale, None)
+        assert (err.node, err.unit, err.residual) == ("x", "V", 2e-6)
+        assert "V at 'x'" in str(err)
 
 
 class TestDcSourceSolver:
@@ -420,15 +452,22 @@ class TestFloatingNodes:
             assert init[f"f{k}"] == pytest.approx(2 * drive / 3, abs=1e-6)
             assert init[f"o{k}"] == pytest.approx(0.0 if k % 2 else 0.9, abs=1e-2)
 
-    def test_oscillating_fixed_point_fails_fast_and_names_node(self):
-        # x feeds an inverter whose output is coupled back into x ten
-        # times more strongly than the driven side, so each pass flips
-        # both between the rails and the update never shrinks.
-        c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nva a 0 dc 0.45\n"
-                  "c1 a x 1f\nc2 out x 10f\nqn out x 0 n19\nqp out x vdd p19\n")
-        with pytest.raises(ConvergenceError, match="stalled") as err:
-            initialize_floating_nodes(c)
-        assert err.value.node == "x"
+    def test_inverter_coupled_back_onto_its_gate_meets_both_equations(self):
+        # Charge-sharing x and solving the inverter in turn flips both
+        # between the rails on every pass.  Solved together, x meets its
+        # zero-charge equation and the inverter its KCL at out: x sits at
+        # the switching threshold, where out may sit anywhere in between.
+        cfg = SolverConfig()
+        c = parse(COUPLED_INVERTER)
+        init = initialize_floating_nodes(c, cfg)
+        x, out = init["x"], init["out"]
+        assert 1 * (x - 0.45) + 10 * (x - out) == pytest.approx(0.0, abs=11 * cfg.vtol)
+        assert x == pytest.approx(0.45, abs=1e-6)
+        assert out == pytest.approx(0.45, abs=1e-5)
+        # out is the inverter's output at x: both devices carry one current.
+        i_n, _, _ = drain_current(c.models["n19"].params, x, out)
+        i_p, _, _ = drain_current(c.models["p19"].params, x - 0.9, out - 0.9)
+        assert abs(i_n + i_p) <= cfg.abstol + cfg.reltol * abs(i_n)
 
     def test_isolated_capacitive_cluster_is_ill_conditioned(self):
         c = parse("va a 0 dc 0.9\nr1 a 0 1k\nc1 x y 1f\nc2 y x 2f\n")
@@ -458,10 +497,10 @@ class TestFloatingNodes:
 class TestColdConvergence:
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     def test_every_testbench_converges_without_gmin_stepping(self, monkeypatch, vdd):
-        # Newton's only guards are the per-node clamp and the voltage box;
-        # every benchmark testbench must still reach its floating-node
-        # initialization and a cold DC point at each input vector without
-        # a failed solve, so the gmin ladder is never entered.
+        # Newton's only guard is the per-node clamp; every benchmark
+        # testbench must still reach its floating-node initialization and
+        # a cold DC point at each input vector without a failed solve, so
+        # the gmin ladder is never entered.
         from cnfetsim import solver
         from cnfetsim.adders import BENCH_ORDER, build_adder, build_testbench
         failures = []
