@@ -53,6 +53,7 @@ so independent runs parallelize trivially if a caller wants that.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -82,6 +83,20 @@ TRTOL = 7.0
 # Steps of one timestep after each breakpoint, the first backward Euler,
 # before the estimate (which needs four points past the breakpoint) leads.
 BREAKPOINT_STEPS = 3
+
+# One device's stamp layout (see _Compiled._build_arrays): offsets into its
+# four kernel values (gds, gm, gm + gds, id) and the sign of each stamp.
+_JAC_TAKE = np.array([0, 1, 2, 2, 0, 1], dtype=np.intp)
+_JAC_SIGN = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+_CUR_TAKE = np.array([3, 3], dtype=np.intp)
+_CUR_SIGN = np.array([1.0, -1.0])
+
+# The gufunc behind np.linalg.solve, called directly to skip its argument
+# checks; it is private NumPy API, so np.linalg.solve stands in without it.
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # pragma: no cover
+    _solve1 = None
 
 
 class ConvergenceError(Exception):
@@ -244,21 +259,14 @@ class _Compiled:
         w = self.size + 1
         jac_idx: list[int] = []
         dev_rows: list[int] = []
-        jac_take: list[int] = []
-        cur_take: list[int] = []
-        for n, (d, g, s, *_) in enumerate(self.devices):
+        for d, g, s, *_ in self.devices:
             dev_rows += (d, s)
             d, g, s = d % w, g % w, s % w
             jac_idx += (d * w + d, d * w + g, d * w + s, s * w + s, s * w + d, s * w + g)
-            gds, gm, gm_gds, i_ds = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
-            jac_take += (gds, gm, gm_gds, gm_gds, gds, gm)
-            cur_take += (i_ds, i_ds)
         self.dev_jac = np.array(jac_idx, dtype=np.intp)
         self.n_jac = len(jac_idx)
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
-        n_dev = len(self.devices)
-        self.stamp_take = np.array(jac_take + cur_take, dtype=np.intp)
-        self.stamp_sign = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0] * n_dev + [1.0, -1.0] * n_dev)
+        self.stamp_take, self.stamp_sign = _stamp_layout(len(self.devices))
         # Current vector layout: resistors, capacitors, sources, then the
         # two device stamps.  scale_node[k] takes max(|current[scale_branch[k]]|).
         ends_i = res_i + cap_i + [self.node_index[el.terminals[0]] for el in self.sources]
@@ -314,6 +322,20 @@ class _Compiled:
                     g[n, other] -= c / total[n]
 
 
+@functools.lru_cache(maxsize=None)
+def _stamp_layout(n_dev: int) -> tuple[np.ndarray, np.ndarray]:
+    """_Compiled.stamp_take and stamp_sign for n_dev transistors.
+
+    They depend on the device count alone, so each count builds them once;
+    the arrays are shared and read-only.
+    """
+    first = 4 * np.arange(n_dev, dtype=np.intp)[:, None]
+    take = np.concatenate(((first + _JAC_TAKE).ravel(), (first + _CUR_TAKE).ravel()))
+    sign = np.concatenate((np.tile(_JAC_SIGN, n_dev), np.tile(_CUR_SIGN, n_dev)))
+    take.flags.writeable = sign.flags.writeable = False
+    return take, sign
+
+
 def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row-equilibrated dense LU solve.
 
@@ -329,7 +351,16 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     r = np.abs(jac).max(axis=1)
     r[r == 0.0] = 1.0
-    return np.linalg.solve(jac / r[:, None], rhs / r)
+    a, b = jac / r[:, None], rhs / r
+    if _solve1 is None:
+        return np.linalg.solve(a, b)
+    # np.linalg.solve's own error state: LAPACK's singular flag is
+    # `invalid`, which it turns into LinAlgError.
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _solve1(a, b, signature="dd->d")
+    except FloatingPointError as exc:
+        raise np.linalg.LinAlgError("Singular matrix") from exc
 
 
 def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
@@ -357,6 +388,10 @@ class _Newton:
         self.base = base
         self.base_core = base[: comp.size, : comp.size]
         self.charge_rows = list(charge_rows)
+        # Source and charge rows hold vtol; _tolerance fills the KCL rows.
+        self._tol = np.full(comp.size, cfg.vtol)
+        self._kcl = (np.setdiff1d(np.arange(comp.n_nodes), self.charge_rows)
+                     if self.charge_rows else slice(0, comp.n_nodes))
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
                   cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None
@@ -407,11 +442,8 @@ class _Newton:
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
         """Per-row tolerance: abstol + reltol * scale on a KCL row, where
         the residual is a current, and vtol on a source or charge row."""
-        cfg = self.cfg
-        tol = np.full(self.comp.size, cfg.vtol)
-        tol[: self.comp.n_nodes] = cfg.abstol + cfg.reltol * scale
-        if self.charge_rows:
-            tol[self.charge_rows] = cfg.vtol
+        tol, kcl = self._tol, self._kcl
+        tol[kcl] = self.cfg.abstol + self.cfg.reltol * scale[kcl]
         return tol
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
@@ -458,7 +490,9 @@ class _Newton:
                 # for a kilovolt move; clamping per node lets that node walk
                 # to its region in a few steps without squashing the rest
                 # of the update.
-                np.clip(dx[:nn], -MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP, out=dx[:nn])
+                dv = dx[:nn]
+                np.minimum(dv, MAX_VOLTAGE_STEP, out=dv)
+                np.maximum(dv, -MAX_VOLTAGE_STEP, out=dv)
             x += dx
         raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, scale,
                             time)
