@@ -505,8 +505,7 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
     is verified against the full-adder truth table on every build.
     `devices` sets the transistor model cards.
     """
-    if kind in (AdderKind.PROPOSED, AdderKind.CNT_FA1, AdderKind.CNT_FA2, AdderKind.CNT_FA3):
-        _check_cnfet_operating_point(vdd)
+    check_operating_point(kind, vdd)
     b = _Builder(devices)
     if kind is AdderKind.PROPOSED:
         _build_proposed(b, input_cap)
@@ -527,9 +526,15 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
     return b.circuit()
 
 
-def _check_cnfet_operating_point(vdd: float) -> None:
-    """The fixed NAND/NOR chirality pair needs vtn + vtp < vdd (no input
-    range with both devices off) and headroom for the band margins."""
+def check_operating_point(kind: AdderKind, vdd: float) -> None:
+    """Raise GateSynthesisError if `kind` cannot be built for supply `vdd`.
+
+    The CNFET designs' fixed NAND/NOR chirality pair needs vtn + vtp < vdd
+    (no input range with both devices off) and headroom for the band
+    margins; the CMOS designs take any supply.
+    """
+    if kind not in (AdderKind.PROPOSED, AdderKind.CNT_FA1, AdderKind.CNT_FA2, AdderKind.CNT_FA3):
+        return
     nand_n, nand_p = _chir("nand3")
     floor = chirality_threshold(nand_n) + chirality_threshold(nand_p)
     if vdd <= floor + vdd / 30.0:

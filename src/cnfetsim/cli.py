@@ -94,6 +94,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not all(v > 0 for v in vdds):
         return _fail(EXIT_USAGE, f"--vdd levels must be positive, got {args.vdd}")
     try:
+        for vdd in vdds:
+            for kind in kinds:
+                adders.check_operating_point(kind, vdd)
         results, errors = bench.run_matrix(kinds, vdds, config)
     except adders.GateSynthesisError as exc:
         return _fail(EXIT_USAGE, f"unusable --vdd: {exc}")

@@ -17,10 +17,11 @@ By default every step is SolverConfig.timestep long.  With
 SolverConfig.timestep_control the step is error-controlled: the local
 truncation error of each capacitor voltage, h^3/12 times its third
 derivative, is estimated from the third divided difference over the
-last four points and held to TRTOL * (reltol * |v| + vtol).  Step
-lengths come from a geometric ladder, timestep/16 * 2**rung up to
-64 * timestep, so a run is deterministic and builds few companion
-matrices; every PWL corner is a breakpoint that a step lands on, and a
+last four points and held to TRTOL * (reltol * max(|v|, CHGTOL / C) +
+vtol), C being its capacitance and CHGTOL SPICE2's charge floor.  Step
+lengths come from a geometric ladder, timestep/16 * 2**rung up to 64 *
+timestep, so a run is deterministic and builds few companion matrices;
+every PWL corner is a breakpoint that a step lands on, and a
 backward-Euler step follows it.  In both modes a step whose Newton
 solve fails is retried one rung shorter.
 
@@ -80,16 +81,15 @@ TIMESTEP_RUNG = 4
 MAX_RUNG = 10
 # SPICE2's multiplier on the truncation-error tolerance.
 TRTOL = 7.0
+# SPICE2's charge floor (coulombs): a capacitor's voltage is held to its
+# truncation-error tolerance relative to max(|v|, CHGTOL / C), so a
+# settled node near 0 V is not held to microvolts.  SPICE's 1e-14 is
+# sized for its reltol of 1e-3; against this solver's 1e-4 it moves
+# delays by 2.5e-2, and 1e-15 by at most 3e-3.
+CHGTOL = 1.0e-15
 # Steps of one timestep after each breakpoint, the first backward Euler,
 # before the estimate (which needs four points past the breakpoint) leads.
 BREAKPOINT_STEPS = 3
-
-# One device's stamp layout (see _Compiled._build_arrays): offsets into its
-# four kernel values (gds, gm, gm + gds, id) and the sign of each stamp.
-_JAC_TAKE = np.array([0, 1, 2, 2, 0, 1], dtype=np.intp)
-_JAC_SIGN = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
-_CUR_TAKE = np.array([3, 3], dtype=np.intp)
-_CUR_SIGN = np.array([1.0, -1.0])
 
 # The gufunc behind np.linalg.solve, called directly to skip its argument
 # checks; it is private NumPy API, so np.linalg.solve stands in without it.
@@ -330,8 +330,9 @@ def _stamp_layout(n_dev: int) -> tuple[np.ndarray, np.ndarray]:
     the arrays are shared and read-only.
     """
     first = 4 * np.arange(n_dev, dtype=np.intp)[:, None]
-    take = np.concatenate(((first + _JAC_TAKE).ravel(), (first + _CUR_TAKE).ravel()))
-    sign = np.concatenate((np.tile(_JAC_SIGN, n_dev), np.tile(_CUR_SIGN, n_dev)))
+    take = np.concatenate(((first + [0, 1, 2, 2, 0, 1]).ravel(), (first + [3, 3]).ravel()))
+    sign = np.concatenate((np.tile([1.0, 1.0, -1.0, 1.0, -1.0, -1.0], n_dev),
+                           np.tile([1.0, -1.0], n_dev)))
     take.flags.writeable = sign.flags.writeable = False
     return take, sign
 
@@ -755,14 +756,16 @@ def _source_values(comp: _Compiled) -> Callable[[float | np.ndarray], np.ndarray
     return at
 
 
-def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> float:
+def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig,
+               v_floor: np.ndarray) -> float:
     """Largest trapezoidal truncation-error estimate over its tolerance.
 
     `points` are the last four (time, capacitor voltages), newest last.
     The error of the newest step h is h^3 * DD3 / 2, DD3 being the third
     divided difference over the four points (a sixth of the third
     derivative, so this is the trapezoidal rule's h^3/12 times it); each
-    capacitor voltage v is held to TRTOL * (reltol * |v| + vtol).
+    capacitor voltage v is held to TRTOL * (reltol * max(|v|, v_floor) +
+    vtol), v_floor being CHGTOL / C per capacitor (SPICE2's charge floor).
     """
     (t0, v0), (t1, v1), (t2, v2), (t3, v3) = points
     d01 = (v1 - v0) / (t1 - t0)
@@ -770,7 +773,8 @@ def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> flo
     d23 = (v3 - v2) / (t3 - t2)
     dd3 = ((d23 - d12) / (t3 - t1) - (d12 - d01) / (t2 - t0)) / (t3 - t0)
     err = 0.5 * (t3 - t2) ** 3 * np.abs(dd3)
-    return float((err / (TRTOL * (cfg.reltol * np.abs(v3) + cfg.vtol))).max(initial=0.0))
+    tol = TRTOL * (cfg.reltol * np.maximum(np.abs(v3), v_floor) + cfg.vtol)
+    return float((err / tol).max(initial=0.0))
 
 
 def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
@@ -797,9 +801,10 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     off-ladder step when the corner is off the unit grid).  After each
     breakpoint come BREAKPOINT_STEPS steps of cfg.timestep, the first
     backward Euler; from then on a step whose truncation-error ratio r
-    (_lte_ratio) exceeds 1 is rejected and retried ceil(log2(r)/3) rungs
-    down, and an accepted step with r <= 1/8 lets the next one be a rung
-    longer.  Newton starts from the linear predictor through the last two
+    (_lte_ratio, each capacitor voltage held to TRTOL * (reltol *
+    max(|v|, CHGTOL / C) + vtol)) exceeds 1 is rejected and retried
+    ceil(log2(r)/3) rungs down, and an accepted step with r <= 1/8 lets
+    the next one be a rung longer.  Newton starts from the linear predictor through the last two
     points, except on a breakpoint's first step.  Every accepted point is
     a sample.
 
@@ -815,6 +820,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     sources_at = _source_values(comp)
     if control:
         targets = _breakpoints(comp, tstop, unit)
+        v_floor = CHGTOL / comp.cap_c
     else:
         times, n_full = _time_grid(tstop, cfg.timestep)
         targets = times[1:].tolist()
@@ -918,7 +924,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 continue
             newton_iterations += iters
             if control and since >= BREAKPOINT_STEPS:
-                ratio = _lte_ratio([*recent, (t_new, v_new)], cfg)
+                ratio = _lte_ratio([*recent, (t_new, v_new)], cfg, v_floor)
                 if ratio > 1.0 and units > 1:
                     lte_rejections += 1
                     drop = math.ceil(math.log2(ratio) / 3)

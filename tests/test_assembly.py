@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cnfetsim import adders, bench
+from cnfetsim import adders, bench, solver
 from cnfetsim.devices import Polarity, drain_currents
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
@@ -238,6 +238,28 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
         resid = np.abs(jac @ dx - rhs)
         bound = 1e-14 * (np.abs(jac).max(axis=1) * np.abs(dx).max() + np.abs(rhs))
         assert (resid <= bound).all(), (resid / bound).max()
+
+
+@pytest.mark.parametrize("make", CIRCUITS + [LINEAR_RC])
+@pytest.mark.parametrize("analysis", ["transient", "dc-charge"])
+@pytest.mark.parametrize("gufunc", [True, False], ids=["gufunc", "fallback"])
+def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch):
+    # _lin_solve calls LAPACK through np.linalg.solve's gufunc directly,
+    # or through np.linalg.solve where NumPy lacks it; either way the
+    # equilibrated system's solution is np.linalg.solve's, bit for bit.
+    if not gufunc:
+        monkeypatch.setattr(solver, "_solve1", None)
+    comp, vdd, _, _, newton = _newton_case(make, analysis)
+    size = comp.size
+    rng = np.random.default_rng(1234)
+    for _ in range(4):
+        x, const, companion = _random_state(comp, vdd, rng)
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        jac = newton._jacobian(stamps)[:size, :size]
+        rhs = -f[:size]
+        r = np.abs(jac).max(axis=1)
+        r[r == 0.0] = 1.0
+        assert np.array_equal(_lin_solve(jac, rhs), np.linalg.solve(jac / r[:, None], rhs / r))
 
 
 def test_drain_current_equals_three_stage_kernel():

@@ -233,6 +233,11 @@ class TestControlledCell:
         assert res.accepted_steps == len(res.times) - 1 <= 8000
         assert res.newton_rejections == 0
 
+    def test_default_cell_takes_at_most_3000_steps(self):
+        # The charge floor on the truncation-error tolerance (solver.CHGTOL)
+        # lets a settled output take long steps: 3,957 steps without it.
+        assert _proposed_cell().result.accepted_steps <= 3000
+
     def test_every_pwl_corner_is_a_sample(self):
         config = BenchConfig()
         sched = InputSchedule(config.transition_time_s, config.hold_time_s,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cnfetsim import cli
+from cnfetsim import adders, bench, cli
 
 RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
 RC_STEP = "v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
@@ -159,4 +159,18 @@ class TestBenchUsage:
     def test_supply_below_the_gate_floor_rejected(self, capsys):
         # The built-in NAND/NOR gate chiralities need at least 0.62 V.
         assert cli.main(["bench", "--adders", "cnt-fa1", "--vdd", "0.3"]) == cli.EXIT_USAGE
+        assert "floor" in capsys.readouterr().err
+
+    def test_every_supply_is_checked_before_the_first_cell(self, capsys, monkeypatch):
+        # 0.3 V is below the gate floor, so no cell may run at 0.9 V first.
+        calls = []
+
+        def counting_run_cell(kind, vdd, config=None):
+            calls.append((kind, vdd))
+            adders.build_adder(kind, vdd)  # raises below the floor, as a real cell does
+
+        monkeypatch.setattr(bench, "run_cell", counting_run_cell)
+        assert cli.main(["bench", "--adders", "proposed,cnt-fa1",
+                         "--vdd", "0.9,0.3"]) == cli.EXIT_USAGE
+        assert calls == []
         assert "floor" in capsys.readouterr().err

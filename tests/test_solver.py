@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from cnfetsim.devices import drain_current
+from cnfetsim import solver
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
+    CHGTOL,
+    TRTOL,
     ConvergenceError,
     IllConditionedDividerError,
     SolverConfig,
     dc_operating_point,
     dc_source_solver,
+    _lte_ratio,
     initialize_floating_nodes,
     transient,
 )
@@ -109,6 +113,17 @@ class TestDcOperatingPoint:
         assert err.value.node == "i(vdd)"
         assert err.value.residual == pytest.approx(0.6)
         assert "V at 'i(vdd)'" in str(err.value)
+
+    @pytest.mark.parametrize("gufunc", [True, False], ids=["gufunc", "fallback"])
+    def test_parallel_sources_are_a_singular_matrix(self, monkeypatch, gufunc):
+        # Two sources across one node ask for two levels there: the MNA
+        # matrix is singular on every gmin rung, with the direct LAPACK
+        # call and with np.linalg.solve standing in for it alike.
+        if not gufunc:
+            monkeypatch.setattr(solver, "_solve1", None)
+        with pytest.raises(ConvergenceError, match="singular MNA matrix") as err:
+            dc_operating_point(parse("v1 a 0 dc 1\nv2 a 0 dc 2\n"))
+        assert err.value.node == "i(v2)"
 
     def test_worst_row_ranks_each_row_by_its_own_tolerance(self):
         # A source row at 2x vtol (2e-6 V) fails by less than a node row
@@ -374,6 +389,23 @@ class TestStepControl:
             r = (res.times[i + 1] - b) / tau
             euler = (out[i] + r * vin[i + 1]) / (1 + r)
             assert out[i + 1] == pytest.approx(euler, rel=1e-9)
+
+    @pytest.mark.parametrize("cap, v_end, floor", [
+        (1e-15, 0.0, 1.0),   # a settled 1 fF load: held to its 1 V floor
+        (1e-15, 0.8, 1.0),   # below the floor, still held to it
+        (1e-14, 0.8, 0.8),   # a 10 fF floor is 0.1 V, so |v| leads
+    ])
+    def test_lte_tolerance_has_a_charge_floor(self, cap, v_end, floor):
+        # On a cubic v = v_end + a (t - t3)^3 the third divided difference
+        # is a, so the newest step's error estimate is h^3 a / 2, held to
+        # TRTOL (reltol max(|v|, CHGTOL / C) + vtol).
+        cfg = SolverConfig()
+        h, a = 1e-12, 1e34
+        times = [k * h for k in range(4)]
+        points = [(t, np.array([v_end + a * (t - times[3]) ** 3])) for t in times]
+        ratio = _lte_ratio(points, cfg, CHGTOL / np.array([cap]))
+        tol = TRTOL * (cfg.reltol * floor + cfg.vtol)
+        assert ratio == pytest.approx(0.5 * h**3 * a / tol, rel=1e-12)
 
     def test_fixed_step_counts_steps_and_no_lte_rejections(self):
         cfg = SolverConfig(timestep=1e-13)
