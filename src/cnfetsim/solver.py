@@ -804,9 +804,9 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     (_lte_ratio, each capacitor voltage held to TRTOL * (reltol *
     max(|v|, CHGTOL / C) + vtol)) exceeds 1 is rejected and retried
     ceil(log2(r)/3) rungs down, and an accepted step with r <= 1/8 lets
-    the next one be a rung longer.  Newton starts from the linear predictor through the last two
-    points, except on a breakpoint's first step.  Every accepted point is
-    a sample.
+    the next one be a rung longer.  Newton starts from the linear
+    predictor through the last two points, except on a breakpoint's first
+    step.  Every accepted point is a sample.
 
     In both modes a step whose Newton solve fails is retried one rung
     down; the ConvergenceError is raised when a step of one unit fails.
