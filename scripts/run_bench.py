@@ -3,13 +3,14 @@
 
 Equivalent to:
     cnfetsim bench --format md --out bench_out/report.md --charts bench_out
-plus the CSV and JSON renderings of the same run.
+plus the CSV and JSON renderings of the same run, with the same exit
+code on a verification failure.
 """
 
 import os
 import sys
 
-from cnfetsim import adders, bench, charts
+from cnfetsim import adders, bench, charts, cli
 
 
 def main() -> int:
@@ -26,7 +27,7 @@ def main() -> int:
         print(f"wrote {path}")
     for err in errors:
         print(f"verification failure: {err}", file=sys.stderr)
-    return 1 if errors else 0
+    return cli.EXIT_VERIFICATION if errors else cli.EXIT_OK
 
 
 if __name__ == "__main__":

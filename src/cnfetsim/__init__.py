@@ -1,6 +1,6 @@
 """CNFET multiple-valued-logic full-adder simulator and benchmark harness.
 
-Subpackages by concern:
+Modules by concern:
 
 - devices: chirality/threshold laws and square-law transistor models
 - netlist: SPICE-subset parser, flattener, canonical serializer
@@ -9,6 +9,7 @@ Subpackages by concern:
 - adders:  built-in gate/adder constructors and the benchmark testbench
 - logic:   threshold-logic oracle for exhaustive truth-table checks
 - bench:   benchmark matrix, report formats, paper reference metadata
+- charts:  deterministic SVG bar charts and chart data of a benchmark run
 - cli:     cnfetsim command-line entry point
 """
 

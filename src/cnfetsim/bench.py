@@ -225,27 +225,22 @@ def _measure_delays(result: solver.TransientResult, sched: InputSchedule, vdd: f
                     config: BenchConfig, window: tuple[float, float]) -> list[Transition]:
     """Mid-swing delays at the buffered outputs for oracle-expected toggles.
 
-    Only edges inside the measurement window count, and an output is
-    searched only when fa_truth says it changes for that edge; a missing
-    expected response raises through propagation_delay.  The edge times
-    come from the schedule, so no input waveform is passed.
+    One pass per output over the input edges inside the measurement
+    window at which fa_truth says that output changes.  Each search ends
+    at the next input edge, so a toggle missed there raises
+    MissingTransitionError naming the output and the edge.
     """
     min_sustain = config.min_sustain_fraction * sched.phase_length
+    edges = sched.edges()
+    edge_times = [t_mid for t_mid, _, _ in edges]
     transitions: list[Transition] = []
-    for t_mid, before, after in sched.edges():
-        if not (window[0] <= t_mid <= window[1]):
-            continue
-        expect_before = dict(zip(("sum", "cout"), logic.fa_truth(*before)))
-        expect_after = dict(zip(("sum", "cout"), logic.fa_truth(*after)))
-        for out in ("sum", "cout"):
-            if expect_before[out] == expect_after[out]:
-                continue
-            found = measure.propagation_delay(
-                result.times, None, result.voltage(f"{out}_b2"),
-                vdd, min_sustain=min_sustain, edges=[t_mid],
-            )
-            for tr in found:
-                transitions.append(Transition(edge_time=tr.edge_time, output=out, delay=tr.delay))
+    for k, out in enumerate(("sum", "cout")):
+        toggles = [t_mid for t_mid, before, after in edges
+                   if window[0] <= t_mid <= window[1]
+                   and logic.fa_truth(*before)[k] != logic.fa_truth(*after)[k]]
+        transitions += measure.propagation_delay(
+            result.times, result.voltage(f"{out}_b2"), vdd, min_sustain, out, edge_times, toggles,
+        )
     transitions.sort(key=lambda tr: (tr.edge_time, tr.output))
     return transitions
 

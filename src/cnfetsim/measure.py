@@ -4,6 +4,10 @@ Delay is measured from the middle of the input voltage swing to the
 middle of the output voltage swing; crossings are located by linear
 interpolation between samples, and an output crossing only counts if the
 output then stays on the new side long enough to rule out glitches.
+Input edges are known from the stimulus, never read off a waveform.  An
+expected toggle is searched from its input edge to the next input edge;
+a toggle not found there raises MissingTransitionError, which ends
+`cnfetsim bench` with exit code 5.
 Average power integrates vdd * (-i_supply) by trapezoidal quadrature, and
 the settled-level check takes time averages the same way, so every figure
 holds on a nonuniform (error-controlled) time grid.
@@ -12,6 +16,7 @@ PDP is the plain product of average power and worst-case delay.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +25,13 @@ from .solver import TransientResult
 
 
 class MissingTransitionError(Exception):
-    """An input edge produced no sustained output response."""
+    """An output did not toggle between an input edge and the next one."""
 
-    def __init__(self, edge_time: float, output: str = ""):
+    def __init__(self, edge_time: float, output: str):
         self.edge_time = edge_time
         self.output = output
-        what = f" on {output!r}" if output else ""
-        super().__init__(f"no sustained output transition{what} after input edge at t={edge_time:.6g}s")
+        super().__init__(f"no sustained transition on output {output!r} "
+                         f"after input edge at t={edge_time:.6g}s")
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,8 @@ class Measurement:
         return self.avg_power * self.worst_delay
 
 
-def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> list[tuple[float, int]]:
-    """(time, direction) of every level crossing, by linear interpolation.
+def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and directions of every level crossing, by linear interpolation.
 
     direction is +1 for rising, -1 for falling.  A sample exactly on the
     level belongs to the side it came from, so a touch without a cross
@@ -87,13 +92,9 @@ def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> list[tuple[float,
     """
     above = wf > level
     ks = np.nonzero(above[:-1] != above[1:])[0]
-    if not len(ks):
-        return []
     v0, v1 = wf[ks], wf[ks + 1]
     frac = (level - v0) / (v1 - v0)
-    cross_t = t[ks] + frac * (t[ks + 1] - t[ks])
-    direction = np.where(v1 > v0, 1, -1)
-    return [(float(tc), int(d)) for tc, d in zip(cross_t, direction)]
+    return t[ks] + frac * (t[ks + 1] - t[ks]), np.where(v1 > v0, 1, -1)
 
 
 def _sustained(t: np.ndarray, wf: np.ndarray, cross_time: float, direction: int,
@@ -109,45 +110,33 @@ def _sustained(t: np.ndarray, wf: np.ndarray, cross_time: float, direction: int,
     return bool(np.all(seg <= level))
 
 
-def propagation_delay(t: np.ndarray, input_wf: np.ndarray | None, output_wf: np.ndarray,
-                      vdd: float, min_sustain: float = 0.0,
-                      edges: list[float] | None = None) -> list[Transition]:
-    """Mid-swing to mid-swing delay for each input edge.
+def propagation_delay(t: np.ndarray, output_wf: np.ndarray, vdd: float, min_sustain: float,
+                      output: str, edges: list[float], toggles: list[float]) -> list[Transition]:
+    """Mid-swing delay of `output` at each input edge where it should toggle.
 
-    For every input crossing of vdd/2 (or each time in `edges`, when the
-    stimulus is known analytically; input_wf is then not read and may be
-    None), the delay is the first subsequent
-    output crossing of vdd/2 that leads to a sustained new level, minus
-    the input crossing time.  The search window for an edge ends at the
-    next edge; an empty window raises MissingTransitionError naming the
-    edge.
+    `edges` are the mid-swing times of every input edge of the stimulus,
+    in time order; `toggles` are those at which this output should
+    change.  A toggle is searched from its edge to the next input edge
+    (to the end of the run after the last one).  The delay is the first
+    output crossing of vdd/2 there that leaves the level held at the
+    edge and stays on the new side for min_sustain, minus the edge time;
+    a toggle with no such crossing raises MissingTransitionError.
     """
     level = vdd / 2.0
-    if edges is None:
-        edge_times = [tc for tc, _ in _crossings(t, input_wf, level)]
-    else:
-        edge_times = sorted(edges)
-    if not edge_times:
-        raise ValueError("input waveform never crosses the mid-swing level")
-    out_crossings = _crossings(t, output_wf, level)
+    cross_t, cross_dir = _crossings(t, output_wf, level)
     transitions: list[Transition] = []
-    for n, edge in enumerate(edge_times):
-        window_end = edge_times[n + 1] if n + 1 < len(edge_times) else float(t[-1]) + 1.0
-        # The response must land on the side opposite the output's level
-        # at the moment of the edge; a glitch's return crossing is
-        # sustained but re-asserts the old level and does not count.
-        pre_high = float(np.interp(edge, t, output_wf)) > level
-        want_direction = -1 if pre_high else +1
-        found = None
-        for tc, direction in out_crossings:
-            if tc <= edge or tc >= window_end or direction != want_direction:
-                continue
-            if _sustained(t, output_wf, tc, direction, level, min_sustain):
-                found = tc
-                break
+    for edge in toggles:
+        n = bisect.bisect_right(edges, edge)
+        lo = np.searchsorted(cross_t, edge, side="right")
+        hi = np.searchsorted(cross_t, edges[n], side="left") if n < len(edges) else len(cross_t)
+        # A glitch's return crossing is sustained but re-asserts the old
+        # level, so only a crossing away from the level at the edge counts.
+        want = -1 if np.interp(edge, t, output_wf) > level else 1
+        found = next((float(tc) for tc, d in zip(cross_t[lo:hi], cross_dir[lo:hi])
+                      if d == want and _sustained(t, output_wf, tc, d, level, min_sustain)), None)
         if found is None:
-            raise MissingTransitionError(edge)
-        transitions.append(Transition(edge_time=edge, output="", delay=found - edge))
+            raise MissingTransitionError(edge, output)
+        transitions.append(Transition(edge_time=edge, output=output, delay=found - edge))
     return transitions
 
 

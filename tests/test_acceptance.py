@@ -161,11 +161,10 @@ def test_criterion_7_report_contract(bench_runs):
 def test_criterion_8_measurement_units():
     # pure shift returns the shift exactly
     t = np.linspace(0, 100e-12, 4001)
-    vin = np.interp(t, [40e-12, 50e-12], [0.0, 0.9])
     vout = np.interp(t, [45e-12, 55e-12], [0.0, 0.9])
-    shift_ok = measure.propagation_delay(t, vin, vout, 0.9)[0].delay == pytest.approx(
-        5e-12, rel=1e-9
-    )
+    shift_ok = measure.propagation_delay(
+        t, vout, 0.9, 0.0, "out", [45e-12], [45e-12]
+    )[0].delay == pytest.approx(5e-12, rel=1e-9)
 
     # RC 50% crossing returns tau*ln2 within 1%
     tau = 1e-12
@@ -173,8 +172,9 @@ def test_criterion_8_measurement_units():
     cfg = SolverConfig(timestep=tau / 200)
     res = solver.transient(circuit, cfg, 6 * tau,
                            initial_conditions={"in": 0.0, "out": 0.0})
-    delay = measure.propagation_delay(res.times, res.voltage("in"),
-                                      res.voltage("out"), 0.9)[0].delay
+    # The input edge is the middle of its 1 fs ramp.
+    delay = measure.propagation_delay(res.times, res.voltage("out"), 0.9, 0.0, "out",
+                                      [0.5e-15], [0.5e-15])[0].delay
     rc_ok = abs(delay - tau * math.log(2)) / (tau * math.log(2)) <= 0.01
 
     # DC resistor power within 1e-9 relative

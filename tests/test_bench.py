@@ -5,6 +5,7 @@ import functools
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cnfetsim import adders, bench, charts, logic
@@ -17,7 +18,8 @@ from cnfetsim.bench import (
     phase_truth,
     thresholds_for,
 )
-from cnfetsim.measure import Measurement, Transition
+from cnfetsim.measure import Measurement, MissingTransitionError, Transition
+from cnfetsim.solver import TransientResult
 
 
 # The seventeen defaults as the removed data/bench_config.json held them.
@@ -219,6 +221,62 @@ def test_every_device_key_reaches_the_circuit(kind, key, value):
 @functools.lru_cache
 def _short_power(kind):
     return bench.run_cell(kind, 0.9, SHORT).measurement.avg_power
+
+
+class TestMeasureDelays:
+    """bench's delay step on synthetic buffered outputs that switch 0 <-> 0.9 V
+    over 2 ps, starting 20 ps after each input edge the oracle says they
+    toggle at, so every mid-swing delay is 21 ps."""
+
+    SCHED = InputSchedule(1e-11, 2e-10, 1)
+    EDGES = [t_mid for t_mid, _, _ in SCHED.edges()]
+
+    def _result(self, late_rise: float | None = None) -> TransientResult:
+        """The ideal outputs; with late_rise, the sum's rise at that edge
+        comes 20 ps after the next input edge, and the fall due there
+        50 ps later."""
+        t = np.linspace(0.0, self.SCHED.total_time, 20001)
+        waves = {}
+        for k, out in enumerate(("sum", "cout")):
+            level = logic.fa_truth(*self.SCHED.vectors[0])[k]
+            switches = [(t_mid + 20e-12, logic.fa_truth(*after)[k])
+                        for t_mid, before, after in self.SCHED.edges()
+                        if logic.fa_truth(*before)[k] != logic.fa_truth(*after)[k]]
+            if out == "sum" and late_rise is not None:
+                j = self.EDGES.index(late_rise)
+                nxt = self.EDGES[j + 1] + 20e-12
+                switches[j:j + 2] = [(nxt, 1), (nxt + 50e-12, 0)]
+            corners = [(0.0, level)]
+            for ts, new in switches:
+                corners += [(ts, corners[-1][1]), (ts + 2e-12, new)]
+            times, levels = zip(*corners)
+            waves[f"{out}_b2"] = 0.9 * np.interp(t, times, levels)
+        return TransientResult(times=t, node_voltages=waves, source_currents={})
+
+    def _delays(self, result: TransientResult) -> list[Transition]:
+        return bench._measure_delays(result, self.SCHED, 0.9, BenchConfig(),
+                                     (0.0, self.SCHED.total_time))
+
+    def test_every_expected_toggle_is_measured_once(self):
+        found = self._delays(self._result())
+        sums = [tr.edge_time for tr in found if tr.output == "sum"]
+        couts = [tr.edge_time for tr in found if tr.output == "cout"]
+        assert sums == self.EDGES  # a single-input change always flips the sum
+        assert len(couts) == 8  # four carry flips along the Gray walk, four back
+        assert [(tr.edge_time, tr.output) for tr in found] == sorted(
+            (tr.edge_time, tr.output) for tr in found)
+        for tr in found:
+            assert tr.delay == pytest.approx(21e-12, rel=1e-9)
+
+    def test_a_toggle_missed_before_the_next_edge_is_an_error(self):
+        # The first edge, (0,0,0) -> (0,0,1), raises the sum.  An unbounded
+        # search would take the late rise as a delay of about one phase.
+        first = self.EDGES[0]
+        assert logic.fa_truth(*self.SCHED.vectors[1])[0] == 1
+        with pytest.raises(MissingTransitionError) as err:
+            self._delays(self._result(late_rise=first))
+        assert err.value.edge_time == first
+        assert err.value.output == "sum"
 
 
 @functools.cache

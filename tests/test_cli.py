@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit-code partitioning."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnfetsim import adders, bench, cli
+from cnfetsim import adders, bench, charts, cli
 
 RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
 RC_STEP = "v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
@@ -161,6 +163,18 @@ class TestBenchUsage:
         assert cli.main(["bench", "--adders", "cnt-fa1", "--vdd", "0.3"]) == cli.EXIT_USAGE
         assert "floor" in capsys.readouterr().err
 
+    def test_missed_toggle_exits_5_naming_the_output_and_edge(self, tmp_path, capsys):
+        # The sum toggles on every 210 ps phase, so it cannot hold a new
+        # level for 1.5 phases; the first edge of the measurement period,
+        # 16.5 phases less half a ramp in, fails first.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_sustain_fraction": 1.5}')
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--config", str(cfg)]) == cli.EXIT_MEASUREMENT
+        err = capsys.readouterr().err
+        assert "output 'sum'" in err
+        assert "input edge at t=3.565e-09s" in err
+
     def test_every_supply_is_checked_before_the_first_cell(self, capsys, monkeypatch):
         # 0.3 V is below the gate floor, so no cell may run at 0.9 V first.
         calls = []
@@ -174,3 +188,16 @@ class TestBenchUsage:
                          "--vdd", "0.9,0.3"]) == cli.EXIT_USAGE
         assert calls == []
         assert "floor" in capsys.readouterr().err
+
+
+def test_run_bench_script_exits_like_the_cli_on_a_verification_failure(tmp_path, monkeypatch,
+                                                                       capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_bench.py"
+    spec = importlib.util.spec_from_file_location("run_bench", path)
+    run_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_bench)
+    monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: ([], ["a row failed"]))
+    monkeypatch.setattr(charts, "write_charts", lambda results, out_dir: [])
+    monkeypatch.setattr("sys.argv", ["run_bench.py", str(tmp_path)])
+    assert run_bench.main() == cli.EXIT_VERIFICATION
+    assert "a row failed" in capsys.readouterr().err

@@ -27,51 +27,60 @@ def _ramp(t, t0, t1, v0, v1):
 class TestPropagationDelay:
     def test_pure_shift_returns_shift(self):
         t = np.linspace(0, 100e-12, 2001)
-        vin = _ramp(t, 40e-12, 50e-12, 0.0, 0.9)
         shift = 5e-12
         vout = _ramp(t, 40e-12 + shift, 50e-12 + shift, 0.0, 0.9)
-        delays = propagation_delay(t, vin, vout, 0.9)
+        delays = propagation_delay(t, vout, 0.9, 0.0, "out", [45e-12], [45e-12])
         assert len(delays) == 1
         assert delays[0].delay == pytest.approx(shift, rel=1e-9)
+        assert (delays[0].edge_time, delays[0].output) == (45e-12, "out")
 
     def test_rc_50_percent_crossing_is_tau_ln2(self):
         tau = 1e-12
         c = parse("v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n")
         cfg = SolverConfig(timestep=tau / 200)
         res = transient(c, cfg, 6 * tau, initial_conditions={"in": 0.0, "out": 0.0})
-        delays = propagation_delay(res.times, res.voltage("in"), res.voltage("out"), 0.9)
+        # The input edge is the middle of its 1 fs ramp.
+        delays = propagation_delay(res.times, res.voltage("out"), 0.9, 0.0, "out",
+                                   [0.5e-15], [0.5e-15])
         assert delays[0].delay == pytest.approx(tau * math.log(2), rel=0.01)
 
     def test_missing_transition_raises(self):
         t = np.linspace(0, 100e-12, 1001)
-        vin = _ramp(t, 40e-12, 50e-12, 0.0, 0.9)
         vout = np.zeros_like(t)
         with pytest.raises(MissingTransitionError) as err:
-            propagation_delay(t, vin, vout, 0.9)
-        assert err.value.edge_time == pytest.approx(45e-12, rel=1e-6)
+            propagation_delay(t, vout, 0.9, 0.0, "out", [45e-12], [45e-12])
+        assert err.value.edge_time == 45e-12
+        assert err.value.output == "out"
+        assert "'out'" in str(err.value) and "4.5e-11" in str(err.value)
 
-    def test_no_input_edge_rejected(self):
-        t = np.linspace(0, 1e-11, 100)
-        flat = np.zeros_like(t)
-        with pytest.raises(ValueError):
-            propagation_delay(t, flat, flat, 0.9)
+    def test_search_ends_at_the_next_input_edge(self):
+        # The output ignores the edge at 45 ps and rises only after the
+        # next input edge, at which it is not expected to toggle.  As the
+        # last edge, 45 ps searches to the end of the run and takes the
+        # late rise; with the edge at 245 ps listed, its search ends there.
+        t = np.linspace(0, 400e-12, 8001)
+        vout = _ramp(t, 250e-12, 260e-12, 0.0, 0.9)
+        late = propagation_delay(t, vout, 0.9, 0.0, "out", [45e-12], [45e-12])
+        assert late[0].delay == pytest.approx(210e-12, rel=1e-6)
+        with pytest.raises(MissingTransitionError) as err:
+            propagation_delay(t, vout, 0.9, 0.0, "out", [45e-12, 245e-12], [45e-12])
+        assert err.value.edge_time == 45e-12
 
     def test_glitch_rejected_by_sustain(self):
         t = np.linspace(0, 200e-12, 4001)
-        vin = _ramp(t, 20e-12, 30e-12, 0.0, 0.9)
         # glitch crossing at ~40 ps, sustained real transition at ~100 ps
         vout = np.where((t > 38e-12) & (t < 44e-12), 0.9, 0.0)
         vout = np.maximum(vout, _ramp(t, 95e-12, 105e-12, 0.0, 0.9))
-        with_sustain = propagation_delay(t, vin, vout, 0.9, min_sustain=10e-12)
+        with_sustain = propagation_delay(t, vout, 0.9, 10e-12, "out", [25e-12], [25e-12])
         assert with_sustain[0].delay == pytest.approx(100e-12 - 25e-12, rel=0.02)
-        without = propagation_delay(t, vin, vout, 0.9)
+        without = propagation_delay(t, vout, 0.9, 0.0, "out", [25e-12], [25e-12])
         assert without[0].delay < 20e-12
 
     def test_per_edge_windows(self):
         t = np.linspace(0, 400e-12, 8001)
-        vin = _ramp(t, 40e-12, 50e-12, 0, 0.9) - _ramp(t, 240e-12, 250e-12, 0, 0.9)
         vout = _ramp(t, 50e-12, 60e-12, 0, 0.9) - _ramp(t, 260e-12, 270e-12, 0, 0.9)
-        delays = propagation_delay(t, vin, vout, 0.9)
+        edges = [45e-12, 245e-12]
+        delays = propagation_delay(t, vout, 0.9, 0.0, "out", edges, edges)
         assert len(delays) == 2
         assert delays[0].delay == pytest.approx(10e-12, rel=1e-6)
         assert delays[1].delay == pytest.approx(20e-12, rel=1e-6)
@@ -79,10 +88,10 @@ class TestPropagationDelay:
     @given(st.floats(-3e-11, 3e-11))
     def test_translation_invariance(self, offset):
         t = np.linspace(0, 100e-12, 2001)
-        vin = _ramp(t, 40e-12, 50e-12, 0.0, 0.9)
         vout = _ramp(t, 47e-12, 57e-12, 0.0, 0.9)
-        base = propagation_delay(t, vin, vout, 0.9)[0].delay
-        shifted = propagation_delay(t + offset, vin, vout, 0.9)[0].delay
+        base = propagation_delay(t, vout, 0.9, 0.0, "out", [45e-12], [45e-12])[0].delay
+        edge = [45e-12 + offset]
+        shifted = propagation_delay(t + offset, vout, 0.9, 0.0, "out", edge, edge)[0].delay
         assert shifted == pytest.approx(base, rel=1e-9)
 
 
@@ -250,8 +259,8 @@ class TestNonuniformGrid:
         window = (20e-12, 90e-12)
         pa, pb = (average_power(r, "v1", 0.9, window) for r in (a, b))
         assert pa == pytest.approx(pb, rel=1e-12)
-        da, db = (propagation_delay(r.times, r.voltage("in"), r.voltage("sum"), 0.9,
-                                    min_sustain=5e-12)[0].delay for r in (a, b))
+        da, db = (propagation_delay(r.times, r.voltage("sum"), 0.9, 5e-12, "sum",
+                                    [45e-12], [45e-12])[0].delay for r in (a, b))
         assert da == pytest.approx(7e-12, rel=1e-9)
         assert db == pytest.approx(da, rel=1e-9)
 
