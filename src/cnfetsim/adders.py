@@ -33,7 +33,7 @@ from .netlist import (
     ModelCard,
     SourceWaveform,
 )
-from .solver import SolverConfig, dc_source_solver
+from .solver import SolverConfig, dc_operating_point
 
 DEFAULT_INPUT_CAP = 1e-15
 DEFAULT_LOAD_CAP = 1e-15
@@ -253,18 +253,19 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
                                 cfg: SolverConfig | None = None) -> float:
     """DC-sweep switching threshold: input level where the output crosses vdd/2.
 
-    Bisection on the (monotone) transfer curve of a bare inverter,
-    compiled once; each step overrides the input source's level.
+    Bisection on the (monotone) transfer curve of a bare inverter, built
+    once; each step sets the input source's level with
+    Circuit.with_dc_source, so every step reuses the one compile.
     """
     cfg = cfg or SolverConfig()
     b = _Builder()
     b.vdc("vvdd", "vdd", "0", vdd)
     b.vdc("vin", "in", "0", 0.0)
     b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-    solve = dc_source_solver(b.circuit(), "vin", cfg)
+    base = b.circuit()
 
     def vout(vin: float) -> float:
-        return solve(vin)["out"]
+        return dc_operating_point(base.with_dc_source("vin", vin), cfg)["out"]
 
     lo_in, hi_in = 0.0, vdd
     if not (vout(lo_in) > vdd / 2 > vout(hi_in)):

@@ -9,6 +9,9 @@ MOSFET.  Nodes are created implicitly on first reference, with a lint
 warning listing single-use nodes (the usual typo tell).
 
 Circuits are immutable after flattening and safe to share across workers.
+Each circuit carries one private slot in which the solver keeps its
+compiled topology (see solver._compiled); it takes no part in ==, repr
+or the serializer, and it pickles empty.
 """
 
 from __future__ import annotations
@@ -141,6 +144,22 @@ class SubcktDef:
     instances: tuple[SubcktInstance, ...]
 
 
+class _Slot:
+    """One value computed from a circuit's topology, filled on first use.
+
+    It pickles and deep-copies empty, so the value never travels with
+    the circuit.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: object = None
+
+    def __reduce__(self):
+        return _Slot, ()
+
+
 @dataclass(frozen=True)
 class Circuit:
     elements: tuple[Element, ...] = ()
@@ -148,6 +167,9 @@ class Circuit:
     subckts: dict[str, SubcktDef] = field(default_factory=dict)
     models: dict[str, ModelCard] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
+    # Not an __init__ argument, so every constructor and every
+    # dataclasses.replace starts a fresh one; with_dc_source shares it.
+    _topology: _Slot = field(default_factory=_Slot, init=False, repr=False, compare=False)
 
     @property
     def nodes(self) -> set[str]:
@@ -169,7 +191,14 @@ class Circuit:
         raise KeyError(name)
 
     def with_dc_source(self, name: str, volts: float) -> "Circuit":
-        """Copy of the circuit with one source replaced by a DC level."""
+        """Copy of the circuit with one source replaced by a DC level.
+
+        Only that source's waveform changes: elements, their order, the
+        nodes and the models stay, so the copy shares this circuit's
+        topology slot and an analysis of it reuses this circuit's
+        compile.  Raises KeyError when no element is `name` or when it
+        is not a voltage source.
+        """
         new_elements = []
         found = False
         for el in self.elements:
@@ -181,7 +210,9 @@ class Circuit:
             new_elements.append(el)
         if not found:
             raise KeyError(name)
-        return replace(self, elements=tuple(new_elements))
+        derived = replace(self, elements=tuple(new_elements))
+        object.__setattr__(derived, "_topology", self._topology)
+        return derived
 
 
 # --- value and model-card parsing -------------------------------------------

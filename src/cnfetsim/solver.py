@@ -49,7 +49,21 @@ recomputed; a controlled step starts from the linear predictor through
 the last two points.
 
 One run is single-threaded and deterministic.  Circuits are immutable,
-so independent runs parallelize trivially if a caller wants that.
+and each analysis compiles its circuit's topology (_Compiled: index
+maps, element values, stamp layouts, source names and rows, and the DC
+base matrix per gmin and charge rows) once, into the circuit's private
+topology slot (see _compiled).  Circuit.with_dc_source hands that slot
+on to its copy, because the copy differs only in one source's level and
+no compiled value depends on a level: every analysis reads the levels
+from the circuit it is given.  So a DC sweep, or a bisection on one
+input, compiles once.  Every other way of making a circuit (parse,
+flatten of a hierarchical circuit, the builders, dataclasses.replace)
+starts with an empty slot, so a changed element never meets a stale
+compile.  What the slot holds is never modified after it is built, apart
+from the base-matrix cache gaining entries, and those matrices are
+read-only; threads may analyse a circuit and its copies at once, and a
+race only compiles or builds a matrix twice, with equal results.  The
+slot pickles empty, so a circuit sent to another process compiles there.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import Polarity, drain_currents, square_law
-from .netlist import GROUND, Circuit, Element, ElementKind, NetlistError
+from .netlist import GROUND, Circuit, ElementKind, NetlistError, SourceWaveform
 
 GMIN_STEP_CEILING = 1.0e-3
 
@@ -189,22 +203,26 @@ class TransientResult:
 
 
 class _Compiled:
-    """Per-circuit index maps and constant stamps, built once per analysis."""
+    """A circuit's topology: index maps, element values and stamp layouts.
+
+    It holds no source waveform and no reference to the circuit, so every
+    circuit that shares its topology slot (see _compiled) can use it; an
+    analysis reads the source levels from the circuit it is given, through
+    source_pos.
+    """
 
     def __init__(self, circuit: Circuit):
         if not circuit.is_flat:
             raise NetlistError("not-flat", "solver requires a flattened circuit")
-        self.circuit = circuit
         self.node_names = sorted(circuit.nodes - {GROUND})
         self.node_index = {name: i for i, name in enumerate(self.node_names)}
         self.node_index[GROUND] = -1
         self.n_nodes = len(self.node_names)
 
-        self.sources: list[Element] = [
-            el for el in circuit.elements if el.kind is ElementKind.VSOURCE
-        ]
-        self.size = self.n_nodes + len(self.sources)
-
+        # (name, + node, - node) per voltage source, in branch order, and
+        # each one's position in circuit.elements
+        self.sources: list[tuple[str, int, int]] = []
+        self.source_pos: list[int] = []
         # (i, j, conductance) with -1 for ground
         self.resistors: list[tuple[int, int, float]] = []
         # (i, j, capacitance)
@@ -213,9 +231,12 @@ class _Compiled:
         # reads; a P device is mirrored
         self.devices: list[tuple[int, int, int, bool, float, float, float]] = []
 
-        for el in circuit.elements:
+        for pos, el in enumerate(circuit.elements):
             idx = [self.node_index[t] for t in el.terminals]
-            if el.kind is ElementKind.RESISTOR:
+            if el.kind is ElementKind.VSOURCE:
+                self.sources.append((el.name, idx[0], idx[1]))
+                self.source_pos.append(pos)
+            elif el.kind is ElementKind.RESISTOR:
                 self.resistors.append((idx[0], idx[1], 1.0 / el.value))  # type: ignore[operator]
             elif el.kind is ElementKind.CAPACITOR:
                 self.capacitors.append((idx[0], idx[1], el.value))  # type: ignore[arg-type]
@@ -224,8 +245,11 @@ class _Compiled:
                 mirrored = p.polarity is Polarity.P
                 self.devices.append((idx[0], idx[1], idx[2], mirrored, *square_law(p)))
 
+        self.size = self.n_nodes + len(self.sources)
         self.has_devices = bool(self.devices)
         self._build_arrays()
+        # DC base matrices by (gmin, charge rows); see dc_base.
+        self._dc_bases: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
@@ -235,20 +259,24 @@ class _Compiled:
         (-1) lands there and needs no branch; the solution's ground entry
         stays zero and the rest of that padding is never read.
         """
-        res_i = [i for i, _, _ in self.resistors]
-        res_j = [j for _, j, _ in self.resistors]
-        cap_i = [i for i, _, _ in self.capacitors]
-        cap_j = [j for _, j, _ in self.capacitors]
-        self.res_i = np.array(res_i, dtype=np.intp)
-        self.res_j = np.array(res_j, dtype=np.intp)
+        # Resistors then capacitors: one gather serves both.
+        rc_i = [i for i, _, _ in self.resistors + self.capacitors]
+        rc_j = [j for _, j, _ in self.resistors + self.capacitors]
+        self.rc_i = np.array(rc_i, dtype=np.intp)
+        self.rc_j = np.array(rc_j, dtype=np.intp)
         self.res_g = np.array([g for _, _, g in self.resistors])
-        self.cap_i = np.array(cap_i, dtype=np.intp)
-        self.cap_j = np.array(cap_j, dtype=np.intp)
-        self.cap_c = np.array([c for _, _, c in self.capacitors])
         self.n_res = len(self.resistors)
         self.n_cap = len(self.capacitors)
+        self.n_rc = self.n_res + self.n_cap
+        self.cap_i = self.rc_i[self.n_res:]
+        self.cap_j = self.rc_j[self.n_res:]
+        self.cap_c = np.array([c for _, _, c in self.capacitors])
         self.n_src = len(self.sources)
-        self.n_branch = self.n_res + self.n_cap + self.n_src
+        self.n_branch = self.n_rc + self.n_src
+        # A DC solve's companions: capacitors open, no history; read-only.
+        self.no_caps = (np.zeros(self.n_cap), np.zeros(self.n_cap))
+        for a in self.no_caps:
+            a.flags.writeable = False
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
         # row (d, g, s), then source row (s, d, g) of the padded Jacobian,
@@ -267,16 +295,24 @@ class _Compiled:
         self.n_jac = len(jac_idx)
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
         self.stamp_take, self.stamp_sign = _stamp_layout(len(self.devices))
-        # Current vector layout: resistors, capacitors, sources, then the
-        # two device stamps.  scale_node[k] takes max(|current[scale_branch[k]]|).
-        ends_i = res_i + cap_i + [self.node_index[el.terminals[0]] for el in self.sources]
-        ends_j = res_j + cap_j + [self.node_index[el.terminals[1]] for el in self.sources]
+        # Current vector layout: resistors, capacitors, sources, the two
+        # device stamps, then one zero.  scale_take lists, node by node, the
+        # currents incident on that node and then the zero, and scale_start
+        # is where each node's run begins, so one np.maximum.reduceat over
+        # that gather is every node's scale: max(0, |incident currents|).
+        ends_i = rc_i + [p for _, p, _ in self.sources]
+        ends_j = rc_j + [m for _, _, m in self.sources]
         branches = list(range(self.n_branch))
         self.n_currents = self.n_branch + len(dev_rows)
-        self.scale_node = np.array(ends_i + ends_j + dev_rows, dtype=np.intp)
-        self.scale_branch = np.array(
-            branches + branches + list(range(self.n_branch, self.n_currents)), dtype=np.intp
-        )
+        incident: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for node, branch in zip(ends_i + ends_j + dev_rows,
+                                branches + branches + list(range(self.n_branch, self.n_currents))):
+            if node >= 0:
+                incident[node].append(branch)
+        runs = [row + [self.n_currents] for row in incident]
+        self.scale_take = np.array([b for row in runs for b in row], dtype=np.intp)
+        self.scale_start = np.cumsum([0] + [len(row) for row in runs[:-1]],
+                                     dtype=np.intp)[: self.n_nodes]
 
     def base_matrix(self, gmin: float, cap_geq: float | None) -> np.ndarray:
         """Constant part of the Jacobian: resistors, gmin, sources, companions.
@@ -294,14 +330,27 @@ class _Compiled:
         if cap_geq is not None:
             for i, j, c in self.capacitors:
                 _stamp_conductance(g, i, j, cap_geq * c)
-        for b, el in enumerate(self.sources):
+        for b, (_, p, m) in enumerate(self.sources):
             row = self.n_nodes + b
-            p, m = self.node_index[el.terminals[0]], self.node_index[el.terminals[1]]
             g[p, row] += 1.0
             g[row, p] += 1.0
             g[m, row] -= 1.0
             g[row, m] -= 1.0
         return g
+
+    def dc_base(self, gmin: float, charge_rows: tuple[int, ...]) -> np.ndarray:
+        """The DC base matrix with `charge_rows` stamped, built once per key.
+
+        The matrix is read-only: _Newton._jacobian copies it.
+        """
+        key = (gmin, charge_rows)
+        base = self._dc_bases.get(key)
+        if base is None:
+            base = self.base_matrix(gmin, None)
+            self.stamp_charge_rows(base, charge_rows)
+            base.flags.writeable = False
+            self._dc_bases[key] = base
+        return base
 
     def stamp_charge_rows(self, g: np.ndarray, charge_rows: Sequence[int]) -> None:
         """Replace each row of a DC base matrix named in `charge_rows`, a
@@ -407,31 +456,29 @@ class _Newton:
         them between solves.  The Jacobian at x_pad is _jacobian(stamps).
         """
         comp = self.comp
-        nn, size, nb = comp.n_nodes, comp.size, comp.n_branch
+        nn, size, rc, nb = comp.n_nodes, comp.size, comp.n_rc, comp.n_branch
         x = x_pad[:size]
         f = const.copy()
         f[:size] += self.base_core @ x
 
         # Branch currents (resistors, capacitors, sources) and the device
         # stamps feed the per-node tolerance scale.
-        currents = np.empty(comp.n_currents)
-        currents[: comp.n_res] = comp.res_g * (x_pad[comp.res_i] - x_pad[comp.res_j])
+        currents = np.empty(comp.n_currents + 1)
         geq, hist = cap_companion
-        currents[comp.n_res: comp.n_res + comp.n_cap] = (
-            geq * (x_pad[comp.cap_i] - x_pad[comp.cap_j]) + hist
-        )
-        currents[comp.n_res + comp.n_cap: nb] = x[nn:]
+        currents[:rc] = np.concatenate((comp.res_g, geq)) * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
+        currents[comp.n_res: rc] += hist
+        currents[rc: nb] = x[nn:]
+        currents[-1] = 0.0
 
         if comp.has_devices:
             if stamps is None:
                 values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
                 stamps = values.take(comp.stamp_take) * comp.stamp_sign
             dev_currents = stamps[comp.n_jac:]
-            currents[nb:] = dev_currents
+            currents[nb: -1] = dev_currents
             np.add.at(f, comp.dev_rows, dev_currents)
-        scale = np.zeros(nn + 1)
-        np.maximum.at(scale, comp.scale_node, np.abs(currents[comp.scale_branch]))
-        return f, scale[:nn], stamps
+        scale = np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)
+        return f, scale, stamps
 
     def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
         """Padded Jacobian: the base matrix plus the device stamps."""
@@ -514,7 +561,7 @@ class _Newton:
         if row < comp.n_nodes:
             node = comp.node_names[row]
         else:
-            node = f"i({comp.sources[row - comp.n_nodes].name})"
+            node = f"i({comp.sources[row - comp.n_nodes][0]})"
         unit = "A" if row < comp.n_nodes and row not in self.charge_rows else "V"
         return ConvergenceError(message, float(res[row]), time, node, unit)
 
@@ -526,25 +573,41 @@ def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
     return const
 
 
-def _solve_dc(comp: _Compiled, cfg: SolverConfig, charge_rows: Sequence[int] = (),
-              initial_guess: np.ndarray | None = None,
-              src_overrides: dict[int, float] | None = None) -> tuple[np.ndarray, int]:
-    """DC solve at the t=0 source levels, with gmin stepping fallback:
+def _compiled(circuit: Circuit) -> _Compiled:
+    """The circuit's compiled topology, built on first use.
+
+    It lives in the circuit's topology slot, which Circuit.with_dc_source
+    hands on to the copies it makes, so a sweep compiles once.
+    """
+    slot = circuit._topology
+    if slot.value is None:
+        slot.value = _Compiled(circuit)
+    return slot.value  # type: ignore[return-value]
+
+
+def _waveforms(comp: _Compiled, circuit: Circuit) -> list[SourceWaveform]:
+    """The circuit's source waveforms in branch order."""
+    return [circuit.elements[k].waveform for k in comp.source_pos]  # type: ignore[misc]
+
+
+def _dc_levels(comp: _Compiled, circuit: Circuit) -> list[float]:
+    """The circuit's source levels at t=0, in branch order."""
+    return [wf.value_at(0.0) for wf in _waveforms(comp, circuit)]
+
+
+def _solve_dc(comp: _Compiled, cfg: SolverConfig, levels: list[float],
+              charge_rows: Sequence[int] = (),
+              initial_guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """DC solve with the sources at `levels`, with gmin stepping fallback:
     relax x10 to 1e-3 S, re-tighten.  Each floating node in `charge_rows`
     meets its zero-charge equation in place of KCL."""
-    src_values = [el.waveform.value_at(0.0) for el in comp.sources]  # type: ignore[union-attr]
-    if src_overrides:
-        for b, v in src_overrides.items():
-            src_values[b] = v
-    const = _source_const(comp, src_values)
-    no_caps = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))
+    const = _source_const(comp, levels)
+    charge_rows = tuple(charge_rows)
     x0 = initial_guess if initial_guess is not None else np.zeros(comp.size)
 
     def attempt(gmin: float, guess: np.ndarray) -> tuple[np.ndarray, int]:
-        base = comp.base_matrix(gmin, None)
-        comp.stamp_charge_rows(base, charge_rows)
-        newton = _Newton(comp, cfg, base, charge_rows)
-        x, iters, _ = newton.solve(np.append(guess, 0.0), const, no_caps)
+        newton = _Newton(comp, cfg, comp.dc_base(gmin, charge_rows), charge_rows)
+        x, iters, _ = newton.solve(np.append(guess, 0.0), const, comp.no_caps)
         return x[: comp.size], iters
 
     try:
@@ -593,7 +656,7 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     flows from the + terminal through the source to the - terminal).
     """
     cfg = cfg or SolverConfig()
-    comp = _Compiled(circuit)
+    comp = _compiled(circuit)
     guess = None
     if initial_guess:
         guess = np.zeros(comp.size)
@@ -601,37 +664,15 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
             idx = comp.node_index.get(name, -1)
             if idx >= 0:
                 guess[idx] = v
-    x, _ = _solve_dc(comp, cfg, initial_guess=guess)
+    x, _ = _solve_dc(comp, cfg, _dc_levels(comp, circuit), initial_guess=guess)
     return _solution_dict(comp, x)
-
-
-def dc_source_solver(circuit: Circuit, source: str,
-                     cfg: SolverConfig | None = None) -> Callable[[float], dict[str, float]]:
-    """DC operating point of `circuit` as a function of one source's level.
-
-    The circuit is compiled once; each call solves from scratch with
-    `source` held at the given volts and returns what
-    dc_operating_point(circuit.with_dc_source(source, level), cfg) would.
-    """
-    cfg = cfg or SolverConfig()
-    comp = _Compiled(circuit)
-    names = [el.name for el in comp.sources]
-    if source not in names:
-        raise KeyError(f"no voltage source named {source!r}")
-    branch = names.index(source)
-
-    def solve(level: float) -> dict[str, float]:
-        x, _ = _solve_dc(comp, cfg, src_overrides={branch: level})
-        return _solution_dict(comp, x)
-
-    return solve
 
 
 def _solution_dict(comp: _Compiled, x: np.ndarray) -> dict[str, float]:
     out = {name: float(x[i]) for name, i in comp.node_index.items() if i >= 0}
     out[GROUND] = 0.0
-    for b, el in enumerate(comp.sources):
-        out[f"i({el.name})"] = float(x[comp.n_nodes + b])
+    for b, (name, _, _) in enumerate(comp.sources):
+        out[f"i({name})"] = float(x[comp.n_nodes + b])
     return out
 
 
@@ -652,10 +693,8 @@ def _floating_nodes(comp: _Compiled) -> set[int]:
                 caps_at[t] = caps_at.get(t, 0) + 1
     for i, j, _ in comp.resistors:
         anchored.update(t for t in (i, j) if t >= 0)
-    for el in comp.sources:
-        anchored.update(
-            comp.node_index[t] for t in el.terminals if comp.node_index[t] >= 0
-        )
+    for _, p, m in comp.sources:
+        anchored.update(t for t in (p, m) if t >= 0)
     for d, _, s, *_ in comp.devices:
         anchored.update(t for t in (d, s) if t >= 0)
     return {n for n in caps_at if n not in anchored}
@@ -676,7 +715,7 @@ def initialize_floating_nodes(circuit: Circuit,
     no other node, so its charge cannot fix its voltages.
     """
     cfg = cfg or SolverConfig()
-    comp = _Compiled(circuit)
+    comp = _compiled(circuit)
     floating = sorted(_floating_nodes(comp))
     adj: dict[int, set[int]] = {n: set() for n in floating}
     driven: set[int] = set()
@@ -703,7 +742,7 @@ def initialize_floating_nodes(circuit: Circuit,
             raise IllConditionedDividerError(
                 f"capacitive nodes coupled only to other capacitive nodes: {names}"
             )
-    x, _ = _solve_dc(comp, cfg, floating)
+    x, _ = _solve_dc(comp, cfg, _dc_levels(comp, circuit), floating)
     return _solution_dict(comp, x)
 
 
@@ -720,11 +759,11 @@ def _time_grid(tstop: float, dt: float) -> tuple[np.ndarray, int]:
     return np.array(times), n
 
 
-def _breakpoints(comp: _Compiled, tstop: float, unit: float) -> list[float]:
+def _breakpoints(waveforms: list[SourceWaveform], tstop: float, unit: float) -> list[float]:
     """Every PWL corner in (0, tstop), then tstop.  A corner within a
     thousandth of a unit of t=0 or of the next one kept is dropped."""
-    corners = sorted({t for el in comp.sources if el.waveform.kind != "dc"  # type: ignore[union-attr]
-                      for t, _ in el.waveform.points if 0.0 < t < tstop})  # type: ignore[union-attr]
+    corners = sorted({t for wf in waveforms if wf.kind != "dc"
+                      for t, _ in wf.points if 0.0 < t < tstop})
     kept = [tstop]
     for b in reversed(corners):
         if kept[-1] - b > 1e-3 * unit and b > 1e-3 * unit:
@@ -732,23 +771,22 @@ def _breakpoints(comp: _Compiled, tstop: float, unit: float) -> list[float]:
     return kept[::-1]
 
 
-def _source_values(comp: _Compiled) -> Callable[[float | np.ndarray], np.ndarray]:
+def _source_values(waveforms: list[SourceWaveform]
+                   ) -> Callable[[float | np.ndarray], np.ndarray]:
     """Source levels at a time or an array of times, one row per source.
 
     PWL is interpolation with constant extrapolation, which is exactly
     np.interp, so a level read at one time equals the one read on a grid.
     """
     table: list[float | tuple[np.ndarray, np.ndarray]] = []
-    for el in comp.sources:
-        wf = el.waveform
-        assert wf is not None
+    for wf in waveforms:
         if wf.kind == "dc":
             table.append(wf.level)
         else:
             table.append((np.array([t for t, _ in wf.points]), np.array([v for _, v in wf.points])))
 
     def at(t: float | np.ndarray) -> np.ndarray:
-        out = np.empty((comp.n_src, *np.shape(t)))
+        out = np.empty((len(table), *np.shape(t)))
         for b, entry in enumerate(table):
             out[b] = np.interp(t, *entry) if isinstance(entry, tuple) else entry
         return out
@@ -814,22 +852,24 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     """
     if tstop <= 0:
         raise ValueError(f"tstop must be positive, got {tstop}")
-    comp = _Compiled(circuit)
+    comp = _compiled(circuit)
+    waveforms = _waveforms(comp, circuit)
+    levels = _dc_levels(comp, circuit)
     control = cfg.timestep_control
     unit = cfg.timestep / UNITS_PER_TIMESTEP
-    sources_at = _source_values(comp)
+    sources_at = _source_values(waveforms)
     if control:
-        targets = _breakpoints(comp, tstop, unit)
+        targets = _breakpoints(waveforms, tstop, unit)
         v_floor = CHGTOL / comp.cap_c
     else:
         times, n_full = _time_grid(tstop, cfg.timestep)
         targets = times[1:].tolist()
 
     if initial_conditions is None:
-        x, _ = _solve_dc(comp, cfg)
+        x, _ = _solve_dc(comp, cfg, levels)
     else:
         x = np.zeros(comp.size)
-        source_rows = {f"i({el.name})": comp.n_nodes + b for b, el in enumerate(comp.sources)}
+        source_rows = {f"i({name})": comp.n_nodes + b for b, (name, _, _) in enumerate(comp.sources)}
         have_currents = False
         for name, v in initial_conditions.items():
             if name in source_rows:
@@ -842,7 +882,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             if idx >= 0:
                 x[idx] = float(v)
         if not have_currents:
-            _settle_source_currents(comp, cfg, x)
+            _settle_source_currents(comp, cfg, levels, x)
 
     x_pad = np.append(x, 0.0)
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
@@ -955,7 +995,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     samples = np.array(history)
     node_voltages = {name: samples[:, comp.node_index[name]].copy() for name in comp.node_names}
     source_currents = {
-        el.name: samples[:, comp.n_nodes + b].copy() for b, el in enumerate(comp.sources)
+        name: samples[:, comp.n_nodes + b].copy() for b, (name, _, _) in enumerate(comp.sources)
     }
     return TransientResult(
         times=np.array(out_times) if control else times, node_voltages=node_voltages,
@@ -965,21 +1005,19 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     )
 
 
-def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, x: np.ndarray) -> None:
+def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, levels: list[float],
+                            x: np.ndarray) -> None:
     """Back-fill source branch currents for a supplied-IC starting point.
 
     With node voltages fixed and capacitor currents taken as zero at
     t=0, each source current must absorb the static device/resistor
     current at its positive terminal (or negative, if + is ground).
+    `levels` are the sources' t=0 levels.
     """
-    src_values = [el.waveform.value_at(0.0) for el in comp.sources]  # type: ignore[union-attr]
-    const = _source_const(comp, src_values)
-    newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, None))
-    no_caps = (np.zeros(comp.n_cap), np.zeros(comp.n_cap))
-    f, _, _ = newton._assemble(np.append(x, 0.0), const, no_caps)
-    for b, el in enumerate(comp.sources):
-        p = comp.node_index[el.terminals[0]]
-        m = comp.node_index[el.terminals[1]]
+    const = _source_const(comp, levels)
+    newton = _Newton(comp, cfg, comp.dc_base(cfg.gmin, ()))
+    f, _, _ = newton._assemble(np.append(x, 0.0), const, comp.no_caps)
+    for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
         if p >= 0:
             delta = -f[p]

@@ -90,21 +90,39 @@ class TestGateThresholds:
         vm = measure_switching_threshold(n_chir, p_chir, 0.9)
         assert vm == pytest.approx(0.45, abs=2e-3)
 
+    # repr of each catalog pair's threshold, recorded before the bisection
+    # shared one compile across its steps.
+    PINNED_THRESHOLDS = {
+        ("majority_not", 0.9): "0.4499961376190185",
+        ("majority_not", 0.65): "0.32499907016754154",
+        ("nand3", 0.9): "0.6700428485870362",
+        ("nand3", 0.65): "0.5450457811355591",
+        ("nor3", 0.9): "0.22995028495788578",
+        ("nor3", 0.65): "0.10495297908782959",
+        ("inverter", 0.9): "0.4499961376190185",
+        ("inverter", 0.65): "0.32499907016754154",
+    }
+
+    @pytest.mark.parametrize("function,vdd", list(PINNED_THRESHOLDS))
+    def test_catalog_thresholds_are_pinned_bit_for_bit(self, function, vdd):
+        n_chir, p_chir = adders.GATE_CHIRALITIES[function]
+        vm = measure_switching_threshold(n_chir, p_chir, vdd)
+        assert repr(vm) == self.PINNED_THRESHOLDS[function, vdd]
+
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     @pytest.mark.parametrize("function", list(GateFunction))
     def test_threshold_matches_per_step_dc_operating_points(self, function, vdd):
-        # Reference: the same bisection with a fresh circuit and a full
-        # dc_operating_point per step; reusing one compiled inverter must
+        # Reference: the same bisection with a freshly built circuit, and
+        # so a fresh compile, per step; reusing one compiled inverter must
         # not move a bit.
         n_chir, p_chir = adders.GATE_CHIRALITIES[function.value]
-        b = adders._Builder()
-        b.vdc("vvdd", "vdd", "0", vdd)
-        b.vdc("vin", "in", "0", 0.0)
-        b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-        base = b.circuit()
 
         def vout(vin):
-            return solver.dc_operating_point(base.with_dc_source("vin", vin))["out"]
+            b = adders._Builder()
+            b.vdc("vvdd", "vdd", "0", vdd)
+            b.vdc("vin", "in", "0", vin)
+            b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
+            return solver.dc_operating_point(b.circuit())["out"]
 
         lo_in, hi_in = 0.0, vdd
         for _ in range(40):

@@ -73,9 +73,8 @@ def _ref_base_matrix(comp, gmin, cap_geq, charge_rows):
     if cap_geq is not None:
         for i, j, c in comp.capacitors:
             _ref_stamp_conductance(g, i, j, cap_geq * c)
-    for b, el in enumerate(comp.sources):
+    for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
-        p, m = comp.node_index[el.terminals[0]], comp.node_index[el.terminals[1]]
         if p >= 0:
             g[p, row] += 1.0
             g[row, p] += 1.0
@@ -114,9 +113,9 @@ def _ref_assemble(comp, base, const, cap_companion, x):
         current = geq[n] * (xp[i] - xp[j]) + hist[n]
         bump(i, current)
         bump(j, current)
-    for b, el in enumerate(comp.sources):
-        for t in el.terminals:
-            bump(comp.node_index[t], x[nn + b])
+    for b, (_, p, m) in enumerate(comp.sources):
+        for t in (p, m):
+            bump(t, x[nn + b])
 
     xl = x.tolist()
     xl.append(0.0)

@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,3 +204,21 @@ def test_run_bench_script_exits_like_the_cli_on_a_verification_failure(tmp_path,
     monkeypatch.setattr("sys.argv", ["run_bench.py", str(tmp_path)])
     assert run_bench.main() == cli.EXIT_VERIFICATION
     assert "a row failed" in capsys.readouterr().err
+
+
+def test_run_bench_script_exits_5_with_one_line_on_a_missed_toggle(tmp_path):
+    # No cell's sum can hold a level for 1.5 phases, so the first cell's
+    # measurement fails; the script must end as `cnfetsim bench` does.
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"min_sustain_fraction": 1.5}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env[bench.CONFIG_ENV_VAR] = str(cfg)
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_bench.py"),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == cli.EXIT_MEASUREMENT
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "no sustained transition on output" in lines[0]

@@ -1,5 +1,9 @@
 """Netlist grammar, validation diagnostics, flattening, canonical form."""
 
+import pickle
+from copy import deepcopy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -253,6 +257,41 @@ class TestStats:
         s = stats(c)
         assert (s.transistor_count, s.capacitor_count) == (1, 2)
         assert s.node_count == 2  # y, a
+
+
+class TestTopologySlot:
+    """The private slot in which the solver keeps a circuit's compile."""
+
+    TEXT = "v1 in 0 pwl(0 0 1n 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
+
+    def test_with_dc_source_shares_it_and_every_other_constructor_does_not(self):
+        c = parse(self.TEXT)
+        assert c.with_dc_source("v1", 0.5)._topology is c._topology
+        assert parse(self.TEXT)._topology is not c._topology
+        assert replace(c, warnings=("w",))._topology is not c._topology
+        flat = flatten(parse(SUBCKT_TB))
+        assert flat.with_dc_source("vin", 0.9)._topology is flat._topology
+
+    def test_it_is_not_part_of_equality_repr_or_text(self):
+        c, filled = parse(self.TEXT), parse(self.TEXT)
+        filled._topology.value = object()
+        assert c == filled
+        assert repr(c) == repr(filled) and "_topology" not in repr(c)
+        assert serialize(c) == serialize(filled)
+
+    def test_it_pickles_and_deep_copies_empty(self):
+        c = parse(self.TEXT)
+        c._topology.value = "compiled"
+        for copy in (pickle.loads(pickle.dumps(c)), deepcopy(c)):
+            assert copy == c
+            assert copy._topology.value is None
+
+    def test_with_dc_source_rejects_unknown_and_non_source_names(self):
+        c = parse(self.TEXT)
+        with pytest.raises(KeyError):
+            c.with_dc_source("nope", 0.5)
+        with pytest.raises(KeyError):
+            c.with_dc_source("r1", 0.5)
 
 
 class TestCanonicalForm:

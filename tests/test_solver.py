@@ -1,5 +1,6 @@
 """MNA solver: DC operating point, transient integration, floating nodes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from cnfetsim.solver import (
     IllConditionedDividerError,
     SolverConfig,
     dc_operating_point,
-    dc_source_solver,
     _lte_ratio,
     initialize_floating_nodes,
     transient,
@@ -180,23 +180,108 @@ class TestDcOperatingPoint:
         assert "V at 'x'" in str(err)
 
 
-class TestDcSourceSolver:
-    def test_matches_dc_operating_point_per_level(self):
-        c = parse(INVERTER)
-        solve = dc_source_solver(c, "vin")
-        for vin in (0.0, 0.3, 0.45, 0.6, 0.9):
-            assert solve(vin) == dc_operating_point(c.with_dc_source("vin", vin))
+def _with_level(text, source, level):
+    """The netlist text with `source`'s line replaced by a DC level."""
+    lines = [f"{source} {line.split()[1]} {line.split()[2]} dc {level!r}"
+             if line.split()[:1] == [source] else line for line in text.splitlines()]
+    return "\n".join(lines) + "\n"
 
-    def test_unknown_source_raises(self):
-        with pytest.raises(KeyError):
-            dc_source_solver(parse(INVERTER), "nope")
+
+# COUPLED_INVERTER with a ramp on va: the transient's breakpoints and
+# levels come from va's waveform.
+COUPLED_RAMP = COUPLED_INVERTER.replace("va a 0 dc 0.45", "va a 0 pwl(0 0 5p 0 15p 0.9)")
+
+
+def _assert_same_transient(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert a.node_voltages.keys() == b.node_voltages.keys()
+    for name in a.node_voltages:
+        assert np.array_equal(a.voltage(name), b.voltage(name)), name
+    for name in a.source_currents:
+        assert np.array_equal(a.current(name), b.current(name)), name
+    assert (a.accepted_steps, a.lte_rejections, a.newton_iterations) == (
+        b.accepted_steps, b.lte_rejections, b.newton_iterations)
+
+
+class TestSharedCompile:
+    """A circuit and its with_dc_source copies share one compiled topology;
+    every analysis must read its levels from the circuit it is given."""
+
+    @pytest.mark.parametrize("guess", [False, True], ids=["cold", "warm"])
+    def test_derived_equals_freshly_parsed_per_level(self, guess):
+        c = parse(INVERTER)
+        previous = None
+        for vin in (0.0, 0.3, 0.45, 0.6, 0.9):
+            fresh = parse(_with_level(INVERTER, "vin", vin))
+            derived = dc_operating_point(c.with_dc_source("vin", vin), initial_guess=previous)
+            assert derived == dc_operating_point(fresh, initial_guess=previous)
+            if guess:
+                previous = derived
+
+    def test_analyses_after_a_level_change_see_the_new_level(self):
+        # c is analysed first, so its compile is in place when the derived
+        # circuit, with va now held at a DC level, is analysed.
+        cfg = SolverConfig(timestep=1e-13, timestep_control=True)
+        c = parse(COUPLED_RAMP)
+        dc_operating_point(c)
+        initialize_floating_nodes(c)
+        transient(c, cfg, 2e-11)
+        derived = c.with_dc_source("va", 0.3)
+        fresh = parse(_with_level(COUPLED_RAMP, "va", 0.3))
+        assert dc_operating_point(derived) == dc_operating_point(fresh)
+        init = initialize_floating_nodes(derived)
+        assert init == initialize_floating_nodes(fresh)
+        _assert_same_transient(transient(derived, cfg, 2e-11), transient(fresh, cfg, 2e-11))
+        ics = {name: v for name, v in init.items() if not name.startswith("i(")}
+        _assert_same_transient(transient(derived, cfg, 2e-11, initial_conditions=ics),
+                               transient(fresh, cfg, 2e-11, initial_conditions=ics))
+
+    def test_dc_bases_are_kept_apart_by_charge_rows(self):
+        # A plain DC point and the floating-node initializer share a
+        # compile but not a base matrix: in either order on one circuit,
+        # each must return what it returns alone on a fresh one.
+        dc_alone = dc_operating_point(parse(COUPLED_INVERTER))
+        init_alone = initialize_floating_nodes(parse(COUPLED_INVERTER))
+        assert dc_alone != init_alone
+        c = parse(COUPLED_INVERTER)
+        assert dc_operating_point(c) == dc_alone
+        assert initialize_floating_nodes(c) == init_alone
+        c = parse(COUPLED_INVERTER)
+        assert initialize_floating_nodes(c) == init_alone
+        assert dc_operating_point(c) == dc_alone
+
+    def test_sweep_compiles_once(self, monkeypatch):
+        built = []
+        init = solver._Compiled.__init__
+
+        def counting(comp, circuit):
+            built.append(circuit)
+            init(comp, circuit)
+
+        monkeypatch.setattr(solver._Compiled, "__init__", counting)
+        c = parse(INVERTER)
+        guess = None
+        for k in range(121):
+            guess = dc_operating_point(c.with_dc_source("vin", 0.9 * k / 120),
+                                       initial_guess=guess)
+        assert len(built) == 1
+
+    def test_replace_with_other_elements_compiles_afresh(self):
+        # Same element count and nodes, another resistor value: the copy
+        # must not reuse the divider's compile.
+        c = parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b 0 1k\n")
+        assert dc_operating_point(c)["b"] == pytest.approx(0.45, rel=1e-9)
+        r2 = dataclasses.replace(c.element("r2"), value=3e3)
+        changed = dataclasses.replace(c, elements=(*c.elements[:2], r2))
+        assert solver._compiled(changed) is not solver._compiled(c)
+        assert dc_operating_point(changed)["b"] == pytest.approx(0.675, rel=1e-9)
 
 
 class TestLinearOneIteration:
     def test_dc_linear_single_solve(self):
         from cnfetsim.solver import _Compiled, _solve_dc
         comp = _Compiled(parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b 0 1k\n"))
-        _, iters = _solve_dc(comp, SolverConfig())
+        _, iters = _solve_dc(comp, SolverConfig(), [0.9])
         assert iters == 1
 
     def test_transient_linear_single_solve_per_step(self):
