@@ -193,11 +193,9 @@ class Circuit:
     def with_dc_source(self, name: str, volts: float) -> "Circuit":
         """Copy of the circuit with one source replaced by a DC level.
 
-        Only that source's waveform changes: elements, their order, the
-        nodes and the models stay, so the copy shares this circuit's
-        topology slot and an analysis of it reuses this circuit's
-        compile.  Raises KeyError when no element is `name` or when it
-        is not a voltage source.
+        Only that waveform changes, so the copy shares this circuit's
+        topology slot: an analysis of either reuses the other's compile.
+        Raises KeyError when `name` is no element or not a source.
         """
         new_elements = []
         found = False

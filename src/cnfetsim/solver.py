@@ -48,22 +48,18 @@ stamps evaluated there are carried into the next step instead of being
 recomputed; a controlled step starts from the linear predictor through
 the last two points.
 
-One run is single-threaded and deterministic.  Circuits are immutable,
-and each analysis compiles its circuit's topology (_Compiled: index
-maps, element values, stamp layouts, source names and rows, and the DC
-base matrix per gmin and charge rows) once, into the circuit's private
-topology slot (see _compiled).  Circuit.with_dc_source hands that slot
-on to its copy, because the copy differs only in one source's level and
-no compiled value depends on a level: every analysis reads the levels
-from the circuit it is given.  So a DC sweep, or a bisection on one
-input, compiles once.  Every other way of making a circuit (parse,
-flatten of a hierarchical circuit, the builders, dataclasses.replace)
-starts with an empty slot, so a changed element never meets a stale
-compile.  What the slot holds is never modified after it is built, apart
-from the base-matrix cache gaining entries, and those matrices are
-read-only; threads may analyse a circuit and its copies at once, and a
-race only compiles or builds a matrix twice, with equal results.  The
-slot pickles empty, so a circuit sent to another process compiles there.
+One run is single-threaded and deterministic.  A circuit's compiled
+topology (_Compiled, with its DC base matrix per gmin and charge rows)
+is built once, into the circuit's topology slot (see _compiled), and
+shared with every copy Circuit.with_dc_source makes: such a copy differs
+only in one source's level, and no compiled value depends on a level,
+since each analysis reads the levels from the circuit it is given.  So a
+DC sweep compiles once.  Every other way of making a circuit (parse,
+flatten, the builders, dataclasses.replace) starts an empty slot, so a
+changed element never meets a stale compile.  A compile is not modified
+once built, except that its cache of read-only base matrices grows, so
+threads may analyse related circuits at once: a race only builds
+something twice, with equal results.  The slot pickles empty.
 """
 
 from __future__ import annotations
@@ -274,9 +270,9 @@ class _Compiled:
         self.n_src = len(self.sources)
         self.n_branch = self.n_rc + self.n_src
         # A DC solve's companions: capacitors open, no history; read-only.
-        self.no_caps = (np.zeros(self.n_cap), np.zeros(self.n_cap))
-        for a in self.no_caps:
-            a.flags.writeable = False
+        no_caps = np.zeros(self.n_cap)
+        no_caps.flags.writeable = False
+        self.no_caps = (no_caps, no_caps)
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
         # row (d, g, s), then source row (s, d, g) of the padded Jacobian,

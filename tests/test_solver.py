@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +267,31 @@ class TestSharedCompile:
             guess = dc_operating_point(c.with_dc_source("vin", 0.9 * k / 120),
                                        initial_guess=guess)
         assert len(built) == 1
+
+    def test_threads_sharing_a_compile_get_the_serial_results(self):
+        # Four threads sweep copies of one uncompiled circuit at once, with
+        # a short switch interval: a race may compile twice, but every
+        # point must equal a fresh circuit's.
+        c = parse(INVERTER)
+        levels = [0.9 * k / 20 for k in range(21)]
+        want = [dc_operating_point(parse(_with_level(INVERTER, "vin", v))) for v in levels]
+        results = {}
+
+        def sweep(t):
+            results[t] = [dc_operating_point(c.with_dc_source("vin", v)) for v in levels]
+
+        threads = [threading.Thread(target=sweep, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [results.get(t) for t in range(4)] == [want] * 4
 
     def test_replace_with_other_elements_compiles_afresh(self):
         # Same element count and nodes, another resistor value: the copy
