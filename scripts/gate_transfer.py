@@ -22,13 +22,11 @@ def transfer(n_chir, p_chir, vdd, points=121):
         "qp out in vdd psw\n"
     )
     base = netlist.parse(text)
-    cfg = solver.SolverConfig()
     rows = []
     guess = None
     for k in range(points):
         vin = vdd * k / (points - 1)
-        op = solver.dc_operating_point(base.with_dc_source("vin", vin), cfg,
-                                       initial_guess=guess)
+        op = solver.dc_operating_point(base.with_dc_source("vin", vin), initial_guess=guess)
         guess = op
         rows.append((vin, op["out"]))
     return rows

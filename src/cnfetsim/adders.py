@@ -33,7 +33,7 @@ from .netlist import (
     ModelCard,
     SourceWaveform,
 )
-from .solver import SolverConfig, dc_operating_point
+from .solver import dc_operating_point
 
 DEFAULT_INPUT_CAP = 1e-15
 DEFAULT_LOAD_CAP = 1e-15
@@ -249,15 +249,13 @@ def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chi
     return best[3], best[4]
 
 
-def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float,
-                                cfg: SolverConfig | None = None) -> float:
+def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float) -> float:
     """DC-sweep switching threshold: input level where the output crosses vdd/2.
 
     Bisection on the (monotone) transfer curve of a bare inverter, built
     once; each step sets the input source's level with
     Circuit.with_dc_source, so every step reuses the one compile.
     """
-    cfg = cfg or SolverConfig()
     b = _Builder()
     b.vdc("vvdd", "vdd", "0", vdd)
     b.vdc("vin", "in", "0", 0.0)
@@ -265,7 +263,7 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
     base = b.circuit()
 
     def vout(vin: float) -> float:
-        return dc_operating_point(base.with_dc_source("vin", vin), cfg)["out"]
+        return dc_operating_point(base.with_dc_source("vin", vin))["out"]
 
     lo_in, hi_in = 0.0, vdd
     if not (vout(lo_in) > vdd / 2 > vout(hi_in)):

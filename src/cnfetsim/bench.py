@@ -83,7 +83,8 @@ class LogicVerificationError(Exception):
 class BenchConfig:
     """Every benchmark parameter, echoed into each report; these are the
     defaults.  The device and capacitance defaults are the `adders` ones.
-    A value out of its range raises ValueError."""
+    A value out of its range, or a count that is not an integer, raises
+    ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -104,6 +105,10 @@ class BenchConfig:
     mosfet_lambda_per_v: float = adders.DeviceParams.mosfet_lambda_per_v
 
     def __post_init__(self) -> None:
+        for name in ("warmup_periods", "measure_periods", "cnfet_tubes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("transition_time_s", "hold_time_s", "timestep_s", "unit_capacitance_f",
                      "load_capacitance_f", "measure_periods", "cnfet_tubes",
                      "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v"):
@@ -198,7 +203,7 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> 
         periods=periods, load_cap=config.load_capacitance_f, devices=devices,
     )
     cfg = solver.SolverConfig(timestep=config.timestep_s, timestep_control=True)
-    init = solver.initialize_floating_nodes(tb, cfg)
+    init = solver.initialize_floating_nodes(tb)
     result = solver.transient(tb, cfg, sched.total_time, initial_conditions=init)
 
     swing = measure.full_swing_check(

@@ -60,7 +60,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dt = args.dt if args.dt is not None else args.tstop / 1000.0
     cfg = solver.SolverConfig(timestep=dt)
     try:
-        ics = solver.initialize_floating_nodes(circuit, cfg) if args.ic else None
+        ics = solver.initialize_floating_nodes(circuit) if args.ic else None
         result = solver.transient(circuit, cfg, args.tstop, initial_conditions=ics)
     except solver.IllConditionedDividerError as exc:
         return _fail(EXIT_CONVERGENCE, f"floating-node initialization: {exc}")

@@ -1,15 +1,15 @@
 """Modified nodal analysis: DC operating point and implicit transient.
 
 Unknowns are node voltages plus one branch current per voltage source.
-Nonlinear devices are linearized by Newton-Raphson; convergence demands
-the KCL residual at every node fall below abstol + reltol * (largest
-branch current incident on that node), with source rows held to vtol.
-A gmin conductance from every node to ground regularizes the matrix
+Nonlinear devices are linearized by Newton-Raphson under one fixed
+policy, the module constants ABSTOL, RELTOL, VTOL, GMIN and
+MAX_NEWTON_ITERS (see there for the convergence test).  A GMIN
+conductance from every node to ground regularizes the matrix
 (capacitive-input gates make nodes that are DC-floating); DC
 non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
 then re-tighten).  The floating-node initializer is one such DC solve in
 which each node that only capacitors reach holds, in place of its KCL
-row, its zero-charge equation in volts, also to vtol.
+row, its zero-charge equation in volts, also to VTOL.
 
 Transient integration is trapezoidal on capacitor companion models, with
 a backward-Euler first step, as in SPICE2 (Nagel, UCB/ERL M520, 1975).
@@ -17,13 +17,13 @@ By default every step is SolverConfig.timestep long.  With
 SolverConfig.timestep_control the step is error-controlled: the local
 truncation error of each capacitor voltage, h^3/12 times its third
 derivative, is estimated from the third divided difference over the
-last four points and held to TRTOL * (reltol * max(|v|, CHGTOL / C) +
-vtol), C being its capacitance and CHGTOL SPICE2's charge floor.  Step
+last four points and held to TRTOL * (RELTOL * max(|v|, CHGTOL / C) +
+VTOL), C being its capacitance and CHGTOL SPICE2's charge floor.  Step
 lengths come from a geometric ladder, timestep/16 * 2**rung up to 64 *
 timestep, so a run is deterministic and builds few companion matrices;
 every PWL corner is a breakpoint that a step lands on, and a
 backward-Euler step follows it.  In both modes a step whose Newton
-solve fails is retried one rung shorter.
+solve fails ends the run with a ConvergenceError at that step's time.
 
 The linear solve is one row-equilibrated dense LU with partial pivoting
 per Newton iterate; benchmark circuits stay under a hundred nodes, so
@@ -74,6 +74,17 @@ import numpy as np
 from .devices import Polarity, drain_currents, square_law
 from .netlist import GROUND, Circuit, ElementKind, NetlistError, SourceWaveform
 
+# Newton's one policy.  An iterate has converged when every KCL row's
+# residual is at most ABSTOL + RELTOL * (largest current incident on its
+# node) and every source or zero-charge row's at most VTOL; a solve that
+# has not converged after MAX_NEWTON_ITERS linear solves fails.  GMIN
+# (siemens) ties every node to ground, and gmin stepping relaxes it by
+# decades up to GMIN_STEP_CEILING.
+ABSTOL = 1.0e-12
+RELTOL = 1.0e-4
+VTOL = 1.0e-6
+GMIN = 1.0e-12
+MAX_NEWTON_ITERS = 100
 GMIN_STEP_CEILING = 1.0e-3
 
 # Newton's per-node update clamp, applied only when nonlinear devices are
@@ -135,7 +146,7 @@ class IllConditionedDividerError(Exception):
 
 @dataclass
 class SolverConfig:
-    """Newton tolerances and limits, and the transient step policy.
+    """The transient step policy; Newton's is fixed (ABSTOL and the rest).
 
     `timestep` is the transient step.  With `timestep_control` it is the
     base of the error-controlled ladder instead (see transient): the step
@@ -144,39 +155,28 @@ class SolverConfig:
     step (see transient).
     """
 
-    abstol: float = 1e-12
-    reltol: float = 1e-4
-    vtol: float = 1e-6
-    max_newton_iters: int = 100
-    gmin: float = 1e-12
     timestep: float = 1e-12
     timestep_control: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("abstol", "reltol", "vtol", "gmin", "timestep"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"SolverConfig.{name} must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("SolverConfig.max_newton_iters must be >= 1")
+        if self.timestep <= 0:
+            raise ValueError("SolverConfig.timestep must be positive")
 
 
 @dataclass
 class TransientResult:
     """Time series of node voltages and source branch currents, and step counts.
 
-    accepted_steps counts every accepted step, in a fixed-step run also
-    the shorter ones a Newton rejection leaves between grid points;
-    lte_rejections and newton_rejections count the steps retried shorter
-    for truncation error and for a failed Newton solve; newton_iterations
-    counts the linear solves of the Newton solves that converged.
+    Every accepted step is a sample, so a run took len(times) - 1 steps;
+    lte_rejections counts the steps retried shorter for truncation error,
+    and newton_iterations the linear solves over all steps, rejected ones
+    included.
     """
 
     times: np.ndarray
     node_voltages: dict[str, np.ndarray]
     source_currents: dict[str, np.ndarray]
-    accepted_steps: int = 0
     lte_rejections: int = 0
-    newton_rejections: int = 0
     newton_iterations: int = 0
 
     def voltage(self, node: str) -> np.ndarray:
@@ -423,19 +423,17 @@ class _Newton:
     an argument of each solve, holds -V(t) in source rows and capacitor
     companion history currents in node rows.  `charge_rows` are the
     node rows whose base-matrix row is a zero-charge equation in volts
-    (see _Compiled.stamp_charge_rows); they are held to vtol.  Vectors and
+    (see _Compiled.stamp_charge_rows); they are held to VTOL.  Vectors and
     matrices are ground-padded (see _Compiled._build_arrays).
     """
 
-    def __init__(self, comp: _Compiled, cfg: SolverConfig, base: np.ndarray,
-                 charge_rows: Sequence[int] = ()):
+    def __init__(self, comp: _Compiled, base: np.ndarray, charge_rows: Sequence[int] = ()):
         self.comp = comp
-        self.cfg = cfg
         self.base = base
         self.base_core = base[: comp.size, : comp.size]
         self.charge_rows = list(charge_rows)
-        # Source and charge rows hold vtol; _tolerance fills the KCL rows.
-        self._tol = np.full(comp.size, cfg.vtol)
+        # Source and charge rows hold VTOL; _tolerance fills the KCL rows.
+        self._tol = np.full(comp.size, VTOL)
         self._kcl = (np.setdiff1d(np.arange(comp.n_nodes), self.charge_rows)
                      if self.charge_rows else slice(0, comp.n_nodes))
 
@@ -484,10 +482,10 @@ class _Newton:
         return jac
 
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
-        """Per-row tolerance: abstol + reltol * scale on a KCL row, where
-        the residual is a current, and vtol on a source or charge row."""
+        """Per-row tolerance: ABSTOL + RELTOL * scale on a KCL row, where
+        the residual is a current, and VTOL on a source or charge row."""
         tol, kcl = self._tol, self._kcl
-        tol[kcl] = self.cfg.abstol + self.cfg.reltol * scale[kcl]
+        tol[kcl] = ABSTOL + RELTOL * scale[kcl]
         return tol
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
@@ -509,19 +507,20 @@ class _Newton:
 
         A nonlinear iterate clamps each node's update to
         MAX_VOLTAGE_STEP and takes it; a linear circuit takes the raw
-        Newton step and lands exactly in one iteration.
+        Newton step and lands exactly in one iteration.  MAX_NEWTON_ITERS
+        is read at each call.
         """
-        cfg = self.cfg
+        limit = MAX_NEWTON_ITERS
         nn, size = self.comp.n_nodes, self.comp.size
         x_pad = x0_pad.copy()
         x = x_pad[:size]
-        for it in range(cfg.max_newton_iters + 1):
+        for it in range(limit + 1):
             f, scale, stamps = self._assemble(
                 x_pad, const, cap_companion, stamps if it == 0 else None
             )
             if self._converged(f, scale):
                 return x_pad, it, stamps
-            if it == cfg.max_newton_iters:
+            if it == limit:
                 break
             jac = self._jacobian(stamps)
             try:
@@ -538,8 +537,7 @@ class _Newton:
                 np.minimum(dv, MAX_VOLTAGE_STEP, out=dv)
                 np.maximum(dv, -MAX_VOLTAGE_STEP, out=dv)
             x += dx
-        raise self._failure(f"Newton failed after {cfg.max_newton_iters} iterations", f, scale,
-                            time)
+        raise self._failure(f"Newton failed after {limit} iterations", f, scale, time)
 
     def _failure(self, message: str, f: np.ndarray, scale: np.ndarray,
                  time: float | None) -> ConvergenceError:
@@ -591,8 +589,7 @@ def _dc_levels(comp: _Compiled, circuit: Circuit) -> list[float]:
     return [wf.value_at(0.0) for wf in _waveforms(comp, circuit)]
 
 
-def _solve_dc(comp: _Compiled, cfg: SolverConfig, levels: list[float],
-              charge_rows: Sequence[int] = (),
+def _solve_dc(comp: _Compiled, levels: list[float], charge_rows: Sequence[int] = (),
               initial_guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """DC solve with the sources at `levels`, with gmin stepping fallback:
     relax x10 to 1e-3 S, re-tighten.  Each floating node in `charge_rows`
@@ -602,16 +599,16 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig, levels: list[float],
     x0 = initial_guess if initial_guess is not None else np.zeros(comp.size)
 
     def attempt(gmin: float, guess: np.ndarray) -> tuple[np.ndarray, int]:
-        newton = _Newton(comp, cfg, comp.dc_base(gmin, charge_rows), charge_rows)
+        newton = _Newton(comp, comp.dc_base(gmin, charge_rows), charge_rows)
         x, iters, _ = newton.solve(np.append(guess, 0.0), const, comp.no_caps)
         return x[: comp.size], iters
 
     try:
-        return attempt(cfg.gmin, x0)
+        return attempt(GMIN, x0)
     except ConvergenceError as first_failure:
         # Walk gmin up until something converges, then walk back down.
         ladder: list[float] = []
-        g = cfg.gmin * 10.0
+        g = GMIN * 10.0
         while g <= GMIN_STEP_CEILING:
             ladder.append(g)
             g *= 10.0
@@ -635,7 +632,7 @@ def _solve_dc(comp: _Compiled, cfg: SolverConfig, levels: list[float],
                     exc.residual, node=exc.node, unit=exc.unit,
                 ) from exc
         try:
-            return attempt(cfg.gmin, x)
+            return attempt(GMIN, x)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 "gmin stepping converged only with relaxed gmin", exc.residual, node=exc.node,
@@ -650,8 +647,9 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     Returns node -> volts including ground, plus one "i(<source>)" entry
     per voltage source carrying its branch current (positive current
     flows from the + terminal through the source to the - terminal).
+    `cfg` is not read, since every DC setting is a module constant; it
+    stays for callers that pass one, as perfbench/run.py does.
     """
-    cfg = cfg or SolverConfig()
     comp = _compiled(circuit)
     guess = None
     if initial_guess:
@@ -660,7 +658,7 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
             idx = comp.node_index.get(name, -1)
             if idx >= 0:
                 guess[idx] = v
-    x, _ = _solve_dc(comp, cfg, _dc_levels(comp, circuit), initial_guess=guess)
+    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), initial_guess=guess)
     return _solution_dict(comp, x)
 
 
@@ -696,8 +694,7 @@ def _floating_nodes(comp: _Compiled) -> set[int]:
     return {n for n in caps_at if n not in anchored}
 
 
-def initialize_floating_nodes(circuit: Circuit,
-                              cfg: SolverConfig | None = None) -> dict[str, float]:
+def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
     """DC operating point with every capacitive node charge-shared.
 
     A purely-capacitive node (see _floating_nodes) holds no stored charge:
@@ -710,7 +707,6 @@ def initialize_floating_nodes(circuit: Circuit,
     IllConditionedDividerError when a cluster of capacitive nodes touches
     no other node, so its charge cannot fix its voltages.
     """
-    cfg = cfg or SolverConfig()
     comp = _compiled(circuit)
     floating = sorted(_floating_nodes(comp))
     adj: dict[int, set[int]] = {n: set() for n in floating}
@@ -738,7 +734,7 @@ def initialize_floating_nodes(circuit: Circuit,
             raise IllConditionedDividerError(
                 f"capacitive nodes coupled only to other capacitive nodes: {names}"
             )
-    x, _ = _solve_dc(comp, cfg, _dc_levels(comp, circuit), floating)
+    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), floating)
     return _solution_dict(comp, x)
 
 
@@ -790,16 +786,15 @@ def _source_values(waveforms: list[SourceWaveform]
     return at
 
 
-def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig,
-               v_floor: np.ndarray) -> float:
+def _lte_ratio(points: list[tuple[float, np.ndarray]], v_floor: np.ndarray) -> float:
     """Largest trapezoidal truncation-error estimate over its tolerance.
 
     `points` are the last four (time, capacitor voltages), newest last.
     The error of the newest step h is h^3 * DD3 / 2, DD3 being the third
     divided difference over the four points (a sixth of the third
     derivative, so this is the trapezoidal rule's h^3/12 times it); each
-    capacitor voltage v is held to TRTOL * (reltol * max(|v|, v_floor) +
-    vtol), v_floor being CHGTOL / C per capacitor (SPICE2's charge floor).
+    capacitor voltage v is held to TRTOL * (RELTOL * max(|v|, v_floor) +
+    VTOL), v_floor being CHGTOL / C per capacitor (SPICE2's charge floor).
     """
     (t0, v0), (t1, v1), (t2, v2), (t3, v3) = points
     d01 = (v1 - v0) / (t1 - t0)
@@ -807,7 +802,7 @@ def _lte_ratio(points: list[tuple[float, np.ndarray]], cfg: SolverConfig,
     d23 = (v3 - v2) / (t3 - t2)
     dd3 = ((d23 - d12) / (t3 - t1) - (d12 - d01) / (t2 - t0)) / (t3 - t0)
     err = 0.5 * (t3 - t2) ** 3 * np.abs(dd3)
-    tol = TRTOL * (cfg.reltol * np.maximum(np.abs(v3), v_floor) + cfg.vtol)
+    tol = TRTOL * (RELTOL * np.maximum(np.abs(v3), v_floor) + VTOL)
     return float((err / tol).max(initial=0.0))
 
 
@@ -835,16 +830,15 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     off-ladder step when the corner is off the unit grid).  After each
     breakpoint come BREAKPOINT_STEPS steps of cfg.timestep, the first
     backward Euler; from then on a step whose truncation-error ratio r
-    (_lte_ratio, each capacitor voltage held to TRTOL * (reltol *
-    max(|v|, CHGTOL / C) + vtol)) exceeds 1 is rejected and retried
+    (_lte_ratio, each capacitor voltage held to TRTOL * (RELTOL *
+    max(|v|, CHGTOL / C) + VTOL)) exceeds 1 is rejected and retried
     ceil(log2(r)/3) rungs down, and an accepted step with r <= 1/8 lets
     the next one be a rung longer.  Newton starts from the linear
     predictor through the last two points, except on a breakpoint's first
-    step.  Every accepted point is a sample.
+    step.
 
-    In both modes a step whose Newton solve fails is retried one rung
-    down; the ConvergenceError is raised when a step of one unit fails.
-    A fixed-step run records only its grid points.
+    In both modes every accepted step is a sample, and a step whose Newton
+    solve fails raises its ConvergenceError at that step's time.
     """
     if tstop <= 0:
         raise ValueError(f"tstop must be positive, got {tstop}")
@@ -858,11 +852,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         targets = _breakpoints(waveforms, tstop, unit)
         v_floor = CHGTOL / comp.cap_c
     else:
-        times, n_full = _time_grid(tstop, cfg.timestep)
-        targets = times[1:].tolist()
+        grid, n_full = _time_grid(tstop, cfg.timestep)
+        targets = grid[1:].tolist()
 
     if initial_conditions is None:
-        x, _ = _solve_dc(comp, cfg, levels)
+        x, _ = _solve_dc(comp, levels)
     else:
         x = np.zeros(comp.size)
         source_rows = {f"i({name})": comp.n_nodes + b for b, (name, _, _) in enumerate(comp.sources)}
@@ -878,7 +872,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             if idx >= 0:
                 x[idx] = float(v)
         if not have_currents:
-            _settle_source_currents(comp, cfg, levels, x)
+            _settle_source_currents(comp, levels, x)
 
     x_pad = np.append(x, 0.0)
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
@@ -902,7 +896,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         key = (euler, h)
         newton = base_cache.get(key)
         if newton is None:
-            newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, geq_mult))
+            newton = _Newton(comp, comp.base_matrix(GMIN, geq_mult))
             if ladder:
                 base_cache[key] = newton
         x_new, iters, stamps_out = newton.solve(
@@ -913,7 +907,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
 
     out_times = [0.0]
     history = [x_pad[: comp.size]]
-    accepted = lte_rejections = newton_rejections = newton_iterations = 0
+    lte_rejections = newton_iterations = 0
     # t is anchor + n units, or the last target reached.  A fixed-step
     # run keeps its anchor at 0, so its grid points are k * timestep.
     t, anchor, n = 0.0, 0.0, 0
@@ -948,19 +942,12 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 x_in, stamps_in = x_pad + (h / h_prev) * (x_pad - x_prev), None
             else:
                 x_in, stamps_in = x_pad, stamps
-            try:
-                x_new, v_new, i_new, stamps_new, iters = step(
-                    x_in, stamps_in, sources_at(t_new), t_new, h, since == 0, ladder
-                )
-            except ConvergenceError:
-                if units <= 1:
-                    raise
-                newton_rejections += 1
-                rung = math.ceil(math.log2(units)) - 1
-                continue
+            x_new, v_new, i_new, stamps_new, iters = step(
+                x_in, stamps_in, sources_at(t_new), t_new, h, since == 0, ladder
+            )
             newton_iterations += iters
             if control and since >= BREAKPOINT_STEPS:
-                ratio = _lte_ratio([*recent, (t_new, v_new)], cfg, v_floor)
+                ratio = _lte_ratio([*recent, (t_new, v_new)], v_floor)
                 if ratio > 1.0 and units > 1:
                     lte_rejections += 1
                     drop = math.ceil(math.log2(ratio) / 3)
@@ -968,25 +955,22 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                     continue
                 if ratio <= 0.125 and rung < MAX_RUNG:
                     rung += 1
-            accepted += 1
             x_prev, h_prev = x_pad, h
             x_pad, cap_v, cap_i_state, stamps = x_new, v_new, i_new, stamps_new
             t = t_new
             since += 1
+            out_times.append(t)
+            history.append(x_pad[: comp.size])
             if control:
                 recent = [*recent[-2:], (t, cap_v)]
-                out_times.append(t)
-                history.append(x_pad[: comp.size])
             if landed:
                 break
             n += m
-        rung = TIMESTEP_RUNG
         if control:
-            anchor, n, since = b, 0, 0
+            anchor, n, since, rung = b, 0, 0, TIMESTEP_RUNG
             recent = [(b, cap_v)]
         else:
             n = nb
-            history.append(x_pad[: comp.size])
 
     samples = np.array(history)
     node_voltages = {name: samples[:, comp.node_index[name]].copy() for name in comp.node_names}
@@ -994,15 +978,12 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         name: samples[:, comp.n_nodes + b].copy() for b, (name, _, _) in enumerate(comp.sources)
     }
     return TransientResult(
-        times=np.array(out_times) if control else times, node_voltages=node_voltages,
-        source_currents=source_currents, accepted_steps=accepted,
-        lte_rejections=lte_rejections, newton_rejections=newton_rejections,
-        newton_iterations=newton_iterations,
+        times=np.array(out_times), node_voltages=node_voltages, source_currents=source_currents,
+        lte_rejections=lte_rejections, newton_iterations=newton_iterations,
     )
 
 
-def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, levels: list[float],
-                            x: np.ndarray) -> None:
+def _settle_source_currents(comp: _Compiled, levels: list[float], x: np.ndarray) -> None:
     """Back-fill source branch currents for a supplied-IC starting point.
 
     With node voltages fixed and capacitor currents taken as zero at
@@ -1011,7 +992,7 @@ def _settle_source_currents(comp: _Compiled, cfg: SolverConfig, levels: list[flo
     `levels` are the sources' t=0 levels.
     """
     const = _source_const(comp, levels)
-    newton = _Newton(comp, cfg, comp.dc_base(cfg.gmin, ()))
+    newton = _Newton(comp, comp.dc_base(GMIN, ()))
     f, _, _ = newton._assemble(np.append(x, 0.0), const, comp.no_caps)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b

@@ -80,7 +80,7 @@ def test_criterion_3_mvl_levels():
             f"v{n} {n} 0 dc {bit * vdd}\n" for n, bit in zip("abc", bits)
         )
         circuit = netlist.parse(text)
-        init = solver.initialize_floating_nodes(circuit, cfg)
+        init = solver.initialize_floating_nodes(circuit)
         res = solver.transient(circuit, cfg, 1e-10, initial_conditions=init)
         settled = float(np.mean(res.voltage("x")[-20:]))
         target = sum(bits) * vdd / 3

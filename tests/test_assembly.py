@@ -17,6 +17,7 @@ from cnfetsim import adders, bench, solver
 from cnfetsim.devices import Polarity, drain_currents
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
+    GMIN,
     SolverConfig,
     _Compiled,
     _floating_nodes,
@@ -194,12 +195,11 @@ def _newton_case(make, analysis):
     """
     circuit, vdd = make()
     comp = _Compiled(circuit)
-    cfg = SolverConfig()
     cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
     charge_rows = sorted(_floating_nodes(comp)) if analysis == "dc-charge" else []
-    base = comp.base_matrix(cfg.gmin, cap_geq)
+    base = comp.base_matrix(GMIN, cap_geq)
     comp.stamp_charge_rows(base, charge_rows)
-    newton = _Newton(comp, cfg, base, charge_rows)
+    newton = _Newton(comp, base, charge_rows)
     return comp, vdd, charge_rows, cap_geq, newton
 
 
@@ -207,7 +207,7 @@ def _newton_case(make, analysis):
 @pytest.mark.parametrize("analysis", ["transient", "dc-charge"])
 def test_assemble_equals_scalar_loop(make, analysis):
     comp, vdd, charge_rows, cap_geq, newton = _newton_case(make, analysis)
-    ref_base = _ref_base_matrix(comp, newton.cfg.gmin, cap_geq, charge_rows)
+    ref_base = _ref_base_matrix(comp, GMIN, cap_geq, charge_rows)
     assert np.array_equal(newton.base[: comp.size, : comp.size], ref_base)
     rng = np.random.default_rng(1234)
     for _ in range(4):
@@ -288,13 +288,13 @@ def test_drain_current_equals_three_stage_kernel():
 def test_carried_stamps_equal_fresh_evaluation():
     tb = _testbench(adders.AdderKind.PROPOSED, 0.9)
     cfg = SolverConfig(timestep=2e-13)
-    init = initialize_floating_nodes(tb, cfg)
+    init = initialize_floating_nodes(tb)
     comp = _Compiled(tb)
     x = np.zeros(comp.size)
     for name, v in init.items():
         if comp.node_index.get(name, -1) >= 0:
             x[comp.node_index[name]] = v
-    newton = _Newton(comp, cfg, comp.base_matrix(cfg.gmin, 1.0 / cfg.timestep))
+    newton = _Newton(comp, comp.base_matrix(GMIN, 1.0 / cfg.timestep))
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
     companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))

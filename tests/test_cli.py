@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnfetsim import adders, bench, charts, cli
+from cnfetsim import adders, bench, charts, cli, solver
 
 RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
 RC_STEP = "v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
@@ -25,6 +25,17 @@ c1 a x 2f
 c2 b x 1f
 qn out x 0 n19
 qp out x vdd p19
+"""
+
+# An inverter whose input ramps from 0 V at 1 ps to 0.9 V at 2 ps.
+INVERTER_PWL = """\
+.model n19 cnfet polarity=n chirality=19,0 tubes=3 k=1e-4
+.model p19 cnfet polarity=p chirality=19,0 tubes=3 k=1e-4
+vdd vdd 0 dc 0.9
+vin in 0 pwl(0 0 1p 0 2p 0.9)
+qn out in 0 n19
+qp out in vdd p19
+cl out 0 1f
 """
 
 
@@ -82,6 +93,40 @@ class TestSimulate:
 
     def test_nonpositive_tstop_is_usage_error(self, rc_path, capsys):
         assert cli.main(["simulate", rc_path, "--tstop", "-1"]) == cli.EXIT_USAGE
+
+    def test_zero_dt_is_usage_error(self, rc_path, capsys):
+        assert cli.main(["simulate", rc_path, "--tstop", "1e-12", "--dt", "0"]) == cli.EXIT_USAGE
+        assert "dt must be positive" in capsys.readouterr().err
+
+    def test_transient_nonconvergence_exits_4_naming_node_and_time(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # The starting DC point takes four iterations, so it keeps the
+        # default limit; each transient step gets one, which the step into
+        # the input ramp at 1.4 ps cannot converge in.
+        src = tmp_path / "inv.cir"
+        src.write_text(INVERTER_PWL)
+        solve_dc = solver._solve_dc
+
+        def solve_dc_at_default_limit(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "MAX_NEWTON_ITERS", 100)
+                return solve_dc(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_dc", solve_dc_at_default_limit)
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        out = tmp_path / "wave.csv"
+        assert cli.main(["simulate", str(src), "--tstop", "5e-12", "--dt", "1e-13",
+                         "--out", str(out)]) == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "at t=1.4e-12s" in err
+        assert "at 'out'" in err
+        assert not out.exists()
+
+    def test_isolated_capacitive_cluster_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "island.cir"
+        src.write_text("v1 a 0 dc 1\nr1 a 0 1k\nc1 x y 1f\n")
+        assert cli.main(["simulate", str(src), "--tstop", "1e-12", "--ic"]) == cli.EXIT_CONVERGENCE
+        assert "floating-node initialization" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["simulate", "/no/such/file", "--tstop", "1e-12"]) == cli.EXIT_USAGE
@@ -148,6 +193,10 @@ class TestBenchUsage:
         '{"warmup_periods": 0, "measure_periods": 0}',
         '{"full_swing_levels": [0.1, 0.9]}',
         '{"cnfet_tubes": 0}',
+        '{"warmup_periods": 1.5}',
+        '{"measure_periods": 0.5}',
+        '{"cnfet_tubes": 2.5}',
+        '{"cnfet_tubes": true}',
     ])
     def test_out_of_range_config_rejected(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -155,6 +204,14 @@ class TestBenchUsage:
         assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
                          "--config", str(cfg)]) == cli.EXIT_USAGE
         assert "cannot load benchmark config" in capsys.readouterr().err
+
+    def test_nonconvergence_exits_4_without_a_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        report = tmp_path / "report.md"
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--out", str(report)]) == cli.EXIT_CONVERGENCE
+        assert "Newton failed after 1 iterations" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("vdd", ["-1", "0", "0.9,0"])
     def test_nonpositive_vdd_rejected(self, capsys, vdd):
