@@ -250,35 +250,34 @@ def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chi
 
 
 def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float) -> float:
-    """DC-sweep switching threshold: input level where the output crosses vdd/2.
+    """Switching threshold: the input level where the output crosses vdd/2.
 
-    Bisection on the (monotone) transfer curve of a bare inverter, built
-    once; each step sets the input source's level with
-    Circuit.with_dc_source, so every step reuses the one compile.
+    CNFETs have no channel-length modulation (lambda = 0), so wherever
+    both devices are saturated their currents depend on vin alone, and
+    the transfer curve is vertical, through vdd/2, at the input level
+    where they balance.  The output settles there too when the input is
+    tied to it: one DC solve of the self-biased inverter (qn out out 0,
+    qp out out vdd), in which both devices are saturated and the
+    Jacobian is gm_n + gm_p.
+
+    Raises GateSynthesisError unless the output is above vdd/2 at vin = 0
+    and below it at vin = vdd.
     """
     b = _Builder()
     b.vdc("vvdd", "vdd", "0", vdd)
     b.vdc("vin", "in", "0", 0.0)
     b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-    base = b.circuit()
-
-    def vout(vin: float) -> float:
-        return dc_operating_point(base.with_dc_source("vin", vin))["out"]
-
-    lo_in, hi_in = 0.0, vdd
-    if not (vout(lo_in) > vdd / 2 > vout(hi_in)):
+    inverter = b.circuit()
+    high = dc_operating_point(inverter)["out"]
+    low = dc_operating_point(inverter.with_dc_source("vin", vdd))["out"]
+    if not (high > vdd / 2 > low):
         raise GateSynthesisError(
             f"inverter ({n_chir}, {p_chir}) does not swing through vdd/2 at vdd={vdd}"
         )
-    for _ in range(40):
-        mid = 0.5 * (lo_in + hi_in)
-        if vout(mid) > vdd / 2:
-            lo_in = mid
-        else:
-            hi_in = mid
-        if hi_in - lo_in < 1e-6 * vdd:
-            break
-    return 0.5 * (lo_in + hi_in)
+    b = _Builder()
+    b.vdc("vvdd", "vdd", "0", vdd)
+    b.cnfet_inverter("1", "out", "out", n_chir, p_chir)
+    return dc_operating_point(b.circuit())["out"]
 
 
 def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circuit:
@@ -289,8 +288,9 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
     input a directly).  Explicit chirality fields are used as given;
     when both are unset the catalog pair is taken, falling back to a
     fresh synthesis for spec.vdd if the catalog pair fails to verify.
-    With verify=True the constructed inverter's DC transfer is swept and
-    the measured switching threshold must land inside the function's band.
+    With verify=True the inverter's switching threshold is measured with
+    one DC solve of it self-biased (see measure_switching_threshold) and
+    must land inside the function's band.
     """
     n_chir, p_chir = spec.n_chirality, spec.p_chirality
     synthesized = False

@@ -3,8 +3,9 @@
 Exit codes partition the failure classes:
 
     0  success
-    2  usage error (bad flags or config, unreadable file, nonpositive
-       tstop or vdd, a supply the built-in gates cannot be made for)
+    2  usage error (bad flags or config, unreadable file, unwritable
+       output path, nonpositive tstop or vdd, a supply the built-in
+       gates cannot be made for)
     3  netlist parse/validation error
     4  solver convergence failure
     5  measurement error
@@ -29,6 +30,15 @@ EXIT_VERIFICATION = 6
 def _fail(code: int, message: str) -> int:
     print(f"cnfetsim: error: {message}", file=sys.stderr)
     return code
+
+
+def _emit(out: str, text: str) -> None:
+    """Write `text` to the file `out`, or to stdout when `out` is '-'."""
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -66,12 +76,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(EXIT_CONVERGENCE, f"floating-node initialization: {exc}")
     except solver.ConvergenceError as exc:
         return _fail(EXIT_CONVERGENCE, str(exc))
-    csv_text = result.to_csv()
-    if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+    try:
+        _emit(args.out, result.to_csv())
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     return EXIT_OK
 
 
@@ -104,14 +112,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(EXIT_CONVERGENCE, str(exc))
     except measure.MissingTransitionError as exc:
         return _fail(EXIT_MEASUREMENT, str(exc))
-    report = bench.FORMATTERS[args.format](results, config)
-    if args.out == "-":
-        sys.stdout.write(report)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    if args.charts:
-        charts.write_charts(results, args.charts)
+    try:
+        _emit(args.out, bench.FORMATTERS[args.format](results, config))
+        if args.charts:
+            charts.write_charts(results, args.charts)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     for err in errors:
         print(f"cnfetsim: verification failure: {err}", file=sys.stderr)
     return EXIT_VERIFICATION if errors else EXIT_OK

@@ -5,11 +5,12 @@ Nonlinear devices are linearized by Newton-Raphson under one fixed
 policy, the module constants ABSTOL, RELTOL, VTOL, GMIN and
 MAX_NEWTON_ITERS (see there for the convergence test).  A GMIN
 conductance from every node to ground regularizes the matrix
-(capacitive-input gates make nodes that are DC-floating); DC
-non-convergence falls back to gmin stepping (relax x10 up to 1e-3 S,
-then re-tighten).  The floating-node initializer is one such DC solve in
-which each node that only capacitors reach holds, in place of its KCL
-row, its zero-charge equation in volts, also to VTOL.
+(capacitive-input gates make nodes that are DC-floating).  A DC
+analysis is one Newton solve from its starting point: a solve that
+fails raises its ConvergenceError, and no gmin is relaxed to rescue it.
+The floating-node initializer is one such DC solve in which each node
+that only capacitors reach holds, in place of its KCL row, its
+zero-charge equation in volts, also to VTOL.
 
 Transient integration is trapezoidal on capacitor companion models, with
 a backward-Euler first step, as in SPICE2 (Nagel, UCB/ERL M520, 1975).
@@ -49,7 +50,7 @@ recomputed; a controlled step starts from the linear predictor through
 the last two points.
 
 One run is single-threaded and deterministic.  A circuit's compiled
-topology (_Compiled, with its DC base matrix per gmin and charge rows)
+topology (_Compiled, with its DC base matrix per set of charge rows)
 is built once, into the circuit's topology slot (see _compiled), and
 shared with every copy Circuit.with_dc_source makes: such a copy differs
 only in one source's level, and no compiled value depends on a level,
@@ -78,14 +79,13 @@ from .netlist import GROUND, Circuit, ElementKind, NetlistError, SourceWaveform
 # residual is at most ABSTOL + RELTOL * (largest current incident on its
 # node) and every source or zero-charge row's at most VTOL; a solve that
 # has not converged after MAX_NEWTON_ITERS linear solves fails.  GMIN
-# (siemens) ties every node to ground, and gmin stepping relaxes it by
-# decades up to GMIN_STEP_CEILING.
+# (siemens) ties every node to ground in every analysis; it is never
+# relaxed, so a failed solve is not retried.
 ABSTOL = 1.0e-12
 RELTOL = 1.0e-4
 VTOL = 1.0e-6
 GMIN = 1.0e-12
 MAX_NEWTON_ITERS = 100
-GMIN_STEP_CEILING = 1.0e-3
 
 # Newton's per-node update clamp, applied only when nonlinear devices are
 # present (a linear circuit must converge in one full-length step).  Kept
@@ -244,8 +244,8 @@ class _Compiled:
         self.size = self.n_nodes + len(self.sources)
         self.has_devices = bool(self.devices)
         self._build_arrays()
-        # DC base matrices by (gmin, charge rows); see dc_base.
-        self._dc_bases: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
+        # DC base matrices by charge rows; see dc_base.
+        self._dc_bases: dict[tuple[int, ...], np.ndarray] = {}
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
@@ -310,8 +310,8 @@ class _Compiled:
         self.scale_start = np.cumsum([0] + [len(row) for row in runs[:-1]],
                                      dtype=np.intp)[: self.n_nodes]
 
-    def base_matrix(self, gmin: float, cap_geq: float | None) -> np.ndarray:
-        """Constant part of the Jacobian: resistors, gmin, sources, companions.
+    def base_matrix(self, cap_geq: float | None) -> np.ndarray:
+        """Constant part of the Jacobian: resistors, GMIN, sources, companions.
 
         cap_geq is the companion conductance multiplier applied to each
         capacitance (1/h for backward Euler, 2/h for trapezoidal); None
@@ -320,7 +320,7 @@ class _Compiled:
         """
         g = np.zeros((self.size + 1, self.size + 1))
         for i in range(self.n_nodes):
-            g[i, i] += gmin
+            g[i, i] += GMIN
         for i, j, cond in self.resistors:
             _stamp_conductance(g, i, j, cond)
         if cap_geq is not None:
@@ -334,18 +334,17 @@ class _Compiled:
             g[row, m] -= 1.0
         return g
 
-    def dc_base(self, gmin: float, charge_rows: tuple[int, ...]) -> np.ndarray:
-        """The DC base matrix with `charge_rows` stamped, built once per key.
+    def dc_base(self, charge_rows: tuple[int, ...]) -> np.ndarray:
+        """The DC base matrix with `charge_rows` stamped, built once per set.
 
         The matrix is read-only: _Newton._jacobian copies it.
         """
-        key = (gmin, charge_rows)
-        base = self._dc_bases.get(key)
+        base = self._dc_bases.get(charge_rows)
         if base is None:
-            base = self.base_matrix(gmin, None)
+            base = self.base_matrix(None)
             self.stamp_charge_rows(base, charge_rows)
             base.flags.writeable = False
-            self._dc_bases[key] = base
+            self._dc_bases[charge_rows] = base
         return base
 
     def stamp_charge_rows(self, g: np.ndarray, charge_rows: Sequence[int]) -> None:
@@ -591,53 +590,14 @@ def _dc_levels(comp: _Compiled, circuit: Circuit) -> list[float]:
 
 def _solve_dc(comp: _Compiled, levels: list[float], charge_rows: Sequence[int] = (),
               initial_guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """DC solve with the sources at `levels`, with gmin stepping fallback:
-    relax x10 to 1e-3 S, re-tighten.  Each floating node in `charge_rows`
-    meets its zero-charge equation in place of KCL."""
-    const = _source_const(comp, levels)
+    """One Newton solve with the sources at `levels`, from `initial_guess`
+    (zeros if None); a failure raises its ConvergenceError.  Each floating
+    node in `charge_rows` meets its zero-charge equation in place of KCL."""
     charge_rows = tuple(charge_rows)
     x0 = initial_guess if initial_guess is not None else np.zeros(comp.size)
-
-    def attempt(gmin: float, guess: np.ndarray) -> tuple[np.ndarray, int]:
-        newton = _Newton(comp, comp.dc_base(gmin, charge_rows), charge_rows)
-        x, iters, _ = newton.solve(np.append(guess, 0.0), const, comp.no_caps)
-        return x[: comp.size], iters
-
-    try:
-        return attempt(GMIN, x0)
-    except ConvergenceError as first_failure:
-        # Walk gmin up until something converges, then walk back down.
-        ladder: list[float] = []
-        g = GMIN * 10.0
-        while g <= GMIN_STEP_CEILING:
-            ladder.append(g)
-            g *= 10.0
-        x = None
-        start = None
-        for idx, g in enumerate(ladder):
-            try:
-                x, _ = attempt(g, x0)
-                start = idx
-                break
-            except ConvergenceError:
-                continue
-        if x is None or start is None:
-            raise first_failure
-        for g in reversed(ladder[:start]):
-            try:
-                x, _ = attempt(g, x)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"gmin stepping failed while re-tightening at gmin={g:.1e} S",
-                    exc.residual, node=exc.node, unit=exc.unit,
-                ) from exc
-        try:
-            return attempt(GMIN, x)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                "gmin stepping converged only with relaxed gmin", exc.residual, node=exc.node,
-                unit=exc.unit,
-            ) from exc
+    newton = _Newton(comp, comp.dc_base(charge_rows), charge_rows)
+    x, iters, _ = newton.solve(np.append(x0, 0.0), _source_const(comp, levels), comp.no_caps)
+    return x[: comp.size], iters
 
 
 def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
@@ -896,7 +856,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         key = (euler, h)
         newton = base_cache.get(key)
         if newton is None:
-            newton = _Newton(comp, comp.base_matrix(GMIN, geq_mult))
+            newton = _Newton(comp, comp.base_matrix(geq_mult))
             if ladder:
                 base_cache[key] = newton
         x_new, iters, stamps_out = newton.solve(
@@ -992,7 +952,7 @@ def _settle_source_currents(comp: _Compiled, levels: list[float], x: np.ndarray)
     `levels` are the sources' t=0 levels.
     """
     const = _source_const(comp, levels)
-    newton = _Newton(comp, comp.dc_base(GMIN, ()))
+    newton = _Newton(comp, comp.dc_base(()))
     f, _, _ = newton._assemble(np.append(x, 0.0), const, comp.no_caps)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b

@@ -6,10 +6,12 @@ shared by the criteria that need it (a second full run feeds the
 byte-identity check).
 """
 
+import importlib.util
 import json
 import math
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from cnfetsim import adders, bench, logic, measure, netlist, solver
 from cnfetsim.adders import AdderKind, GateFunction, GateSpec
 from cnfetsim.devices import Chirality, diameter, threshold_voltage
 from cnfetsim.solver import SolverConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _report(criterion: int, description: str, ok: bool) -> None:
@@ -156,6 +160,27 @@ def test_criterion_7_report_contract(bench_runs):
     ok = exact and verbatim and identical
     _report(7, "report: pdp = power*delay exactly, paper values verbatim, "
                "byte-identical across two runs", ok)
+
+
+def test_matrix_stays_within_the_fine_step_reference(bench_runs):
+    # The benchmark's drift gate, cell by cell, against a run of the same
+    # config at a finer timestep: the bounds and the drift come from
+    # perfbench/checks.py, so the two gates cannot disagree.
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    with open(PERFBENCH / "reference_fine_step.json", encoding="utf-8") as fh:
+        reference = json.load(fh)
+    config = bench_runs["config"]
+    settings = json.loads(json.dumps(config.as_dict()))
+    assert {**settings, "timestep_s": reference["timestep_s"]} == reference["config"]
+    results, _ = bench_runs["a"]
+    rows = json.loads(bench.report_json(results, config))["rows"]
+    cells = {f"{row['design']}@{row['vdd']:g}": row for row in rows}
+    assert cells.keys() == reference["cells"].keys()
+    fails = [fail for key, row in cells.items()
+             for fail in checks.check_reference(row, reference["cells"][key])]
+    assert fails == []
 
 
 def test_criterion_8_measurement_units():

@@ -19,7 +19,7 @@ from cnfetsim.adders import (
     oracle_network,
     synthesize_gate_chiralities,
 )
-from cnfetsim.devices import Chirality, MosfetParams
+from cnfetsim.devices import Chirality, MosfetParams, chirality_threshold
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -90,17 +90,17 @@ class TestGateThresholds:
         vm = measure_switching_threshold(n_chir, p_chir, 0.9)
         assert vm == pytest.approx(0.45, abs=2e-3)
 
-    # repr of each catalog pair's threshold, recorded before the bisection
-    # shared one compile across its steps.
+    # repr of each catalog pair's threshold, as the self-biased solve
+    # returns it.
     PINNED_THRESHOLDS = {
-        ("majority_not", 0.9): "0.4499961376190185",
-        ("majority_not", 0.65): "0.32499907016754154",
-        ("nand3", 0.9): "0.6700428485870362",
-        ("nand3", 0.65): "0.5450457811355591",
-        ("nor3", 0.9): "0.22995028495788578",
-        ("nor3", 0.65): "0.10495297908782959",
-        ("inverter", 0.9): "0.4499961376190185",
-        ("inverter", 0.65): "0.32499907016754154",
+        ("majority_not", 0.9): "0.4499999956166364",
+        ("majority_not", 0.65): "0.32499998825055754",
+        ("nand3", 0.9): "0.6700461999505716",
+        ("nand3", 0.65): "0.5450461479148122",
+        ("nor3", 0.9): "0.22995378934577104",
+        ("nor3", 0.65): "0.10495378052615094",
+        ("inverter", 0.9): "0.4499999956166364",
+        ("inverter", 0.65): "0.32499998825055754",
     }
 
     @pytest.mark.parametrize("function,vdd", list(PINNED_THRESHOLDS))
@@ -109,31 +109,25 @@ class TestGateThresholds:
         vm = measure_switching_threshold(n_chir, p_chir, vdd)
         assert repr(vm) == self.PINNED_THRESHOLDS[function, vdd]
 
-    @pytest.mark.parametrize("vdd", [0.9, 0.65])
-    @pytest.mark.parametrize("function", list(GateFunction))
-    def test_threshold_matches_per_step_dc_operating_points(self, function, vdd):
-        # Reference: the same bisection with a freshly built circuit, and
-        # so a fresh compile, per step; reusing one compiled inverter must
-        # not move a bit.
-        n_chir, p_chir = adders.GATE_CHIRALITIES[function.value]
+    @pytest.mark.parametrize("vdd", [0.65, 0.7, 0.77, 0.85, 0.9])
+    def test_threshold_is_the_analytic_balance_point(self, vdd):
+        # Equal-strength square-law devices with lambda = 0 balance at
+        # (vdd + vtn - vtp) / 2; every catalog pair and every pair the
+        # synthesis picks at this supply must be measured there.
+        pairs = set(adders.GATE_CHIRALITIES.values())
+        pairs.update(synthesize_gate_chiralities(f, vdd) for f in GateFunction)
+        for n_chir, p_chir in pairs:
+            want = adders.predicted_switching_threshold(
+                vdd, chirality_threshold(n_chir), chirality_threshold(p_chir))
+            vm = measure_switching_threshold(n_chir, p_chir, vdd)
+            assert abs(vm - want) <= 1e-6 * vdd, (n_chir, p_chir)
 
-        def vout(vin):
-            b = adders._Builder()
-            b.vdc("vvdd", "vdd", "0", vdd)
-            b.vdc("vin", "in", "0", vin)
-            b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-            return solver.dc_operating_point(b.circuit())["out"]
-
-        lo_in, hi_in = 0.0, vdd
-        for _ in range(40):
-            mid = 0.5 * (lo_in + hi_in)
-            if vout(mid) > vdd / 2:
-                lo_in = mid
-            else:
-                hi_in = mid
-            if hi_in - lo_in < 1e-6 * vdd:
-                break
-        assert measure_switching_threshold(n_chir, p_chir, vdd) == 0.5 * (lo_in + hi_in)
+    def test_inverter_that_does_not_swing_through_half_vdd_is_rejected(self):
+        # The (4,0) P device's threshold, 1.32 V, is above the supply, so
+        # it never turns on and the output stays low at vin = 0.
+        assert chirality_threshold(Chirality(4, 0)) > 0.9
+        with pytest.raises(GateSynthesisError, match="does not swing through vdd/2"):
+            measure_switching_threshold(Chirality(19, 0), Chirality(4, 0), 0.9)
 
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     @pytest.mark.parametrize("function", list(GateFunction))

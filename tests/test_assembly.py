@@ -197,7 +197,7 @@ def _newton_case(make, analysis):
     comp = _Compiled(circuit)
     cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
     charge_rows = sorted(_floating_nodes(comp)) if analysis == "dc-charge" else []
-    base = comp.base_matrix(GMIN, cap_geq)
+    base = comp.base_matrix(cap_geq)
     comp.stamp_charge_rows(base, charge_rows)
     newton = _Newton(comp, base, charge_rows)
     return comp, vdd, charge_rows, cap_geq, newton
@@ -294,7 +294,7 @@ def test_carried_stamps_equal_fresh_evaluation():
     for name, v in init.items():
         if comp.node_index.get(name, -1) >= 0:
             x[comp.node_index[name]] = v
-    newton = _Newton(comp, comp.base_matrix(GMIN, 1.0 / cfg.timestep))
+    newton = _Newton(comp, comp.base_matrix(1.0 / cfg.timestep))
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
     companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))

@@ -122,6 +122,14 @@ class TestSimulate:
         assert "at 'out'" in err
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, rc_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "wave.csv"
+        assert cli.main(["simulate", rc_path, "--tstop", "1e-12",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: cannot write output")
+        assert str(out) in lines[0]
+
     def test_isolated_capacitive_cluster_exits_4(self, tmp_path, capsys):
         src = tmp_path / "island.cir"
         src.write_text("v1 a 0 dc 1\nr1 a 0 1k\nc1 x y 1f\n")
@@ -212,6 +220,19 @@ class TestBenchUsage:
                          "--out", str(report)]) == cli.EXIT_CONVERGENCE
         assert "Newton failed after 1 iterations" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("flag,path", [("--out", "missing/report.md"),
+                                           ("--charts", "a-file/charts")])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, monkeypatch, flag, path):
+        # --charts creates missing directories, so its failing path runs
+        # through a regular file.
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: ([], []))
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         flag, str(tmp_path / path)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: cannot write output")
+        assert str(tmp_path / path) in lines[0]
 
     @pytest.mark.parametrize("vdd", ["-1", "0", "0.9,0"])
     def test_nonpositive_vdd_rejected(self, capsys, vdd):

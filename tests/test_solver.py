@@ -14,7 +14,6 @@ from cnfetsim.netlist import parse
 from cnfetsim.solver import (
     ABSTOL,
     CHGTOL,
-    GMIN,
     RELTOL,
     TRTOL,
     VTOL,
@@ -130,42 +129,29 @@ class TestDcOperatingPoint:
         assert err.value.residual == pytest.approx(0.6)
         assert "V at 'i(vdd)'" in str(err.value)
 
-    def test_gmin_ladder_recovers_a_failed_solve(self, monkeypatch):
+    def test_failed_dc_solve_is_not_retried(self, monkeypatch):
         # Five iterations cannot walk the output from 0 V onto the vertical
-        # segment: the solve fails at GMIN and at every decade up to 1e-5 S,
-        # converges at 1e-4 S, and re-tightens one decade at a time to GMIN.
-        rungs = []
+        # segment: the one solve at GMIN fails, and its error is raised.
+        requests = []
         dc_base = solver._Compiled.dc_base
 
-        def recording(comp, gmin, charge_rows):
-            rungs.append(gmin)
-            return dc_base(comp, gmin, charge_rows)
+        def recording(comp, charge_rows):
+            requests.append(charge_rows)
+            return dc_base(comp, charge_rows)
 
         monkeypatch.setattr(solver._Compiled, "dc_base", recording)
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 5)
         c = parse(INVERTER).with_dc_source("vin", 0.45)
-        op = dc_operating_point(c)
-        assert [round(math.log10(g)) for g in rungs] == [*range(-12, -3), *range(-5, -13, -1)]
-        assert rungs[-1] == GMIN
-        # On the vertical segment out depends on the Newton path, so the
-        # check is that both devices carry one current, not a fixed level.
-        i_n, _, _ = drain_current(c.models["n19"].params, 0.45, op["out"])
-        i_p, _, _ = drain_current(c.models["p19"].params, 0.45 - 0.9, op["out"] - 0.9)
-        assert abs(i_n + i_p) <= ABSTOL + RELTOL * abs(i_n)
-
-    def test_gmin_ladder_failing_to_re_tighten_names_the_rung(self, monkeypatch):
-        # Two iterations converge only at 1e-4 S; the next decade down fails.
-        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-        c = parse(INVERTER).with_dc_source("vin", 0.44)
-        with pytest.raises(ConvergenceError,
-                           match=r"gmin stepping failed while re-tightening at gmin=1\.0e-05 S"):
-            dc_operating_point(c, initial_guess={"vdd": 0.9, "in": 0.44})
+        with pytest.raises(ConvergenceError) as err:
+            dc_operating_point(c)
+        assert requests == [()]
+        assert err.value.node == "out"
 
     @pytest.mark.parametrize("gufunc", [True, False], ids=["gufunc", "fallback"])
     def test_parallel_sources_are_a_singular_matrix(self, monkeypatch, gufunc):
         # Two sources across one node ask for two levels there: the MNA
-        # matrix is singular on every gmin rung, with the direct LAPACK
-        # call and with np.linalg.solve standing in for it alike.
+        # matrix is singular, with the direct LAPACK call and with
+        # np.linalg.solve standing in for it alike.
         if not gufunc:
             monkeypatch.setattr(solver, "_solve1", None)
         with pytest.raises(ConvergenceError, match="singular MNA matrix") as err:
@@ -177,7 +163,7 @@ class TestDcOperatingPoint:
         # at 1000x abstol (1e-9 A), although 2e-6 > 1e-9.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.base_matrix(GMIN, None))
+        newton = _Newton(comp, comp.base_matrix(None))
         f = np.zeros(comp.size + 1)
         f[comp.node_index["out"]] = 1e-9
         f[comp.n_nodes] = 2e-6
@@ -190,7 +176,7 @@ class TestDcOperatingPoint:
         # tolerance" would accept a NaN iterate as a solution.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.base_matrix(GMIN, None))
+        newton = _Newton(comp, comp.base_matrix(None))
         scale = np.zeros(comp.n_nodes)
         f = np.zeros(comp.size + 1)
         assert newton._converged(f, scale)
@@ -200,7 +186,7 @@ class TestDcOperatingPoint:
             assert not newton._converged(f, scale), row
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        charge = _Newton(comp, comp.base_matrix(GMIN, None), [x])
+        charge = _Newton(comp, comp.base_matrix(None), [x])
         f = np.zeros(comp.size + 1)
         f[x] = math.nan
         assert not charge._converged(f, np.zeros(comp.n_nodes))
@@ -212,7 +198,7 @@ class TestDcOperatingPoint:
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        newton = _Newton(comp, comp.base_matrix(GMIN, None), [x])
+        newton = _Newton(comp, comp.base_matrix(None), [x])
         scale = np.zeros(comp.n_nodes)
         f = np.zeros(comp.size + 1)
         f[x] = 2e-6
@@ -357,7 +343,7 @@ class TestLinearOneIteration:
         import numpy as np
         cfg = SolverConfig(timestep=1e-14)
         comp = _Compiled(parse("v1 a 0 dc 0.9\nr1 a b 1k\nc1 b 0 1f\n"))
-        base = comp.base_matrix(GMIN, 2.0 / cfg.timestep)
+        base = comp.base_matrix(2.0 / cfg.timestep)
         nt = _Newton(comp, base)
         const = _source_const(comp, [0.9])
         geq = (2.0 / cfg.timestep) * comp.cap_c
@@ -376,10 +362,10 @@ class TestTransient:
         built = []
         base_matrix = solver._Compiled.base_matrix
 
-        def counting(comp, gmin, cap_geq):
+        def counting(comp, cap_geq):
             if cap_geq is not None:
                 built.append(cap_geq)
-            return base_matrix(comp, gmin, cap_geq)
+            return base_matrix(comp, cap_geq)
 
         monkeypatch.setattr(solver._Compiled, "base_matrix", counting)
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
@@ -678,24 +664,12 @@ class TestFloatingNodes:
 
 class TestColdConvergence:
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
-    def test_every_testbench_converges_without_gmin_stepping(self, monkeypatch, vdd):
-        # Newton's only guard is the per-node clamp; every benchmark
-        # testbench must still reach its floating-node initialization and
-        # a cold DC point at each input vector without a failed solve, so
-        # the gmin ladder is never entered.
-        from cnfetsim import solver
+    def test_every_testbench_converges_without_gmin_stepping(self, vdd):
+        # Newton's only guard is the per-node clamp, and a failed DC solve
+        # is not retried; every benchmark testbench must still reach its
+        # floating-node initialization and a cold DC point at each input
+        # vector in one solve each.
         from cnfetsim.adders import BENCH_ORDER, build_adder, build_testbench
-        failures = []
-        plain_solve = solver._Newton.solve
-
-        def counted_solve(self, *args, **kwargs):
-            try:
-                return plain_solve(self, *args, **kwargs)
-            except ConvergenceError as exc:
-                failures.append(exc)
-                raise
-
-        monkeypatch.setattr(solver._Newton, "solve", counted_solve)
         for kind in BENCH_ORDER:
             tb = build_testbench(build_adder(kind, vdd), vdd, 1e-11, 2e-10)
             for bits in range(8):
@@ -703,7 +677,6 @@ class TestColdConvergence:
                 dc = _hold_inputs(tb, levels)
                 initialize_floating_nodes(dc)
                 dc_operating_point(dc)
-        assert failures == []
 
 
 class TestPassivity:
