@@ -195,22 +195,28 @@ class Circuit:
 
         Only that waveform changes, so the copy shares this circuit's
         topology slot: an analysis of either reuses the other's compile.
-        Raises KeyError when `name` is no element or not a source.
+        Both copies are shallow, so neither re-runs validation that the
+        originals passed.  Raises KeyError when `name` is no element or
+        not a source.
         """
-        new_elements = []
-        found = False
-        for el in self.elements:
+        for k, el in enumerate(self.elements):
             if el.name == name:
-                if el.kind is not ElementKind.VSOURCE:
-                    raise KeyError(f"{name!r} is not a source")
-                el = replace(el, waveform=SourceWaveform("dc", level=volts))
-                found = True
-            new_elements.append(el)
-        if not found:
+                break
+        else:
             raise KeyError(name)
-        derived = replace(self, elements=tuple(new_elements))
-        object.__setattr__(derived, "_topology", self._topology)
-        return derived
+        if el.kind is not ElementKind.VSOURCE:
+            raise KeyError(f"{name!r} is not a source")
+        source = _shallow_copy(el, waveform=SourceWaveform("dc", level=volts))
+        elements = (*self.elements[:k], source, *self.elements[k + 1:])
+        return _shallow_copy(self, elements=elements)
+
+
+def _shallow_copy(obj, **changes):
+    """A copy of a frozen dataclass sharing every field but `changes`,
+    made without __init__: a Circuit copy keeps its topology slot."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
 
 
 # --- value and model-card parsing -------------------------------------------

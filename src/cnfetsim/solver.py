@@ -29,38 +29,44 @@ solve fails ends the run with a ConvergenceError at that step's time.
 The linear solve is one row-equilibrated dense LU with partial pivoting
 per Newton iterate; benchmark circuits stay under a hundred nodes, so
 sparse machinery would be dead weight.  An iterate assembles the
-residual and tolerance scale first and builds the Jacobian only when
-convergence fails and a solve follows, so the converged iterate that
-ends every solve builds none.
+residual and per-row scale, tests every row against its tolerance in one
+vector expression (see _Compiled.system), and builds the Jacobian only
+when that fails and a solve follows, so the converged iterate that ends
+every solve builds none.
 
-Assembly works on a ground-padded system: the base matrix, residual,
-solution and per-node scale carry one trailing entry whose row and
-column stand for ground (node index -1), so no stamp branches on a
-grounded terminal.  Each Newton iterate evaluates every transistor in
-one call of the batch kernel devices.drain_currents, which returns four
-values per device; one take and one sign multiply expand them into the
-six Jacobian and two current stamps per device.  The Jacobian stamps and
-the currents each go in with one np.add.at, through flat indices built
-at compile time in device-major, stamp-minor order; every entry is
-therefore summed in the order a scalar stamping loop would use, and
-results match it bit for bit.  Device stamps depend on x alone, and a
-fixed step's first iterate is the previous step's solution, so the
-stamps evaluated there are carried into the next step instead of being
-recomputed; a controlled step starts from the linear predictor through
-the last two points.
+Assembly works on a ground-padded system: the base matrix, residual and
+solution carry one trailing entry whose row and column stand for ground
+(node index -1), so no stamp branches on a grounded terminal.  Each
+Newton iterate evaluates every transistor in one call of the batch
+kernel devices.drain_currents, which returns four values per device;
+one take and one sign multiply expand them into the six Jacobian and two
+current stamps per device.  The Jacobian stamps and the currents each go
+in with one np.add.at, through flat indices built at compile time in
+device-major, stamp-minor order; every entry is therefore summed in the
+order a scalar stamping loop would use, and results match it bit for
+bit.  Resistor and capacitor currents come from one conductance vector
+over both (_Compiled.companion), built once per transient step and once
+per compile for DC, and a circuit with neither skips them.  Device
+stamps depend on x alone, and a fixed step's first iterate is the
+previous step's solution, so the stamps evaluated there are carried
+into the next step instead of being recomputed; a controlled step starts
+from the linear predictor through the last two points.
 
 One run is single-threaded and deterministic.  A circuit's compiled
-topology (_Compiled, with its DC base matrix per set of charge rows)
-is built once, into the circuit's topology slot (see _compiled), and
-shared with every copy Circuit.with_dc_source makes: such a copy differs
-only in one source's level, and no compiled value depends on a level,
-since each analysis reads the levels from the circuit it is given.  So a
-DC sweep compiles once.  Every other way of making a circuit (parse,
-flatten, the builders, dataclasses.replace) starts an empty slot, so a
-changed element never meets a stale compile.  A compile is not modified
-once built, except that its cache of read-only base matrices grows, so
-threads may analyse related circuits at once: a race only builds
-something twice, with equal results.  The slot pickles empty.
+topology (_Compiled) is built once, into the circuit's topology slot
+(see _compiled), and shared with every copy Circuit.with_dc_source
+makes: such a copy differs only in one source's level, and no compiled
+value depends on a level, since each analysis reads the levels from the
+circuit it is given.  The compile also caches its DC systems (see
+_Compiled.dc_system), so a DC sweep compiles once and its points build
+no matrix and no tolerance vector.  It caches a system's parts, not a
+_Newton, which holds its compile: that would make a reference cycle.
+Every other way of making a circuit (parse, flatten, the builders,
+dataclasses.replace) starts an empty slot, so a changed element never
+meets a stale compile.  A compile is not modified once built, except
+that its cache of read-only DC systems grows, so threads may analyse
+related circuits at once: a race only builds something twice, with
+equal results.  The slot pickles empty.
 """
 
 from __future__ import annotations
@@ -242,18 +248,20 @@ class _Compiled:
                 self.devices.append((idx[0], idx[1], idx[2], mirrored, *square_law(p)))
 
         self.size = self.n_nodes + len(self.sources)
+        self.current_names = [f"i({name})" for name, _, _ in self.sources]
         self.has_devices = bool(self.devices)
         self._build_arrays()
-        # DC base matrices by charge rows; see dc_base.
-        self._dc_bases: dict[tuple[int, ...], np.ndarray] = {}
+        # DC systems by charge rows; see dc_system.
+        self._dc_systems: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
 
-        Every vector and matrix the solver assembles carries one trailing
-        ground entry (row and column for the Jacobian), so a ground index
-        (-1) lands there and needs no branch; the solution's ground entry
-        stays zero and the rest of that padding is never read.
+        Every vector and matrix the solver assembles, but the per-row scale,
+        carries one trailing ground entry (row and column for the
+        Jacobian), so a ground index (-1) lands there and needs no branch;
+        the solution's ground entry stays zero and the rest of that
+        padding is never read.
         """
         # Resistors then capacitors: one gather serves both.
         rc_i = [i for i, _, _ in self.resistors + self.capacitors]
@@ -271,8 +279,9 @@ class _Compiled:
         self.n_branch = self.n_rc + self.n_src
         # A DC solve's companions: capacitors open, no history; read-only.
         no_caps = np.zeros(self.n_cap)
-        no_caps.flags.writeable = False
-        self.no_caps = (no_caps, no_caps)
+        self.dc_companion = self.companion(no_caps, no_caps)
+        for a in self.dc_companion:
+            a.flags.writeable = False
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
         # row (d, g, s), then source row (s, d, g) of the padded Jacobian,
@@ -292,10 +301,11 @@ class _Compiled:
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
         self.stamp_take, self.stamp_sign = _stamp_layout(len(self.devices))
         # Current vector layout: resistors, capacitors, sources, the two
-        # device stamps, then one zero.  scale_take lists, node by node, the
-        # currents incident on that node and then the zero, and scale_start
-        # is where each node's run begins, so one np.maximum.reduceat over
-        # that gather is every node's scale: max(0, |incident currents|).
+        # device stamps, then one zero.  scale_take lists, row by row, the
+        # currents incident on that node and then the zero (a source row's
+        # run is the zero alone), and scale_start is where each row's run
+        # begins, so one np.maximum.reduceat over that gather is every
+        # row's scale: max(0, |incident currents|), 0 on a source row.
         ends_i = rc_i + [p for _, p, _ in self.sources]
         ends_j = rc_j + [m for _, _, m in self.sources]
         branches = list(range(self.n_branch))
@@ -305,10 +315,16 @@ class _Compiled:
                                 branches + branches + list(range(self.n_branch, self.n_currents))):
             if node >= 0:
                 incident[node].append(branch)
-        runs = [row + [self.n_currents] for row in incident]
+        runs = [row + [self.n_currents] for row in incident] + [[self.n_currents]] * self.n_src
         self.scale_take = np.array([b for row in runs for b in row], dtype=np.intp)
         self.scale_start = np.cumsum([0] + [len(row) for row in runs[:-1]],
-                                     dtype=np.intp)[: self.n_nodes]
+                                     dtype=np.intp)[: self.size]
+
+    def companion(self, geq: np.ndarray, hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Capacitor companions as _Newton reads them: the conductance of
+        every resistor, then of every capacitor (geq), and each capacitor's
+        history current."""
+        return np.concatenate((self.res_g, geq)), hist
 
     def base_matrix(self, cap_geq: float | None) -> np.ndarray:
         """Constant part of the Jacobian: resistors, GMIN, sources, companions.
@@ -334,18 +350,38 @@ class _Compiled:
             g[row, m] -= 1.0
         return g
 
-    def dc_base(self, charge_rows: tuple[int, ...]) -> np.ndarray:
-        """The DC base matrix with `charge_rows` stamped, built once per set.
+    def system(self, base: np.ndarray, charge_rows: Sequence[int] = ()) -> tuple[np.ndarray, ...]:
+        """What a _Newton solves against: (base, core, tol_base, rel).
 
-        The matrix is read-only: _Newton._jacobian copies it.
+        `base` is a padded base matrix with `charge_rows` stamped, and core
+        its view without the ground row and column.  Row r's tolerance is
+        tol_base[r] + rel[r] * scale[r]: ABSTOL + RELTOL * scale on a KCL
+        row, and VTOL on a source row or a charge row, whose rel is 0.
+        Every array is made read-only (_Newton._jacobian copies the base).
         """
-        base = self._dc_bases.get(charge_rows)
-        if base is None:
+        nn = self.n_nodes
+        tol_base = np.full(self.size, VTOL)
+        rel = np.zeros(self.size)
+        tol_base[:nn] = ABSTOL
+        rel[:nn] = RELTOL
+        if charge_rows:
+            rows = list(charge_rows)
+            tol_base[rows] = VTOL
+            rel[rows] = 0.0
+        parts = (base, base[: self.size, : self.size], tol_base, rel)
+        for a in parts:
+            a.flags.writeable = False
+        return parts
+
+    def dc_system(self, charge_rows: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The DC system (see system) with `charge_rows` stamped, built
+        once per set of charge rows."""
+        parts = self._dc_systems.get(charge_rows)
+        if parts is None:
             base = self.base_matrix(None)
             self.stamp_charge_rows(base, charge_rows)
-            base.flags.writeable = False
-            self._dc_bases[charge_rows] = base
-        return base
+            parts = self._dc_systems[charge_rows] = self.system(base, charge_rows)
+        return parts
 
     def stamp_charge_rows(self, g: np.ndarray, charge_rows: Sequence[int]) -> None:
         """Replace each row of a DC base matrix named in `charge_rows`, a
@@ -394,7 +430,7 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     refinement moved reported power by at most 1.6e-14 relative and the
     worst delay by at most 6e-13 on the twelve benchmark cells.
     """
-    r = np.abs(jac).max(axis=1)
+    r = np.maximum.reduce(np.abs(jac), axis=1)  # ndarray.max without its wrapper
     r[r == 0.0] = 1.0
     a, b = jac / r[:, None], rhs / r
     if _solve1 is None:
@@ -416,30 +452,28 @@ def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
 
 
 class _Newton:
-    """Newton solves against one fixed base matrix.
+    """Newton solves against one fixed system, as _Compiled.system builds it.
 
     The residual is F(x) = base @ x + const + device currents; `const`,
     an argument of each solve, holds -V(t) in source rows and capacitor
-    companion history currents in node rows.  `charge_rows` are the
-    node rows whose base-matrix row is a zero-charge equation in volts
-    (see _Compiled.stamp_charge_rows); they are held to VTOL.  Vectors and
-    matrices are ground-padded (see _Compiled._build_arrays).
+    companion history currents in node rows.  A charge row is a node row
+    whose base-matrix row is a zero-charge equation in volts (see
+    _Compiled.stamp_charge_rows), held to VTOL.  Vectors and matrices are
+    ground-padded (see _Compiled._build_arrays).  Making one only stores
+    references, so a DC analysis makes one per solve from its compile's
+    cached system.
     """
 
-    def __init__(self, comp: _Compiled, base: np.ndarray, charge_rows: Sequence[int] = ()):
+    __slots__ = ("comp", "base", "base_core", "tol_base", "rel")
+
+    def __init__(self, comp: _Compiled, system: tuple[np.ndarray, ...]):
         self.comp = comp
-        self.base = base
-        self.base_core = base[: comp.size, : comp.size]
-        self.charge_rows = list(charge_rows)
-        # Source and charge rows hold VTOL; _tolerance fills the KCL rows.
-        self._tol = np.full(comp.size, VTOL)
-        self._kcl = (np.setdiff1d(np.arange(comp.n_nodes), self.charge_rows)
-                     if self.charge_rows else slice(0, comp.n_nodes))
+        self.base, self.base_core, self.tol_base, self.rel = system
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
                   cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded residual, per-node scale and the device stamps.
+        """Padded residual, per-row scale and the device stamps.
 
         `const` and `cap_companion` are as in solve.  The device stamps
         are one float array: six Jacobian values per transistor in
@@ -449,18 +483,19 @@ class _Newton:
         them between solves.  The Jacobian at x_pad is _jacobian(stamps).
         """
         comp = self.comp
-        nn, size, rc, nb = comp.n_nodes, comp.size, comp.n_rc, comp.n_branch
+        size, rc = comp.size, comp.n_rc
         x = x_pad[:size]
         f = const.copy()
         f[:size] += self.base_core @ x
 
         # Branch currents (resistors, capacitors, sources) and the device
-        # stamps feed the per-node tolerance scale.
+        # stamps feed the per-row tolerance scale.
         currents = np.empty(comp.n_currents + 1)
-        geq, hist = cap_companion
-        currents[:rc] = np.concatenate((comp.res_g, geq)) * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
-        currents[comp.n_res: rc] += hist
-        currents[rc: nb] = x[nn:]
+        if rc:
+            g, hist = cap_companion
+            currents[:rc] = g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
+            currents[comp.n_res: rc] += hist
+        currents[rc: comp.n_branch] = x[comp.n_nodes:]
         currents[-1] = 0.0
 
         if comp.has_devices:
@@ -468,7 +503,7 @@ class _Newton:
                 values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
                 stamps = values.take(comp.stamp_take) * comp.stamp_sign
             dev_currents = stamps[comp.n_jac:]
-            currents[nb: -1] = dev_currents
+            currents[comp.n_branch: -1] = dev_currents
             np.add.at(f, comp.dev_rows, dev_currents)
         scale = np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)
         return f, scale, stamps
@@ -483,9 +518,7 @@ class _Newton:
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
         """Per-row tolerance: ABSTOL + RELTOL * scale on a KCL row, where
         the residual is a current, and VTOL on a source or charge row."""
-        tol, kcl = self._tol, self._kcl
-        tol[kcl] = ABSTOL + RELTOL * scale[kcl]
-        return tol
+        return self.tol_base + self.rel * scale
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
         """Every row within its tolerance; a NaN in any row fails."""
@@ -497,9 +530,10 @@ class _Newton:
         """Returns (padded solution, iterations, device stamps at the solution).
 
         Iterations counts linear solves.  `x0_pad` and `const` are
-        ground-padded, and x0_pad is not modified; `cap_companion` holds
-        each capacitor's companion conductance and history current, read
-        for the tolerance scale; `stamps`, if given, are the device
+        ground-padded, and x0_pad is not modified; `cap_companion` is
+        _Compiled.companion's pair, the resistor and capacitor
+        conductances and the capacitor history currents, read for the
+        tolerance scale; `stamps`, if given, are the device
         stamps at x0_pad (the previous solve's third result when x0_pad
         is its solution).  The Jacobian is built only when a linear
         solve follows, so a converged iterate builds none.
@@ -551,18 +585,16 @@ class _Newton:
             return ConvergenceError(message, 0.0, time)
         res = np.abs(f[: comp.size])
         row = int((res / self._tolerance(scale)).argmax())
-        if row < comp.n_nodes:
-            node = comp.node_names[row]
-        else:
-            node = f"i({comp.sources[row - comp.n_nodes][0]})"
-        unit = "A" if row < comp.n_nodes and row not in self.charge_rows else "V"
+        nn = comp.n_nodes
+        node = comp.node_names[row] if row < nn else comp.current_names[row - nn]
+        unit = "A" if self.rel[row] else "V"  # only a KCL row has a relative part
         return ConvergenceError(message, float(res[row]), time, node, unit)
 
 
-def _source_const(comp: _Compiled, values: list[float]) -> np.ndarray:
+def _source_const(comp: _Compiled, levels: list[float]) -> np.ndarray:
+    """A DC system's padded constant vector: -level in each source row."""
     const = np.zeros(comp.size + 1)
-    for b, v in enumerate(values):
-        const[comp.n_nodes + b] = -v
+    np.negative(levels, out=const[comp.n_nodes: comp.size])
     return const
 
 
@@ -589,15 +621,17 @@ def _dc_levels(comp: _Compiled, circuit: Circuit) -> list[float]:
 
 
 def _solve_dc(comp: _Compiled, levels: list[float], charge_rows: Sequence[int] = (),
-              initial_guess: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """One Newton solve with the sources at `levels`, from `initial_guess`
-    (zeros if None); a failure raises its ConvergenceError.  Each floating
-    node in `charge_rows` meets its zero-charge equation in place of KCL."""
-    charge_rows = tuple(charge_rows)
-    x0 = initial_guess if initial_guess is not None else np.zeros(comp.size)
-    newton = _Newton(comp, comp.dc_base(charge_rows), charge_rows)
-    x, iters, _ = newton.solve(np.append(x0, 0.0), _source_const(comp, levels), comp.no_caps)
-    return x[: comp.size], iters
+              x0_pad: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """One Newton solve with the sources at `levels`, from the padded
+    `x0_pad` (zeros if None); returns the padded solution and the
+    iteration count, and a failure raises its ConvergenceError.  Each
+    floating node in `charge_rows` meets its zero-charge equation in
+    place of KCL."""
+    if x0_pad is None:
+        x0_pad = np.zeros(comp.size + 1)
+    newton = _Newton(comp, comp.dc_system(tuple(charge_rows)))
+    x, iters, _ = newton.solve(x0_pad, _source_const(comp, levels), comp.dc_companion)
+    return x, iters
 
 
 def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
@@ -607,26 +641,29 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     Returns node -> volts including ground, plus one "i(<source>)" entry
     per voltage source carrying its branch current (positive current
     flows from the + terminal through the source to the - terminal).
-    `cfg` is not read, since every DC setting is a module constant; it
-    stays for callers that pass one, as perfbench/run.py does.
+
+    `initial_guess` seeds the node voltages only: a node it does not name
+    starts at 0 V, and its ground and "i(<source>)" entries are ignored,
+    so a sweep that passes each point the previous solution starts every
+    solve from zero branch currents.  `cfg` is not read, since every DC
+    setting is a module constant; it stays for callers that pass one, as
+    perfbench/run.py does.
     """
     comp = _compiled(circuit)
-    guess = None
+    x0 = None
     if initial_guess:
-        guess = np.zeros(comp.size)
-        for name, v in initial_guess.items():
-            idx = comp.node_index.get(name, -1)
-            if idx >= 0:
-                guess[idx] = v
-    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), initial_guess=guess)
+        x0 = np.zeros(comp.size + 1)
+        guess = initial_guess.get
+        x0[: comp.n_nodes] = [guess(name, 0.0) for name in comp.node_names]
+    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), x0_pad=x0)
     return _solution_dict(comp, x)
 
 
-def _solution_dict(comp: _Compiled, x: np.ndarray) -> dict[str, float]:
-    out = {name: float(x[i]) for name, i in comp.node_index.items() if i >= 0}
+def _solution_dict(comp: _Compiled, x_pad: np.ndarray) -> dict[str, float]:
+    values = x_pad.tolist()
+    out = dict(zip(comp.node_names, values))
     out[GROUND] = 0.0
-    for b, (name, _, _) in enumerate(comp.sources):
-        out[f"i({name})"] = float(x[comp.n_nodes + b])
+    out.update(zip(comp.current_names, values[comp.n_nodes: comp.size]))
     return out
 
 
@@ -816,25 +853,24 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         targets = grid[1:].tolist()
 
     if initial_conditions is None:
-        x, _ = _solve_dc(comp, levels)
+        x_pad, _ = _solve_dc(comp, levels)
     else:
-        x = np.zeros(comp.size)
-        source_rows = {f"i({name})": comp.n_nodes + b for b, (name, _, _) in enumerate(comp.sources)}
+        x_pad = np.zeros(comp.size + 1)
+        source_rows = {name: comp.n_nodes + b for b, name in enumerate(comp.current_names)}
         have_currents = False
         for name, v in initial_conditions.items():
             if name in source_rows:
-                x[source_rows[name]] = float(v)
+                x_pad[source_rows[name]] = float(v)
                 have_currents = True
                 continue
             idx = comp.node_index.get(name)
             if idx is None:
                 raise KeyError(f"initial condition names unknown node {name!r}")
             if idx >= 0:
-                x[idx] = float(v)
+                x_pad[idx] = float(v)
         if not have_currents:
-            _settle_source_currents(comp, levels, x)
+            _settle_source_currents(comp, levels, x_pad)
 
-    x_pad = np.append(x, 0.0)
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
 
@@ -856,11 +892,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         key = (euler, h)
         newton = base_cache.get(key)
         if newton is None:
-            newton = _Newton(comp, comp.base_matrix(geq_mult))
+            newton = _Newton(comp, comp.system(comp.base_matrix(geq_mult)))
             if ladder:
                 base_cache[key] = newton
         x_new, iters, stamps_out = newton.solve(
-            x_in, const, (geq, hist), time=t_new, stamps=stamps_in
+            x_in, const, comp.companion(geq, hist), time=t_new, stamps=stamps_in
         )
         v_new = x_new[comp.cap_i] - x_new[comp.cap_j]
         return x_new, v_new, geq * v_new + hist, stamps_out, iters
@@ -949,11 +985,10 @@ def _settle_source_currents(comp: _Compiled, levels: list[float], x: np.ndarray)
     With node voltages fixed and capacitor currents taken as zero at
     t=0, each source current must absorb the static device/resistor
     current at its positive terminal (or negative, if + is ground).
-    `levels` are the sources' t=0 levels.
+    `levels` are the sources' t=0 levels and `x` is the padded solution.
     """
-    const = _source_const(comp, levels)
-    newton = _Newton(comp, comp.dc_base(()))
-    f, _, _ = newton._assemble(np.append(x, 0.0), const, comp.no_caps)
+    newton = _Newton(comp, comp.dc_system(()))
+    f, _, _ = newton._assemble(x, _source_const(comp, levels), comp.dc_companion)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
         if p >= 0:

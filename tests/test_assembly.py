@@ -99,7 +99,7 @@ def _ref_assemble(comp, base, const, cap_companion, x):
     f = base @ x + const
     jac = base.copy()
     xp = np.append(x, 0.0)
-    scale = np.zeros(nn)
+    scale = np.zeros(comp.size)  # a source row's scale stays 0
 
     def bump(node, current):
         if node >= 0 and abs(current) > scale[node]:
@@ -167,10 +167,18 @@ GROUNDED = parse(
     "r1 a b 10k\nc1 b 0 1f\nc2 a in 2f\n"
 )
 
+# An inverter alone: no resistor or capacitor, so assembly skips that block.
+NO_RC = parse(
+    ".model n19 cnfet polarity=n chirality=19,0 tubes=3 k=1e-4\n"
+    ".model p19 cnfet polarity=p chirality=19,0 tubes=3 k=1e-4\n"
+    "vdd vdd 0 dc 0.9\nvin in 0 dc 0.4\nqn out in 0 n19\nqp out in vdd p19\n"
+)
+
 CIRCUITS = [
     pytest.param(lambda kind=kind, vdd=vdd: (_testbench(kind, vdd), vdd), id=f"{kind.value}-{vdd}")
     for kind, vdd in itertools.product(adders.BENCH_ORDER, (0.9, 0.65))
-] + [pytest.param(lambda: (GROUNDED, 0.9), id="grounded-terminals")]
+] + [pytest.param(lambda: (GROUNDED, 0.9), id="grounded-terminals"),
+     pytest.param(lambda: (NO_RC, 0.9), id="no-rc")]
 
 LINEAR_RC = pytest.param(
     lambda: (parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"), 0.9), id="linear-rc"
@@ -199,7 +207,7 @@ def _newton_case(make, analysis):
     charge_rows = sorted(_floating_nodes(comp)) if analysis == "dc-charge" else []
     base = comp.base_matrix(cap_geq)
     comp.stamp_charge_rows(base, charge_rows)
-    newton = _Newton(comp, base, charge_rows)
+    newton = _Newton(comp, comp.system(base, charge_rows))
     return comp, vdd, charge_rows, cap_geq, newton
 
 
@@ -212,7 +220,7 @@ def test_assemble_equals_scalar_loop(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
         jac = newton._jacobian(stamps)
         ref_f, ref_jac, ref_scale = _ref_assemble(comp, ref_base, const[: comp.size], companion, x)
         assert np.array_equal(f[: comp.size], ref_f)
@@ -230,7 +238,7 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
         jac = newton._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         dx = _lin_solve(jac, rhs)
@@ -253,7 +261,7 @@ def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, companion)
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
         jac = newton._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         r = np.abs(jac).max(axis=1)
@@ -294,10 +302,10 @@ def test_carried_stamps_equal_fresh_evaluation():
     for name, v in init.items():
         if comp.node_index.get(name, -1) >= 0:
             x[comp.node_index[name]] = v
-    newton = _Newton(comp, comp.base_matrix(1.0 / cfg.timestep))
+    newton = _Newton(comp, comp.system(comp.base_matrix(1.0 / cfg.timestep)))
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
-    companion = (comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
+    companion = comp.companion(comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
     x_new, _, carried = newton.solve(np.append(x, 0.0), const, companion)
     _, _, fresh = newton._assemble(x_new, const, companion)
     assert np.array_equal(carried, fresh)

@@ -133,13 +133,13 @@ class TestDcOperatingPoint:
         # Five iterations cannot walk the output from 0 V onto the vertical
         # segment: the one solve at GMIN fails, and its error is raised.
         requests = []
-        dc_base = solver._Compiled.dc_base
+        dc_system = solver._Compiled.dc_system
 
         def recording(comp, charge_rows):
             requests.append(charge_rows)
-            return dc_base(comp, charge_rows)
+            return dc_system(comp, charge_rows)
 
-        monkeypatch.setattr(solver._Compiled, "dc_base", recording)
+        monkeypatch.setattr(solver._Compiled, "dc_system", recording)
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 5)
         c = parse(INVERTER).with_dc_source("vin", 0.45)
         with pytest.raises(ConvergenceError) as err:
@@ -163,11 +163,11 @@ class TestDcOperatingPoint:
         # at 1000x abstol (1e-9 A), although 2e-6 > 1e-9.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.base_matrix(None))
+        newton = _Newton(comp, comp.system(comp.base_matrix(None)))
         f = np.zeros(comp.size + 1)
         f[comp.node_index["out"]] = 1e-9
         f[comp.n_nodes] = 2e-6
-        err = newton._failure("failed", f, np.zeros(comp.n_nodes), None)
+        err = newton._failure("failed", f, np.zeros(comp.size), None)
         assert err.node == "out"
         assert err.residual == 1e-9
 
@@ -176,8 +176,8 @@ class TestDcOperatingPoint:
         # tolerance" would accept a NaN iterate as a solution.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.base_matrix(None))
-        scale = np.zeros(comp.n_nodes)
+        newton = _Newton(comp, comp.system(comp.base_matrix(None)))
+        scale = np.zeros(comp.size)
         f = np.zeros(comp.size + 1)
         assert newton._converged(f, scale)
         for row in range(comp.size):
@@ -186,10 +186,10 @@ class TestDcOperatingPoint:
             assert not newton._converged(f, scale), row
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        charge = _Newton(comp, comp.base_matrix(None), [x])
+        charge = _Newton(comp, comp.system(comp.base_matrix(None), [x]))
         f = np.zeros(comp.size + 1)
         f[x] = math.nan
-        assert not charge._converged(f, np.zeros(comp.n_nodes))
+        assert not charge._converged(f, np.zeros(comp.size))
 
     def test_failure_on_a_charge_row_names_the_floating_node_in_volts(self):
         # A zero-charge row's residual is a voltage, held to vtol: at 2x
@@ -198,8 +198,8 @@ class TestDcOperatingPoint:
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        newton = _Newton(comp, comp.base_matrix(None), [x])
-        scale = np.zeros(comp.n_nodes)
+        newton = _Newton(comp, comp.system(comp.base_matrix(None), [x]))
+        scale = np.zeros(comp.size)
         f = np.zeros(comp.size + 1)
         f[x] = 2e-6
         f[comp.node_index["out"]] = 1e-9
@@ -344,12 +344,12 @@ class TestLinearOneIteration:
         cfg = SolverConfig(timestep=1e-14)
         comp = _Compiled(parse("v1 a 0 dc 0.9\nr1 a b 1k\nc1 b 0 1f\n"))
         base = comp.base_matrix(2.0 / cfg.timestep)
-        nt = _Newton(comp, base)
+        nt = _Newton(comp, comp.system(base))
         const = _source_const(comp, [0.9])
         geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size + 1)
-        _, iters, _ = nt.solve(x0, const, (geq, hist))
+        _, iters, _ = nt.solve(x0, const, comp.companion(geq, hist))
         assert iters == 1
 
 
