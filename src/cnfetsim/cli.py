@@ -4,8 +4,8 @@ Exit codes partition the failure classes:
 
     0  success
     2  usage error (bad flags or config, unreadable file, unwritable
-       output path, nonpositive tstop or vdd, a supply the built-in
-       gates cannot be made for)
+       output path, a tstop or dt that is not positive and finite, a
+       nonpositive vdd, a supply the built-in gates cannot be made for)
     3  netlist parse/validation error
     4  solver convergence failure
     5  measurement error
@@ -15,6 +15,7 @@ Exit codes partition the failure classes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import adders, bench, charts, devices, measure, netlist, solver
@@ -41,11 +42,16 @@ def _emit(out: str, text: str) -> None:
             fh.write(text)
 
 
+def _positive_finite(x: float) -> bool:
+    """False for NaN and infinity, which a bare `x > 0` test lets through."""
+    return math.isfinite(x) and x > 0
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.tstop <= 0:
-        return _fail(EXIT_USAGE, f"tstop must be positive, got {args.tstop:g}")
-    if args.dt is not None and args.dt <= 0:
-        return _fail(EXIT_USAGE, f"dt must be positive, got {args.dt:g}")
+    if not _positive_finite(args.tstop):
+        return _fail(EXIT_USAGE, f"tstop must be positive and finite, got {args.tstop:g}")
+    if args.dt is not None and not _positive_finite(args.dt):
+        return _fail(EXIT_USAGE, f"dt must be positive and finite, got {args.dt:g}")
     try:
         with open(args.netlist, encoding="utf-8") as fh:
             text = fh.read()

@@ -195,20 +195,20 @@ class Circuit:
 
         Only that waveform changes, so the copy shares this circuit's
         topology slot: an analysis of either reuses the other's compile.
-        Both copies are shallow, so neither re-runs validation that the
-        originals passed.  Raises KeyError when `name` is no element or
-        not a source.
+        Every copy is shallow (the circuit, the source and its waveform),
+        so none re-runs validation that the originals passed.  Raises
+        KeyError when `name` is no element or not a source.
         """
-        for k, el in enumerate(self.elements):
+        elements = list(self.elements)
+        for k, el in enumerate(elements):
             if el.name == name:
                 break
         else:
             raise KeyError(name)
         if el.kind is not ElementKind.VSOURCE:
             raise KeyError(f"{name!r} is not a source")
-        source = _shallow_copy(el, waveform=SourceWaveform("dc", level=volts))
-        elements = (*self.elements[:k], source, *self.elements[k + 1:])
-        return _shallow_copy(self, elements=elements)
+        elements[k] = _shallow_copy(el, waveform=_shallow_copy(_DC_ZERO, level=volts))
+        return _shallow_copy(self, elements=tuple(elements))
 
 
 def _shallow_copy(obj, **changes):
@@ -217,6 +217,11 @@ def _shallow_copy(obj, **changes):
     new = object.__new__(type(obj))
     new.__dict__.update(obj.__dict__, **changes)
     return new
+
+
+# with_dc_source's waveforms are copies of this one with their level set;
+# a DC waveform has nothing to validate.
+_DC_ZERO = SourceWaveform("dc")
 
 
 # --- value and model-card parsing -------------------------------------------

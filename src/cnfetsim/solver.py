@@ -165,8 +165,9 @@ class SolverConfig:
     timestep_control: bool = False
 
     def __post_init__(self) -> None:
-        if self.timestep <= 0:
-            raise ValueError("SolverConfig.timestep must be positive")
+        if not (math.isfinite(self.timestep) and self.timestep > 0):
+            raise ValueError(
+                f"SolverConfig.timestep must be positive and finite, got {self.timestep}")
 
 
 @dataclass
@@ -249,6 +250,11 @@ class _Compiled:
 
         self.size = self.n_nodes + len(self.sources)
         self.current_names = [f"i({name})" for name, _, _ in self.sources]
+        # What the DC wrapper reads: a solution's names in row order, and
+        # the zeros that pad node rows or branch rows out to size + 1.
+        self.solution_names = self.node_names + self.current_names
+        self.node_zeros = [0.0] * self.n_nodes
+        self.branch_zeros = [0.0] * (len(self.sources) + 1)
         self.has_devices = bool(self.devices)
         self._build_arrays()
         # DC systems by charge rows; see dc_system.
@@ -275,6 +281,9 @@ class _Compiled:
         self.cap_i = self.rc_i[self.n_res:]
         self.cap_j = self.rc_j[self.n_res:]
         self.cap_c = np.array([c for _, _, c in self.capacitors])
+        # Each capacitor's two ends as bins of the padded vector, i ends
+        # first, for step_const's one np.bincount.
+        self.cap_bins = np.concatenate((self.cap_i, self.cap_j)) % (self.size + 1)
         self.n_src = len(self.sources)
         self.n_branch = self.n_rc + self.n_src
         # A DC solve's companions: capacitors open, no history; read-only.
@@ -284,18 +293,24 @@ class _Compiled:
             a.flags.writeable = False
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
-        # row (d, g, s), then source row (s, d, g) of the padded Jacobian,
-        # and the drain current into d then out of s.  The kernel's four
+        # row (d, g, s), then source row (s, d, g) of the Jacobian, and
+        # the drain current into d then out of s.  The kernel's four
         # values per device (gds, gm, gm + gds, id) expand into those six
         # Jacobian values and two currents by stamp_take and stamp_sign;
-        # a product with -1.0 is an exact negation.
-        w = self.size + 1
+        # a product with -1.0 is an exact negation.  The Jacobian is held
+        # as size + 1 rows of size (see system): a stamp on a ground row or
+        # column lands in the last row's first entry, which nothing reads.
+        size = self.size
+        sink = size * size
+
+        def at(r: int, c: int) -> int:
+            return r * size + c if r >= 0 and c >= 0 else sink
+
         jac_idx: list[int] = []
         dev_rows: list[int] = []
         for d, g, s, *_ in self.devices:
             dev_rows += (d, s)
-            d, g, s = d % w, g % w, s % w
-            jac_idx += (d * w + d, d * w + g, d * w + s, s * w + s, s * w + d, s * w + g)
+            jac_idx += (at(d, d), at(d, g), at(d, s), at(s, s), at(s, d), at(s, g))
         self.dev_jac = np.array(jac_idx, dtype=np.intp)
         self.n_jac = len(jac_idx)
         self.dev_rows = np.array(dev_rows, dtype=np.intp)
@@ -326,6 +341,20 @@ class _Compiled:
         history current."""
         return np.concatenate((self.res_g, geq)), hist
 
+    def step_const(self, src_vals: np.ndarray, hist: np.ndarray) -> np.ndarray:
+        """A transient step's padded constant vector: -level in each source
+        row, and each capacitor's history current `hist` into its i end and
+        out of its j end.  One bincount sums every bin in capacitor order,
+        i ends first, as np.add.at then np.subtract.at would, and x - h is
+        x + (-h) bit for bit."""
+        if self.n_cap:
+            const = np.bincount(self.cap_bins, weights=np.concatenate((hist, -hist)),
+                                minlength=self.size + 1)
+        else:  # np.bincount of no entries is an integer array
+            const = np.zeros(self.size + 1)
+        const[self.n_nodes: self.size] = -src_vals
+        return const
+
     def base_matrix(self, cap_geq: float | None) -> np.ndarray:
         """Constant part of the Jacobian: resistors, GMIN, sources, companions.
 
@@ -351,13 +380,18 @@ class _Compiled:
         return g
 
     def system(self, base: np.ndarray, charge_rows: Sequence[int] = ()) -> tuple[np.ndarray, ...]:
-        """What a _Newton solves against: (base, core, tol_base, rel).
+        """What a _Newton solves against: (jac_base, core, tol_base, rel).
 
-        `base` is a padded base matrix with `charge_rows` stamped, and core
-        its view without the ground row and column.  Row r's tolerance is
-        tol_base[r] + rel[r] * scale[r]: ABSTOL + RELTOL * scale on a KCL
-        row, and VTOL on a source row or a charge row, whose rel is 0.
-        Every array is made read-only (_Newton._jacobian copies the base).
+        `base` is a padded base matrix with `charge_rows` stamped.  core is
+        its part without the ground row and column, and jac_base is core
+        with one more row of zeros: the sink that device stamps to ground
+        land in (see _build_arrays).  core is jac_base's first size rows,
+        so it and every Jacobian made from jac_base are contiguous, which
+        the linear solve's row scaling reads faster than a strided view.
+        Row r's tolerance is tol_base[r] + rel[r] * scale[r]: ABSTOL +
+        RELTOL * scale on a KCL row, and VTOL on a source row or a charge
+        row, whose rel is 0.  Every array is made read-only
+        (_Newton._jacobian copies jac_base).
         """
         nn = self.n_nodes
         tol_base = np.full(self.size, VTOL)
@@ -368,7 +402,9 @@ class _Compiled:
             rows = list(charge_rows)
             tol_base[rows] = VTOL
             rel[rows] = 0.0
-        parts = (base, base[: self.size, : self.size], tol_base, rel)
+        jac_base = np.zeros((self.size + 1, self.size))
+        jac_base[: self.size] = base[: self.size, : self.size]
+        parts = (jac_base, jac_base[: self.size], tol_base, rel)
         for a in parts:
             a.flags.writeable = False
         return parts
@@ -418,7 +454,7 @@ def _stamp_layout(n_dev: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row-equilibrated dense LU solve.
+    """Row-equilibrated dense LU solve of jac @ dx = rhs.
 
     MNA rows span ~10 decades (gmin-only nodes against capacitor
     companions), which costs a naive LU six digits and leaves Newton
@@ -429,9 +465,16 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     below 2.4e-16 (2.3e-16 with a round of iterative refinement), and
     refinement moved reported power by at most 1.6e-14 relative and the
     worst delay by at most 6e-13 on the twelve benchmark cells.
+
+    A row that is all zero makes the matrix singular, so it raises
+    LinAlgError before any scaling, as LAPACK would after it.  Newton
+    solves against its residual f and subtracts the result: LU and the
+    row scaling commute exactly with negation, so x - solve(J, f) is
+    x + solve(J, -f) bit for bit, without negating f.
     """
     r = np.maximum.reduce(np.abs(jac), axis=1)  # ndarray.max without its wrapper
-    r[r == 0.0] = 1.0
+    if 0.0 in r.tolist():  # a list scan: cheaper than a mask test at these sizes
+        raise np.linalg.LinAlgError("Singular matrix")
     a, b = jac / r[:, None], rhs / r
     if _solve1 is None:
         return np.linalg.solve(a, b)
@@ -439,7 +482,7 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # `invalid`, which it turns into LinAlgError.
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _solve1(a, b, signature="dd->d")
+            return _solve1(a, b)  # both float64, so its dd->d loop
     except FloatingPointError as exc:
         raise np.linalg.LinAlgError("Singular matrix") from exc
 
@@ -471,8 +514,8 @@ class _Newton:
         self.base, self.base_core, self.tol_base, self.rel = system
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
-                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None,
+                  currents: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded residual, per-row scale and the device stamps.
 
         `const` and `cap_companion` are as in solve.  The device stamps
@@ -481,22 +524,26 @@ class _Newton:
         _Compiled.dev_rows order.  `stamps` are those already evaluated at
         this x_pad; device stamps depend on x alone, so a caller may carry
         them between solves.  The Jacobian at x_pad is _jacobian(stamps).
+        `currents` is a work array of n_currents + 1 entries whose last is
+        0.0 (see _Compiled._build_arrays); solve passes one per solve, and
+        every other entry is overwritten here.
         """
         comp = self.comp
         size, rc = comp.size, comp.n_rc
         x = x_pad[:size]
         f = const.copy()
-        f[:size] += self.base_core @ x
+        f_core = f[:size]
+        f_core += self.base_core @ x  # in place through the view: no setitem
 
         # Branch currents (resistors, capacitors, sources) and the device
         # stamps feed the per-row tolerance scale.
-        currents = np.empty(comp.n_currents + 1)
+        if currents is None:
+            currents = np.zeros(comp.n_currents + 1)
         if rc:
             g, hist = cap_companion
             currents[:rc] = g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
             currents[comp.n_res: rc] += hist
         currents[rc: comp.n_branch] = x[comp.n_nodes:]
-        currents[-1] = 0.0
 
         if comp.has_devices:
             if stamps is None:
@@ -509,11 +556,13 @@ class _Newton:
         return f, scale, stamps
 
     def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
-        """Padded Jacobian: the base matrix plus the device stamps."""
+        """The Jacobian, size by size and contiguous: the base matrix plus
+        the device stamps, those to ground summed into the sink row."""
+        comp = self.comp
         jac = self.base.copy()
-        if self.comp.has_devices:
-            np.add.at(jac.ravel(), self.comp.dev_jac, stamps[: self.comp.n_jac])
-        return jac
+        if comp.has_devices:
+            np.add.at(jac.ravel(), comp.dev_jac, stamps[: comp.n_jac])
+        return jac[: comp.size]
 
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
         """Per-row tolerance: ABSTOL + RELTOL * scale on a KCL row, where
@@ -521,8 +570,11 @@ class _Newton:
         return self.tol_base + self.rel * scale
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
-        """Every row within its tolerance; a NaN in any row fails."""
-        return bool((np.abs(f[: self.comp.size]) <= self._tolerance(scale)).all())
+        """Every row within its tolerance; a NaN in any row fails, since
+        nan <= tol is False.  A scan of the list is cheaper at these sizes
+        than any NumPy reduction (ndarray.all or np.count_nonzero)."""
+        within = np.abs(f[: self.comp.size]) <= self.tol_base + self.rel * scale
+        return False not in within.tolist()
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray,
               cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None,
@@ -544,32 +596,37 @@ class _Newton:
         is read at each call.
         """
         limit = MAX_NEWTON_ITERS
-        nn, size = self.comp.n_nodes, self.comp.size
+        comp = self.comp
+        nn, size, clamp = comp.n_nodes, comp.size, comp.has_devices
+        assemble, converged = self._assemble, self._converged
         x_pad = x0_pad.copy()
         x = x_pad[:size]
+        currents = np.empty(comp.n_currents + 1)
+        currents[-1] = 0.0
         for it in range(limit + 1):
-            f, scale, stamps = self._assemble(
-                x_pad, const, cap_companion, stamps if it == 0 else None
+            f, scale, stamps = assemble(
+                x_pad, const, cap_companion, stamps if it == 0 else None, currents
             )
-            if self._converged(f, scale):
+            if converged(f, scale):
                 return x_pad, it, stamps
             if it == limit:
                 break
             jac = self._jacobian(stamps)
             try:
-                dx = _lin_solve(jac[:size, :size], -f[:size])
+                dx = _lin_solve(jac, f[:size])
             except np.linalg.LinAlgError as exc:
                 raise self._failure(f"singular MNA matrix: {exc}", f, scale, time) from exc
-            if self.comp.has_devices:
+            if clamp:
                 # An inverter output on its vertical transfer segment (both
                 # devices saturated, gmin-only diagonal) legitimately asks
                 # for a kilovolt move; clamping per node lets that node walk
                 # to its region in a few steps without squashing the rest
-                # of the update.
+                # of the update.  The clamp is symmetric, so clamping the
+                # negated update is exact.
                 dv = dx[:nn]
                 np.minimum(dv, MAX_VOLTAGE_STEP, out=dv)
                 np.maximum(dv, -MAX_VOLTAGE_STEP, out=dv)
-            x += dx
+            x -= dx  # dx solves J dx = f, so this is the Newton step
         raise self._failure(f"Newton failed after {limit} iterations", f, scale, time)
 
     def _failure(self, message: str, f: np.ndarray, scale: np.ndarray,
@@ -591,13 +648,6 @@ class _Newton:
         return ConvergenceError(message, float(res[row]), time, node, unit)
 
 
-def _source_const(comp: _Compiled, levels: list[float]) -> np.ndarray:
-    """A DC system's padded constant vector: -level in each source row."""
-    const = np.zeros(comp.size + 1)
-    np.negative(levels, out=const[comp.n_nodes: comp.size])
-    return const
-
-
 def _compiled(circuit: Circuit) -> _Compiled:
     """The circuit's compiled topology, built on first use.
 
@@ -615,22 +665,27 @@ def _waveforms(comp: _Compiled, circuit: Circuit) -> list[SourceWaveform]:
     return [circuit.elements[k].waveform for k in comp.source_pos]  # type: ignore[misc]
 
 
-def _dc_levels(comp: _Compiled, circuit: Circuit) -> list[float]:
-    """The circuit's source levels at t=0, in branch order."""
-    return [wf.value_at(0.0) for wf in _waveforms(comp, circuit)]
+def _dc_const(comp: _Compiled, circuit: Circuit) -> np.ndarray:
+    """A DC system's padded constant vector: -level at t=0 in each source
+    row, read in one pass over the circuit's sources, and 0 elsewhere."""
+    elements = circuit.elements
+    # float() first, so an integer level 0 gives -0.0 as np.negative did
+    levels = [-float(elements[k].waveform.value_at(0.0))  # type: ignore[union-attr]
+              for k in comp.source_pos]
+    return np.array(comp.node_zeros + levels + [0.0])
 
 
-def _solve_dc(comp: _Compiled, levels: list[float], charge_rows: Sequence[int] = (),
+def _solve_dc(comp: _Compiled, const: np.ndarray, charge_rows: Sequence[int] = (),
               x0_pad: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """One Newton solve with the sources at `levels`, from the padded
-    `x0_pad` (zeros if None); returns the padded solution and the
-    iteration count, and a failure raises its ConvergenceError.  Each
-    floating node in `charge_rows` meets its zero-charge equation in
-    place of KCL."""
+    """One Newton solve against the padded source vector `const` (see
+    _dc_const), from the padded `x0_pad` (zeros if None); returns the
+    padded solution and the iteration count, and a failure raises its
+    ConvergenceError.  Each floating node in `charge_rows` meets its
+    zero-charge equation in place of KCL."""
     if x0_pad is None:
         x0_pad = np.zeros(comp.size + 1)
     newton = _Newton(comp, comp.dc_system(tuple(charge_rows)))
-    x, iters, _ = newton.solve(x0_pad, _source_const(comp, levels), comp.dc_companion)
+    x, iters, _ = newton.solve(x0_pad, const, comp.dc_companion)
     return x, iters
 
 
@@ -652,18 +707,17 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     comp = _compiled(circuit)
     x0 = None
     if initial_guess:
-        x0 = np.zeros(comp.size + 1)
         guess = initial_guess.get
-        x0[: comp.n_nodes] = [guess(name, 0.0) for name in comp.node_names]
-    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), x0_pad=x0)
+        x0 = np.array([guess(name, 0.0) for name in comp.node_names] + comp.branch_zeros)
+    x, _ = _solve_dc(comp, _dc_const(comp, circuit), x0_pad=x0)
     return _solution_dict(comp, x)
 
 
 def _solution_dict(comp: _Compiled, x_pad: np.ndarray) -> dict[str, float]:
-    values = x_pad.tolist()
-    out = dict(zip(comp.node_names, values))
+    """Node voltages, ground's 0.0 and the source currents by name; the
+    padding's ground entry has no name, so zip drops it."""
+    out = dict(zip(comp.solution_names, x_pad.tolist()))
     out[GROUND] = 0.0
-    out.update(zip(comp.current_names, values[comp.n_nodes: comp.size]))
     return out
 
 
@@ -731,7 +785,7 @@ def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
             raise IllConditionedDividerError(
                 f"capacitive nodes coupled only to other capacitive nodes: {names}"
             )
-    x, _ = _solve_dc(comp, _dc_levels(comp, circuit), floating)
+    x, _ = _solve_dc(comp, _dc_const(comp, circuit), floating)
     return _solution_dict(comp, x)
 
 
@@ -837,11 +891,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     In both modes every accepted step is a sample, and a step whose Newton
     solve fails raises its ConvergenceError at that step's time.
     """
-    if tstop <= 0:
-        raise ValueError(f"tstop must be positive, got {tstop}")
+    if not (math.isfinite(tstop) and tstop > 0):
+        raise ValueError(f"tstop must be positive and finite, got {tstop}")
     comp = _compiled(circuit)
     waveforms = _waveforms(comp, circuit)
-    levels = _dc_levels(comp, circuit)
+    dc_const = _dc_const(comp, circuit)
     control = cfg.timestep_control
     unit = cfg.timestep / UNITS_PER_TIMESTEP
     sources_at = _source_values(waveforms)
@@ -853,7 +907,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         targets = grid[1:].tolist()
 
     if initial_conditions is None:
-        x_pad, _ = _solve_dc(comp, levels)
+        x_pad, _ = _solve_dc(comp, dc_const)
     else:
         x_pad = np.zeros(comp.size + 1)
         source_rows = {name: comp.n_nodes + b for b, name in enumerate(comp.current_names)}
@@ -869,7 +923,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             if idx >= 0:
                 x_pad[idx] = float(v)
         if not have_currents:
-            _settle_source_currents(comp, levels, x_pad)
+            _settle_source_currents(comp, dc_const, x_pad)
 
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
@@ -885,10 +939,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             hist = -geq * cap_v
         else:
             hist = -geq * cap_v - cap_i_state
-        const = np.zeros(comp.size + 1)
-        const[comp.n_nodes: comp.size] = -src_vals
-        np.add.at(const, comp.cap_i, hist)
-        np.subtract.at(const, comp.cap_j, hist)
+        const = comp.step_const(src_vals, hist)
         key = (euler, h)
         newton = base_cache.get(key)
         if newton is None:
@@ -979,16 +1030,16 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     )
 
 
-def _settle_source_currents(comp: _Compiled, levels: list[float], x: np.ndarray) -> None:
+def _settle_source_currents(comp: _Compiled, const: np.ndarray, x: np.ndarray) -> None:
     """Back-fill source branch currents for a supplied-IC starting point.
 
     With node voltages fixed and capacitor currents taken as zero at
     t=0, each source current must absorb the static device/resistor
     current at its positive terminal (or negative, if + is ground).
-    `levels` are the sources' t=0 levels and `x` is the padded solution.
+    `const` is _dc_const's vector and `x` the padded solution.
     """
     newton = _Newton(comp, comp.dc_system(()))
-    f, _, _ = newton._assemble(x, _source_const(comp, levels), comp.dc_companion)
+    f, _, _ = newton._assemble(x, const, comp.dc_companion)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
         if p >= 0:

@@ -269,6 +269,65 @@ def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch)
         assert np.array_equal(_lin_solve(jac, rhs), np.linalg.solve(jac / r[:, None], rhs / r))
 
 
+@pytest.mark.parametrize("make", CIRCUITS + [LINEAR_RC])
+@pytest.mark.parametrize("analysis", ["transient", "dc-charge"])
+def test_subtracted_update_equals_added_negated_one(make, analysis):
+    # Newton solves J dx = f and subtracts the clamped dx; the row scaling,
+    # LU and the symmetric clamp all commute with negation, so the new
+    # iterate is x + clamp(solve(J, -f)) bit for bit, signed zeros included.
+    comp, vdd, _, _, newton = _newton_case(make, analysis)
+    size, nn = comp.size, comp.n_nodes
+    rng = np.random.default_rng(1234)
+
+    def clamped(dx):
+        if comp.has_devices:
+            np.minimum(dx[:nn], solver.MAX_VOLTAGE_STEP, out=dx[:nn])
+            np.maximum(dx[:nn], -solver.MAX_VOLTAGE_STEP, out=dx[:nn])
+        return dx
+
+    for _ in range(4):
+        x, const, companion = _random_state(comp, vdd, rng)
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
+        jac = newton._jacobian(stamps)[:size, :size]
+        new = x - clamped(_lin_solve(jac, f[:size]))
+        old = x + clamped(_lin_solve(jac, -f[:size]))
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+@pytest.mark.parametrize("gufunc", [True, False], ids=["gufunc", "fallback"])
+def test_all_zero_row_is_singular(gufunc, monkeypatch):
+    # A row with no entry is singular whatever the rest; _lin_solve says so
+    # before scaling, with the error LAPACK gives on any singular matrix.
+    if not gufunc:
+        monkeypatch.setattr(solver, "_solve1", None)
+    jac = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _lin_solve(jac, np.ones(3))
+    # A matrix singular without a zero row still raises through LAPACK.
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _lin_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+
+def test_step_const_equals_add_at_construction():
+    # One np.bincount over both capacitor ends sums each bin in the order
+    # np.add.at over the i ends then np.subtract.at over the j ends did.
+    comp = _Compiled(_testbench(adders.AdderKind.PROPOSED, 0.9))
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        hist = rng.normal(0.0, 1e-6, comp.n_cap)
+        hist[::5] = 0.0
+        hist[1::7] = -0.0
+        src_vals = rng.uniform(0.0, 0.9, comp.n_src)
+        ref = np.zeros(comp.size + 1)
+        ref[comp.n_nodes: comp.size] = -src_vals
+        np.add.at(ref, comp.cap_i, hist)
+        np.subtract.at(ref, comp.cap_j, hist)
+        got = comp.step_const(src_vals, hist)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_drain_current_equals_three_stage_kernel():
     # One batch call, one device per grid point, each on its own three
     # nodes (drain, gate, source at ground); the values must match the

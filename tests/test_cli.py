@@ -98,6 +98,19 @@ class TestSimulate:
         assert cli.main(["simulate", rc_path, "--tstop", "1e-12", "--dt", "0"]) == cli.EXIT_USAGE
         assert "dt must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--tstop", "1e-12", "--dt", "nan"],
+                                       ["--tstop", "1e-12", "--dt", "inf"],
+                                       ["--tstop", "nan"], ["--tstop", "inf"]],
+                             ids=["dt-nan", "dt-inf", "tstop-nan", "tstop-inf"])
+    def test_nonfinite_time_is_usage_error(self, rc_path, capsys, flags):
+        # NaN passes a bare `<= 0` test, and --dt inf ran one step of tstop.
+        assert cli.main(["simulate", rc_path, *flags]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: ")
+        assert "must be positive and finite" in lines[0]
+        assert captured.out == ""
+
     def test_transient_nonconvergence_exits_4_naming_node_and_time(self, tmp_path, capsys,
                                                                    monkeypatch):
         # The starting DC point takes four iterations, so it keeps the

@@ -184,6 +184,10 @@ class TestDcOperatingPoint:
             f[:] = 0.0
             f[row] = math.nan
             assert not newton._converged(f, scale), row
+        # A NaN scale makes a KCL row's tolerance NaN, which fails too.
+        f[:] = 0.0
+        scale[comp.node_index["out"]] = math.nan
+        assert not newton._converged(f, scale)
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
         charge = _Newton(comp, comp.system(comp.base_matrix(None), [x]))
@@ -333,19 +337,21 @@ class TestSharedCompile:
 
 class TestLinearOneIteration:
     def test_dc_linear_single_solve(self):
-        from cnfetsim.solver import _Compiled, _solve_dc
-        comp = _Compiled(parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b 0 1k\n"))
-        _, iters = _solve_dc(comp, [0.9])
+        from cnfetsim.solver import _Compiled, _dc_const, _solve_dc
+        c = parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b 0 1k\n")
+        comp = _Compiled(c)
+        _, iters = _solve_dc(comp, _dc_const(comp, c))
         assert iters == 1
 
     def test_transient_linear_single_solve_per_step(self):
-        from cnfetsim.solver import _Compiled, _Newton, _source_const
+        from cnfetsim.solver import _Compiled, _Newton, _dc_const
         import numpy as np
         cfg = SolverConfig(timestep=1e-14)
-        comp = _Compiled(parse("v1 a 0 dc 0.9\nr1 a b 1k\nc1 b 0 1f\n"))
+        c = parse("v1 a 0 dc 0.9\nr1 a b 1k\nc1 b 0 1f\n")
+        comp = _Compiled(c)
         base = comp.base_matrix(2.0 / cfg.timestep)
         nt = _Newton(comp, comp.system(base))
-        const = _source_const(comp, [0.9])
+        const = _dc_const(comp, c)
         geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size + 1)
@@ -461,6 +467,17 @@ class TestTransient:
         c = parse("r1 a 0 1k\nv1 a 0 dc 1\n")
         with pytest.raises(ValueError):
             transient(c, SolverConfig(timestep=1e-13), 0.0)
+
+    @pytest.mark.parametrize("tstop", [math.nan, math.inf, -math.inf])
+    def test_tstop_must_be_finite(self, tstop):
+        c = parse("r1 a 0 1k\nv1 a 0 dc 1\n")
+        with pytest.raises(ValueError, match="positive and finite"):
+            transient(c, SolverConfig(timestep=1e-13), tstop)
+
+    @pytest.mark.parametrize("timestep", [0.0, -1e-13, math.nan, math.inf])
+    def test_timestep_must_be_positive_and_finite(self, timestep):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(timestep=timestep)
 
     def test_pwl_step_drives_rc(self):
         c = parse("v1 in 0 pwl(0 0 1p 0 1.01p 0.9)\nr1 in out 1k\nc1 out 0 1f\n")
