@@ -29,24 +29,33 @@ solve fails ends the run with a ConvergenceError at that step's time.
 The linear solve is one row-equilibrated dense LU with partial pivoting
 per Newton iterate; benchmark circuits stay under a hundred nodes, so
 sparse machinery would be dead weight.  An iterate assembles the
-residual and per-row scale, tests every row against its tolerance in one
-vector expression (see _Compiled.system), and builds the Jacobian only
-when that fails and a solve follows, so the converged iterate that ends
-every solve builds none.
+residual f and per-row scale, tests every row against its tolerance in
+one vector comparison (see _Compiled.system), and builds the Jacobian J
+only when that fails and a solve follows, so the converged iterate that
+ends every solve builds none.  The solve is of J dx = f, and the iterate
+subtracts the clamped dx: negation commutes exactly with the row scaling,
+the LU and the symmetric clamp, so this is the textbook x + solve(J, -f)
+bit for bit without negating f.  A Jacobian row that is all zero raises
+LinAlgError before any scaling (see _lin_solve).  At these sizes each
+NumPy call costs more than its arithmetic, so an iterate makes as few as
+it can: a solve allocates its current work vector once, the convergence
+test scans a list rather than reducing, and every Jacobian is contiguous.
 
 Assembly works on a ground-padded system: the base matrix, residual and
 solution carry one trailing entry whose row and column stand for ground
-(node index -1), so no stamp branches on a grounded terminal.  Each
-Newton iterate evaluates every transistor in one call of the batch
-kernel devices.drain_currents, which returns four values per device;
-one take and one sign multiply expand them into the six Jacobian and two
-current stamps per device.  The Jacobian stamps and the currents each go
-in with one np.add.at, through flat indices built at compile time in
-device-major, stamp-minor order; every entry is therefore summed in the
-order a scalar stamping loop would use, and results match it bit for
-bit.  Resistor and capacitor currents come from one conductance vector
-over both (_Compiled.companion), built once per transient step and once
-per compile for DC, and a circuit with neither skips them.  Device
+(node index -1), so no stamp branches on a grounded terminal; the
+Jacobian keeps only a trailing sink row, which device stamps to ground
+land in (see _Compiled.system).  Each Newton iterate evaluates every
+transistor in one call of the batch kernel devices.drain_currents, which
+returns four values per device; one take and one sign multiply expand
+them into the six Jacobian and two current stamps per device.  The
+Jacobian stamps and the currents each go in with one np.add.at, through
+flat indices built at compile time in device-major, stamp-minor order;
+every entry is therefore summed in the order a scalar stamping loop
+would use, and results match it bit for bit.  Resistor and capacitor
+currents come from one conductance vector over both
+(_Compiled.companion), built once per transient step and once per
+compile for DC, and a circuit with neither skips them.  Device
 stamps depend on x alone, and a fixed step's first iterate is the
 previous step's solution, so the stamps evaluated there are carried
 into the next step instead of being recomputed; a controlled step starts
@@ -263,11 +272,11 @@ class _Compiled:
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
 
-        Every vector and matrix the solver assembles, but the per-row scale,
-        carries one trailing ground entry (row and column for the
-        Jacobian), so a ground index (-1) lands there and needs no branch;
-        the solution's ground entry stays zero and the rest of that
-        padding is never read.
+        Every vector the solver assembles, but the per-row scale, carries
+        one trailing ground entry, so a ground index (-1) lands there and
+        needs no branch; the solution's ground entry stays zero and the
+        rest of that padding is never read.  The Jacobian carries one
+        trailing sink row instead, for the same purpose (see system).
         """
         # Resistors then capacitors: one gather serves both.
         rc_i = [i for i, _, _ in self.resistors + self.capacitors]
@@ -501,8 +510,9 @@ class _Newton:
     an argument of each solve, holds -V(t) in source rows and capacitor
     companion history currents in node rows.  A charge row is a node row
     whose base-matrix row is a zero-charge equation in volts (see
-    _Compiled.stamp_charge_rows), held to VTOL.  Vectors and matrices are
-    ground-padded (see _Compiled._build_arrays).  Making one only stores
+    _Compiled.stamp_charge_rows), held to VTOL.  Vectors are
+    ground-padded and the Jacobian has a sink row (see
+    _Compiled._build_arrays).  Making one only stores
     references, so a DC analysis makes one per solve from its compile's
     cached system.
     """
@@ -573,7 +583,7 @@ class _Newton:
         """Every row within its tolerance; a NaN in any row fails, since
         nan <= tol is False.  A scan of the list is cheaper at these sizes
         than any NumPy reduction (ndarray.all or np.count_nonzero)."""
-        within = np.abs(f[: self.comp.size]) <= self.tol_base + self.rel * scale
+        within = np.abs(f[: self.comp.size]) <= self._tolerance(scale)
         return False not in within.tolist()
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray,
@@ -669,7 +679,7 @@ def _dc_const(comp: _Compiled, circuit: Circuit) -> np.ndarray:
     """A DC system's padded constant vector: -level at t=0 in each source
     row, read in one pass over the circuit's sources, and 0 elsewhere."""
     elements = circuit.elements
-    # float() first, so an integer level 0 gives -0.0 as np.negative did
+    # float() first, so an integer level 0 gives -0.0 as a float one does
     levels = [-float(elements[k].waveform.value_at(0.0))  # type: ignore[union-attr]
               for k in comp.source_pos]
     return np.array(comp.node_zeros + levels + [0.0])
