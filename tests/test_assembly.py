@@ -288,7 +288,7 @@ def test_subtracted_update_equals_added_negated_one(make, analysis):
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
         f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
-        jac = newton._jacobian(stamps)[:size, :size]
+        jac = newton._jacobian(stamps)
         new = x - clamped(_lin_solve(jac, f[:size]))
         old = x + clamped(_lin_solve(jac, -f[:size]))
         assert np.array_equal(new, old)
@@ -304,9 +304,6 @@ def test_all_zero_row_is_singular(gufunc, monkeypatch):
     jac = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         _lin_solve(jac, np.ones(3))
-    # A matrix singular without a zero row still raises through LAPACK.
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        _lin_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
 def test_step_const_equals_add_at_construction():
