@@ -14,6 +14,7 @@ are kept as goldens under tests/goldens.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -249,6 +250,26 @@ def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chi
     return best[3], best[4]
 
 
+@functools.lru_cache(maxsize=64)
+def _threshold_circuits(n_chir: Chirality, p_chir: Chirality) -> tuple[Circuit, Circuit]:
+    """The two circuits measure_switching_threshold solves for one pair:
+    the inverter driven by source vin, and the self-biased inverter.
+
+    Both are built at 0 V and every solve sets its levels with
+    Circuit.with_dc_source, so all supplies share each circuit's one
+    compile and its DC systems.
+    """
+    b = _Builder()
+    b.vdc("vvdd", "vdd", "0", 0.0)
+    b.vdc("vin", "in", "0", 0.0)
+    b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
+    inverter = b.circuit()
+    b = _Builder()
+    b.vdc("vvdd", "vdd", "0", 0.0)
+    b.cnfet_inverter("1", "out", "out", n_chir, p_chir)
+    return inverter, b.circuit()
+
+
 def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float) -> float:
     """Switching threshold: the input level where the output crosses vdd/2.
 
@@ -258,26 +279,21 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
     where they balance.  The output settles there too when the input is
     tied to it: one DC solve of the self-biased inverter (qn out out 0,
     qp out out vdd), in which both devices are saturated and the
-    Jacobian is gm_n + gm_p.
+    Jacobian is gm_n + gm_p.  Each pair's circuits are built once (see
+    _threshold_circuits).
 
     Raises GateSynthesisError unless the output is above vdd/2 at vin = 0
     and below it at vin = vdd.
     """
-    b = _Builder()
-    b.vdc("vvdd", "vdd", "0", vdd)
-    b.vdc("vin", "in", "0", 0.0)
-    b.cnfet_inverter("1", "in", "out", n_chir, p_chir)
-    inverter = b.circuit()
-    high = dc_operating_point(inverter)["out"]
-    low = dc_operating_point(inverter.with_dc_source("vin", vdd))["out"]
+    inverter, self_biased = _threshold_circuits(n_chir, p_chir)
+    at_vdd = inverter.with_dc_source("vvdd", vdd)
+    high = dc_operating_point(at_vdd)["out"]
+    low = dc_operating_point(at_vdd.with_dc_source("vin", vdd))["out"]
     if not (high > vdd / 2 > low):
         raise GateSynthesisError(
             f"inverter ({n_chir}, {p_chir}) does not swing through vdd/2 at vdd={vdd}"
         )
-    b = _Builder()
-    b.vdc("vvdd", "vdd", "0", vdd)
-    b.cnfet_inverter("1", "out", "out", n_chir, p_chir)
-    return dc_operating_point(b.circuit())["out"]
+    return dc_operating_point(self_biased.with_dc_source("vvdd", vdd))["out"]
 
 
 def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circuit:

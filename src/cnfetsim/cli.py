@@ -4,8 +4,8 @@ Exit codes partition the failure classes:
 
     0  success
     2  usage error (bad flags or config, unreadable file, unwritable
-       output path, a tstop or dt that is not positive and finite, a
-       nonpositive vdd, a supply the built-in gates cannot be made for)
+       output path, a tstop, dt or vdd that is not positive and finite,
+       a supply the built-in gates cannot be made for)
     3  netlist parse/validation error
     4  solver convergence failure
     5  measurement error
@@ -52,6 +52,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, f"tstop must be positive and finite, got {args.tstop:g}")
     if args.dt is not None and not _positive_finite(args.dt):
         return _fail(EXIT_USAGE, f"dt must be positive and finite, got {args.dt:g}")
+    if args.vdd is not None and not _positive_finite(args.vdd):
+        return _fail(EXIT_USAGE, f"vdd must be positive and finite, got {args.vdd:g}")
     try:
         with open(args.netlist, encoding="utf-8") as fh:
             text = fh.read()
@@ -105,8 +107,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         vdds = [float(v) for v in args.vdd.split(",")]
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"bad --vdd list: {exc}")
-    if not all(v > 0 for v in vdds):
-        return _fail(EXIT_USAGE, f"--vdd levels must be positive, got {args.vdd}")
+    if not all(_positive_finite(v) for v in vdds):
+        return _fail(EXIT_USAGE, f"--vdd levels must be positive and finite, got {args.vdd}")
     try:
         for vdd in vdds:
             for kind in kinds:

@@ -199,7 +199,7 @@ class Circuit:
         so none re-runs validation that the originals passed.  Raises
         KeyError when `name` is no element or not a source.
         """
-        elements = list(self.elements)
+        elements = self.elements
         for k, el in enumerate(elements):
             if el.name == name:
                 break
@@ -207,15 +207,18 @@ class Circuit:
             raise KeyError(name)
         if el.kind is not ElementKind.VSOURCE:
             raise KeyError(f"{name!r} is not a source")
-        elements[k] = _shallow_copy(el, waveform=_shallow_copy(_DC_ZERO, level=volts))
-        return _shallow_copy(self, elements=tuple(elements))
+        source = _shallow_copy(el, "waveform", _shallow_copy(_DC_ZERO, "level", volts))
+        return _shallow_copy(self, "elements", elements[:k] + (source,) + elements[k + 1:])
 
 
-def _shallow_copy(obj, **changes):
-    """A copy of a frozen dataclass sharing every field but `changes`,
-    made without __init__: a Circuit copy keeps its topology slot."""
+def _shallow_copy(obj, name, value):
+    """A copy of a frozen dataclass sharing every field but `name`, which
+    is `value`, made without __init__: a Circuit copy keeps its topology
+    slot."""
     new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **changes)
+    fields = new.__dict__
+    fields.update(obj.__dict__)
+    fields[name] = value
     return new
 
 

@@ -54,12 +54,16 @@ flat indices built at compile time in device-major, stamp-minor order;
 every entry is therefore summed in the order a scalar stamping loop
 would use, and results match it bit for bit.  Resistor and capacitor
 currents come from one conductance vector over both
-(_Compiled.companion), built once per transient step and once per
-compile for DC, and a circuit with neither skips them.  Device
-stamps depend on x alone, and a fixed step's first iterate is the
-previous step's solution, so the stamps evaluated there are carried
-into the next step instead of being recomputed; a controlled step starts
-from the linear predictor through the last two points.
+(_Compiled.conductances), built once per step length of a transient and
+once per compile for DC, and a circuit with neither skips them.  Device
+stamps depend on the node voltages alone, and a fixed step's first
+iterate is the previous step's solution, so the stamps evaluated there
+are carried into the next step instead of being recomputed; a controlled
+step starts from the linear predictor through the last two points.  A
+DC solve carries them the same way: the compile remembers the stamps at
+its last DC solution (_Compiled.dc_last), and a solve that starts from
+exactly those node voltages, as each point of a warm-started sweep
+does, reuses them for its first iterate.
 
 One run is single-threaded and deterministic.  A circuit's compiled
 topology (_Compiled) is built once, into the circuit's topology slot
@@ -73,13 +77,16 @@ _Newton, which holds its compile: that would make a reference cycle.
 Every other way of making a circuit (parse, flatten, the builders,
 dataclasses.replace) starts an empty slot, so a changed element never
 meets a stale compile.  A compile is not modified once built, except
-that its cache of read-only DC systems grows, so threads may analyse
-related circuits at once: a race only builds something twice, with
-equal results.  The slot pickles empty.
+that its cache of read-only DC systems grows and that it remembers its
+last DC solution's stamps as one tuple, replaced whole and read once
+per solve, so threads may analyse related circuits at once: a race
+only builds something twice, with equal results, or misses a carried
+stamp, which the solve then evaluates.  The slot pickles empty.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Callable, Sequence
@@ -268,6 +275,10 @@ class _Compiled:
         self._build_arrays()
         # DC systems by charge rows; see dc_system.
         self._dc_systems: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        # (node voltages as bytes, read-only device stamps there) at the
+        # last DC solution; see _solve_dc.  Bytes, not values, so that a
+        # start at -0.0 does not take the stamps evaluated at 0.0.
+        self.dc_last: tuple[bytes, np.ndarray | None] = (b"", None)
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
@@ -297,7 +308,7 @@ class _Compiled:
         self.n_branch = self.n_rc + self.n_src
         # A DC solve's companions: capacitors open, no history; read-only.
         no_caps = np.zeros(self.n_cap)
-        self.dc_companion = self.companion(no_caps, no_caps)
+        self.dc_companion = (self.conductances(no_caps), no_caps)
         for a in self.dc_companion:
             a.flags.writeable = False
         # Device stamps, device-major and in the order the scalar loop
@@ -344,13 +355,13 @@ class _Compiled:
         self.scale_start = np.cumsum([0] + [len(row) for row in runs[:-1]],
                                      dtype=np.intp)[: self.size]
 
-    def companion(self, geq: np.ndarray, hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Capacitor companions as _Newton reads them: the conductance of
-        every resistor, then of every capacitor (geq), and each capacitor's
-        history current."""
-        return np.concatenate((self.res_g, geq)), hist
+    def conductances(self, geq: np.ndarray) -> np.ndarray:
+        """The conductance of every resistor, then of every capacitor
+        (geq): the first half of the (conductances, history currents) pair
+        _Newton reads as its capacitor companions."""
+        return np.concatenate((self.res_g, geq))
 
-    def step_const(self, src_vals: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    def step_const(self, src_vals: list[float], hist: np.ndarray) -> np.ndarray:
         """A transient step's padded constant vector: -level in each source
         row, and each capacitor's history current `hist` into its i end and
         out of its j end.  One bincount sums every bin in capacitor order,
@@ -361,7 +372,7 @@ class _Compiled:
                                 minlength=self.size + 1)
         else:  # np.bincount of no entries is an integer array
             const = np.zeros(self.size + 1)
-        const[self.n_nodes: self.size] = -src_vals
+        const[self.n_nodes: self.size] = [-v for v in src_vals]
         return const
 
     def base_matrix(self, cap_geq: float | None) -> np.ndarray:
@@ -487,13 +498,20 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     a, b = jac / r[:, None], rhs / r
     if _solve1 is None:
         return np.linalg.solve(a, b)
-    # np.linalg.solve's own error state: LAPACK's singular flag is
-    # `invalid`, which it turns into LinAlgError.
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _solve1(a, b)  # both float64, so its dd->d loop
+        return _lapack_solve(a, b)
     except FloatingPointError as exc:
         raise np.linalg.LinAlgError("Singular matrix") from exc
+
+
+# np.linalg.solve's own error state: LAPACK's singular flag is `invalid`,
+# which _lin_solve turns into LinAlgError.  One module-level decorator
+# costs less per call than a `with np.errstate(...)` block, which builds
+# its object each time; since NumPy 2.0 the decorator keeps each call's
+# context token to itself, so threads do not share it.
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _solve1(a, b)  # both float64, so its dd->d loop
 
 
 def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
@@ -543,7 +561,10 @@ class _Newton:
         x = x_pad[:size]
         f = const.copy()
         f_core = f[:size]
-        f_core += self.base_core @ x  # in place through the view: no setitem
+        # In place through the view: no setitem.  ndarray.dot makes the
+        # same BLAS matrix-vector product as @, bit for bit, and skips the
+        # matmul gufunc's dispatch, about 1 us of each assemble.
+        f_core += self.base_core.dot(x)
 
         # Branch currents (resistors, capacitors, sources) and the device
         # stamps feed the per-row tolerance scale.
@@ -593,11 +614,10 @@ class _Newton:
 
         Iterations counts linear solves.  `x0_pad` and `const` are
         ground-padded, and x0_pad is not modified; `cap_companion` is
-        _Compiled.companion's pair, the resistor and capacitor
-        conductances and the capacitor history currents, read for the
-        tolerance scale; `stamps`, if given, are the device
-        stamps at x0_pad (the previous solve's third result when x0_pad
-        is its solution).  The Jacobian is built only when a linear
+        the pair of _Compiled.conductances and the capacitor history
+        currents, read for the tolerance scale; `stamps`, if given, are
+        the device stamps at x0_pad (the previous solve's third result
+        when x0_pad is its solution).  The Jacobian is built only when a linear
         solve follows, so a converged iterate builds none.
 
         A nonlinear iterate clamps each node's update to
@@ -688,14 +708,26 @@ def _dc_const(comp: _Compiled, circuit: Circuit) -> np.ndarray:
 def _solve_dc(comp: _Compiled, const: np.ndarray, charge_rows: Sequence[int] = (),
               x0_pad: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """One Newton solve against the padded source vector `const` (see
-    _dc_const), from the padded `x0_pad` (zeros if None); returns the
-    padded solution and the iteration count, and a failure raises its
-    ConvergenceError.  Each floating node in `charge_rows` meets its
-    zero-charge equation in place of KCL."""
+    _dc_const), from the padded `x0_pad` (zeros if None; its ground entry
+    is 0.0); returns the padded solution and the iteration count, and a
+    failure raises its ConvergenceError.  Each floating node in
+    `charge_rows` meets its zero-charge equation in place of KCL.
+
+    Device stamps depend on the node voltages alone, and on no source
+    level or charge row, so a start whose node voltages are, byte for
+    byte, the compile's last DC solution takes the stamps evaluated
+    there (_Compiled.dc_last) for its first iterate."""
     if x0_pad is None:
         x0_pad = np.zeros(comp.size + 1)
+    nn = comp.n_nodes
+    last_nodes, stamps = comp.dc_last
+    if x0_pad[:nn].tobytes() != last_nodes:
+        stamps = None
     newton = _Newton(comp, comp.dc_system(tuple(charge_rows)))
-    x, iters, _ = newton.solve(x0_pad, const, comp.dc_companion)
+    x, iters, stamps = newton.solve(x0_pad, const, comp.dc_companion, stamps=stamps)
+    if stamps is not None:
+        stamps.setflags(write=False)
+    comp.dc_last = (x[:nn].tobytes(), stamps)
     return x, iters
 
 
@@ -824,47 +856,68 @@ def _breakpoints(waveforms: list[SourceWaveform], tstop: float, unit: float) -> 
     return kept[::-1]
 
 
-def _source_values(waveforms: list[SourceWaveform]
-                   ) -> Callable[[float | np.ndarray], np.ndarray]:
-    """Source levels at a time or an array of times, one row per source.
+def _source_values(waveforms: list[SourceWaveform]) -> Callable[[float], list[float]]:
+    """Source levels at time t, one float per source.
 
-    PWL is interpolation with constant extrapolation, which is exactly
-    np.interp, so a level read at one time equals the one read on a grid.
+    PWL is interpolation with constant extrapolation, computed as
+    np.interp computes it, so a level equals np.interp(t, xp, fp) bit for
+    bit.  With j the last corner at or before t, found by bisection (the
+    corner times strictly increase; SourceWaveform checks them), it is
+    fp[0] before the first corner, fp[j] at a corner or past the last one,
+    and (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (t - xp[j]) + fp[j]
+    between corners.
     """
-    table: list[float | tuple[np.ndarray, np.ndarray]] = []
+    table: list[float | tuple[list[float], list[float]]] = []
     for wf in waveforms:
         if wf.kind == "dc":
-            table.append(wf.level)
+            table.append(float(wf.level))
         else:
-            table.append((np.array([t for t, _ in wf.points]), np.array([v for _, v in wf.points])))
+            table.append(([float(t) for t, _ in wf.points], [float(v) for _, v in wf.points]))
 
-    def at(t: float | np.ndarray) -> np.ndarray:
-        out = np.empty((len(table), *np.shape(t)))
-        for b, entry in enumerate(table):
-            out[b] = np.interp(t, *entry) if isinstance(entry, tuple) else entry
-        return out
+    def level(xp: list[float], fp: list[float], t: float) -> float:
+        j = bisect.bisect_right(xp, t) - 1
+        if j < 0:
+            return fp[0]
+        if j == len(xp) - 1 or xp[j] == t:
+            return fp[j]
+        return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (t - xp[j]) + fp[j]
+
+    def at(t: float) -> list[float]:
+        return [entry if isinstance(entry, float) else level(*entry, t) for entry in table]
 
     return at
 
 
-def _lte_ratio(points: list[tuple[float, np.ndarray]], v_floor: np.ndarray) -> float:
-    """Largest trapezoidal truncation-error estimate over its tolerance.
+def _lte_past(points: list[tuple[float, np.ndarray]]) -> tuple:
+    """What _lte_ratio reads of the last three (time, capacitor voltages),
+    newest last: (t0, t1, t2, v2, d12, dd012), the first divided
+    difference over the newest two and the second over all three."""
+    (t0, v0), (t1, v1), (t2, v2) = points
+    d01 = (v1 - v0) / (t1 - t0)
+    d12 = (v2 - v1) / (t2 - t1)
+    return t0, t1, t2, v2, d12, (d12 - d01) / (t2 - t0)
 
-    `points` are the last four (time, capacitor voltages), newest last.
-    The error of the newest step h is h^3 * DD3 / 2, DD3 being the third
+
+def _lte_ratio(past: tuple, t3: float, v3: np.ndarray, v_floor: np.ndarray) -> tuple[float, tuple]:
+    """Largest trapezoidal truncation-error estimate over its tolerance,
+    and the past (see _lte_past) of the next step if this one is accepted.
+
+    `past` holds the last three points, and (t3, v3) is the newest.  The
+    error of the newest step h is h^3 * DD3 / 2, DD3 being the third
     divided difference over the four points (a sixth of the third
     derivative, so this is the trapezoidal rule's h^3/12 times it); each
     capacitor voltage v is held to TRTOL * (RELTOL * max(|v|, v_floor) +
     VTOL), v_floor being CHGTOL / C per capacitor (SPICE2's charge floor).
+    The first and second divided differences ending at the newest point
+    are the next step's, so a step computes one of each.
     """
-    (t0, v0), (t1, v1), (t2, v2), (t3, v3) = points
-    d01 = (v1 - v0) / (t1 - t0)
-    d12 = (v2 - v1) / (t2 - t1)
+    t0, t1, t2, v2, d12, dd012 = past
     d23 = (v3 - v2) / (t3 - t2)
-    dd3 = ((d23 - d12) / (t3 - t1) - (d12 - d01) / (t2 - t0)) / (t3 - t0)
+    dd123 = (d23 - d12) / (t3 - t1)
+    dd3 = (dd123 - dd012) / (t3 - t0)
     err = 0.5 * (t3 - t2) ** 3 * np.abs(dd3)
     tol = TRTOL * (RELTOL * np.maximum(np.abs(v3), v_floor) + VTOL)
-    return float((err / tol).max(initial=0.0))
+    return float((err / tol).max(initial=0.0)), (t1, t2, t3, v3, d23, dd123)
 
 
 def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
@@ -938,26 +991,31 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
 
-    # Companion matrices of ladder lengths are kept; an off-ladder step
-    # (a landing on a breakpoint) builds its own.
-    base_cache: dict[tuple[bool, float], _Newton] = {}
+    # What a step length shares, by (euler, h): its _Newton on the
+    # companion matrix, the capacitor companion conductances geq and the
+    # conductance vector over resistors and capacitors.  Ladder lengths
+    # are kept; an off-ladder step (a landing on a breakpoint) builds its
+    # own.
+    base_cache: dict[tuple[bool, float], tuple[_Newton, np.ndarray, np.ndarray]] = {}
 
     def step(x_in, stamps_in, src_vals, t_new, h, euler, ladder):
-        geq_mult = (1.0 / h) if euler else (2.0 / h)
-        geq = geq_mult * comp.cap_c
+        key = (euler, h)
+        entry = base_cache.get(key)
+        if entry is None:
+            geq_mult = (1.0 / h) if euler else (2.0 / h)
+            geq = geq_mult * comp.cap_c
+            newton = _Newton(comp, comp.system(comp.base_matrix(geq_mult)))
+            entry = (newton, geq, comp.conductances(geq))
+            if ladder:
+                base_cache[key] = entry
+        newton, geq, g = entry
         if euler:
             hist = -geq * cap_v
         else:
             hist = -geq * cap_v - cap_i_state
         const = comp.step_const(src_vals, hist)
-        key = (euler, h)
-        newton = base_cache.get(key)
-        if newton is None:
-            newton = _Newton(comp, comp.system(comp.base_matrix(geq_mult)))
-            if ladder:
-                base_cache[key] = newton
         x_new, iters, stamps_out = newton.solve(
-            x_in, const, comp.companion(geq, hist), time=t_new, stamps=stamps_in
+            x_in, const, (g, hist), time=t_new, stamps=stamps_in
         )
         v_new = x_new[comp.cap_i] - x_new[comp.cap_j]
         return x_new, v_new, geq * v_new + hist, stamps_out, iters
@@ -970,8 +1028,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     t, anchor, n = 0.0, 0.0, 0
     rung, since = TIMESTEP_RUNG, 0  # since: accepted steps since the last breakpoint
     x_prev, h_prev = x_pad, 0.0
-    # The last three (time, capacitor voltages) since the last breakpoint.
+    # The last three (time, capacitor voltages) since the last breakpoint,
+    # and their _lte_past: built when a step first estimates its error,
+    # then rolled forward by each accepted estimate; None until built.
     recent = [(0.0, cap_v)]
+    past = None
     # A step's first Newton iterate is the previous step's solution, so the
     # device stamps evaluated there are carried in rather than recomputed.
     stamps = None
@@ -1004,7 +1065,9 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             )
             newton_iterations += iters
             if control and since >= BREAKPOINT_STEPS:
-                ratio = _lte_ratio([*recent, (t_new, v_new)], v_floor)
+                if past is None:
+                    past = _lte_past(recent)
+                ratio, next_past = _lte_ratio(past, t_new, v_new, v_floor)
                 if ratio > 1.0 and units > 1:
                     lte_rejections += 1
                     drop = math.ceil(math.log2(ratio) / 3)
@@ -1020,12 +1083,13 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             history.append(x_pad[: comp.size])
             if control:
                 recent = [*recent[-2:], (t, cap_v)]
+                past = next_past if since > BREAKPOINT_STEPS else None
             if landed:
                 break
             n += m
         if control:
             anchor, n, since, rung = b, 0, 0, TIMESTEP_RUNG
-            recent = [(b, cap_v)]
+            recent, past = [(b, cap_v)], None
         else:
             n = nb
 

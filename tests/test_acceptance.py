@@ -183,6 +183,35 @@ def test_matrix_stays_within_the_fine_step_reference(bench_runs):
     assert fails == []
 
 
+def test_source_levels_equal_np_interp_at_every_step(bench_runs):
+    # The transient reads each PWL source level with a bisection and
+    # np.interp's own formula; at every accepted step time of the 12
+    # cells, and at every PWL corner, it must equal np.interp bit for bit.
+    config = bench_runs["config"]
+    results, _ = bench_runs["a"]
+    assert len(results) == 12
+    for r in results:
+        sched = adders.InputSchedule(config.transition_time_s, config.hold_time_s,
+                                     config.warmup_periods + config.measure_periods)
+        devices = config.devices()
+        dut = adders.build_adder(r.kind, r.vdd, input_cap=config.unit_capacitance_f,
+                                 devices=devices)
+        tb = adders.build_testbench(dut, r.vdd, config.transition_time_s, config.hold_time_s,
+                                    periods=sched.periods, load_cap=config.load_capacitance_f,
+                                    devices=devices)
+        waveforms = solver._waveforms(solver._compiled(tb), tb)
+        pwl = [b for b, wf in enumerate(waveforms) if wf.kind == "pwl"]
+        assert pwl
+        corners = {t for b in pwl for t, _ in waveforms[b].points}
+        times = np.array(sorted(set(r.result.times.tolist()) | corners))
+        at = solver._source_values(waveforms)
+        got = np.array([at(t) for t in times.tolist()])
+        for b in pwl:
+            xp, fp = (np.array(col) for col in zip(*waveforms[b].points))
+            want = np.interp(times, xp, fp)
+            assert got[:, b].tobytes() == want.tobytes(), (r.kind, r.vdd, b)
+
+
 def test_criterion_8_measurement_units():
     # pure shift returns the shift exactly
     t = np.linspace(0, 100e-12, 4001)

@@ -109,6 +109,27 @@ class TestGateThresholds:
         vm = measure_switching_threshold(n_chir, p_chir, vdd)
         assert repr(vm) == self.PINNED_THRESHOLDS[function, vdd]
 
+    def test_one_compile_per_circuit_across_supplies(self, monkeypatch):
+        # A pair's inverter and self-biased inverter are built once, at 0 V,
+        # and each supply sets its levels on copies sharing their compile;
+        # the result at a supply does not depend on what ran before.
+        built = []
+        init = solver._Compiled.__init__
+
+        def counting(comp, circuit):
+            built.append(circuit)
+            init(comp, circuit)
+
+        monkeypatch.setattr(solver._Compiled, "__init__", counting)
+        n_chir, p_chir = adders.GATE_CHIRALITIES["nand3"]
+        adders._threshold_circuits.cache_clear()
+        first = measure_switching_threshold(n_chir, p_chir, 0.65)
+        measure_switching_threshold(n_chir, p_chir, 0.9)
+        assert len(built) == 2
+        assert measure_switching_threshold(n_chir, p_chir, 0.65) == first
+        assert len(built) == 2
+        assert repr(first) == self.PINNED_THRESHOLDS["nand3", 0.65]
+
     @pytest.mark.parametrize("vdd", [0.65, 0.7, 0.77, 0.85, 0.9])
     def test_threshold_is_the_analytic_balance_point(self, vdd):
         # Equal-strength square-law devices with lambda = 0 balance at

@@ -9,6 +9,8 @@ iterate is checked here too, by its row-wise backward error.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -195,6 +197,12 @@ def _random_state(comp, vdd, rng):
     return x, const, (geq, hist)
 
 
+def _cap_companion(comp, companion):
+    """_Newton's (conductances, history currents) pair for a state's (geq, hist)."""
+    geq, hist = companion
+    return comp.conductances(geq), hist
+
+
 def _newton_case(make, analysis):
     """(comp, vdd, charge rows, cap_geq, newton) for one circuit and analysis.
 
@@ -220,7 +228,7 @@ def test_assemble_equals_scalar_loop(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
+        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
         jac = newton._jacobian(stamps)
         ref_f, ref_jac, ref_scale = _ref_assemble(comp, ref_base, const[: comp.size], companion, x)
         assert np.array_equal(f[: comp.size], ref_f)
@@ -238,7 +246,7 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
         jac = newton._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         dx = _lin_solve(jac, rhs)
@@ -261,7 +269,7 @@ def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
         jac = newton._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         r = np.abs(jac).max(axis=1)
@@ -287,7 +295,7 @@ def test_subtracted_update_equals_added_negated_one(make, analysis):
 
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, comp.companion(*companion))
+        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
         jac = newton._jacobian(stamps)
         new = x - clamped(_lin_solve(jac, f[:size]))
         old = x + clamped(_lin_solve(jac, -f[:size]))
@@ -304,6 +312,63 @@ def test_all_zero_row_is_singular(gufunc, monkeypatch):
     jac = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         _lin_solve(jac, np.ones(3))
+
+
+# Rows in proportion: no zero row, so LAPACK itself finds it singular.
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+REGULAR = np.array([[4.0, 1.0], [1.0, 3.0]])
+
+
+@pytest.mark.parametrize("caller_state", [{}, {"all": "ignore"}, {"all": "warn", "invalid": "raise"}],
+                         ids=["default", "ignore", "warn"])
+def test_lin_solve_leaves_the_error_state_as_it_found_it(caller_state):
+    # LAPACK's singular flag raises only inside _lin_solve; the caller's
+    # floating-point error state is back in force after a solve and after
+    # a singular LinAlgError alike.
+    with np.errstate(**caller_state):
+        before = np.geterr()
+        _lin_solve(REGULAR, np.ones(2))
+        assert np.geterr() == before
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _lin_solve(SINGULAR, np.ones(2))
+        assert np.geterr() == before
+
+
+def test_lin_solve_error_state_is_per_thread():
+    # Two threads solve a singular system while two others solve a regular
+    # one, interleaved with a short switch interval: each gets its own
+    # outcome every time, and no thread's error state moves.
+    want = _lin_solve(REGULAR, np.ones(2))
+    rounds, barrier = 300, threading.Barrier(4)
+    outcomes = {}
+
+    def run(jac, name):
+        before = np.geterr()
+        seen = []
+        barrier.wait()
+        for _ in range(rounds):
+            try:
+                seen.append(np.array_equal(_lin_solve(jac, np.ones(2)), want))
+            except np.linalg.LinAlgError:
+                seen.append("singular")
+            seen.append(np.geterr() == before)
+        outcomes[name] = seen
+
+    threads = [threading.Thread(target=run, args=(jac, (name, k)))
+               for k in range(2) for jac, name in ((SINGULAR, "singular"), (REGULAR, "regular"))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(2):
+        assert outcomes[("singular", k)] == ["singular", True] * rounds
+        assert outcomes[("regular", k)] == [True, True] * rounds
 
 
 def test_step_const_equals_add_at_construction():
@@ -361,7 +426,7 @@ def test_carried_stamps_equal_fresh_evaluation():
     newton = _Newton(comp, comp.system(comp.base_matrix(1.0 / cfg.timestep)))
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
-    companion = comp.companion(comp.cap_c / cfg.timestep, np.zeros(comp.n_cap))
+    companion = (comp.conductances(comp.cap_c / cfg.timestep), np.zeros(comp.n_cap))
     x_new, _, carried = newton.solve(np.append(x, 0.0), const, companion)
     _, _, fresh = newton._assemble(x_new, const, companion)
     assert np.array_equal(carried, fresh)

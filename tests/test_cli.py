@@ -111,6 +111,17 @@ class TestSimulate:
         assert "must be positive and finite" in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("vdd", ["nan", "inf", "-inf", "0", "-0.9"])
+    def test_unusable_vdd_is_usage_error(self, tmp_path, capsys, vdd):
+        p = tmp_path / "r.cir"
+        p.write_text("vvdd vdd 0 dc 0.9\nr1 vdd 0 1k\n")
+        assert cli.main(["simulate", str(p), "--tstop", "1e-12", f"--vdd={vdd}"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: vdd ")
+        assert "must be positive and finite" in lines[0]
+        assert captured.out == ""
+
     def test_transient_nonconvergence_exits_4_naming_node_and_time(self, tmp_path, capsys,
                                                                    monkeypatch):
         # The starting DC point takes four iterations, so it keeps the
@@ -251,6 +262,16 @@ class TestBenchUsage:
     def test_nonpositive_vdd_rejected(self, capsys, vdd):
         assert cli.main(["bench", "--adders", "c-cmos", "--vdd", vdd]) == cli.EXIT_USAGE
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vdd", ["inf", "nan", "0.9,inf", "-inf,0.9"])
+    def test_nonfinite_vdd_rejected(self, capsys, monkeypatch, vdd):
+        # inf passes a bare `> 0` test and reached the solver, which
+        # failed to converge (exit 4); no cell may run.
+        monkeypatch.setattr(bench, "run_matrix", lambda *a: pytest.fail("a cell ran"))
+        assert cli.main(["bench", "--adders", "c-cmos", f"--vdd={vdd}"]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: --vdd ")
+        assert "must be positive and finite" in lines[0]
 
     def test_supply_below_the_gate_floor_rejected(self, capsys):
         # The built-in NAND/NOR gate chiralities need at least 0.62 V.

@@ -21,6 +21,7 @@ from cnfetsim.solver import (
     IllConditionedDividerError,
     SolverConfig,
     dc_operating_point,
+    _lte_past,
     _lte_ratio,
     initialize_floating_nodes,
     transient,
@@ -324,6 +325,86 @@ class TestSharedCompile:
         assert not any(th.is_alive() for th in threads)
         assert [results.get(t) for t in range(4)] == [want] * 4
 
+    @staticmethod
+    def _count_kernel_and_assembles(monkeypatch):
+        """Counters of devices.drain_currents calls and _Newton._assemble calls."""
+        counts = {"kernel": 0, "assemble": 0}
+        kernel, assemble = solver.drain_currents, solver._Newton._assemble
+
+        def counting_kernel(*args):
+            counts["kernel"] += 1
+            return kernel(*args)
+
+        def counting_assemble(*args, **kwargs):
+            counts["assemble"] += 1
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "drain_currents", counting_kernel)
+        monkeypatch.setattr(solver._Newton, "_assemble", counting_assemble)
+        return counts
+
+    def test_warm_sweep_carries_each_points_stamps_to_the_next(self, monkeypatch):
+        # Each point after the first starts at the previous solution, so its
+        # first assemble reuses the stamps evaluated there: 120 of a
+        # 121-point sweep's assembles call no device kernel.
+        counts = self._count_kernel_and_assembles(monkeypatch)
+        c = parse(INVERTER)
+        guess = None
+        for k in range(121):
+            guess = dc_operating_point(c.with_dc_source("vin", 0.9 * k / 120),
+                                       initial_guess=guess)
+        assert counts["assemble"] - counts["kernel"] == 120
+
+    def test_a_start_at_negative_zero_reuses_no_stamps(self, monkeypatch):
+        # The solution at vin = 0 holds node `in` at +0.0.  A start equal to
+        # it converges on the carried stamps with no kernel call; one that
+        # differs only in that zero's sign is another start, and evaluates.
+        c = parse(INVERTER)
+        comp = solver._compiled(c)
+        const = solver._dc_const(comp, c)
+        x, _ = solver._solve_dc(comp, const)
+        k = comp.node_index["in"]
+        assert x[k] == 0.0 and not math.copysign(1.0, x[k]) < 0
+        counts = self._count_kernel_and_assembles(monkeypatch)
+        same, iters = solver._solve_dc(comp, const, x0_pad=x.copy())
+        assert iters == 0 and counts["kernel"] == 0
+        assert np.array_equal(same, x)
+        signed = x.copy()
+        signed[k] = -0.0
+        solver._solve_dc(comp, const, x0_pad=signed)
+        assert counts["kernel"] >= 1
+
+    def test_threads_warm_sweeping_one_compile_get_the_serial_results(self):
+        # Each thread's warm start may meet another thread's last DC
+        # stamps on the shared compile; only a start equal byte for byte
+        # to that solution may take them, so every point equals the serial
+        # sweep's.
+        levels = [0.9 * k / 20 for k in range(21)]
+
+        def sweep(c):
+            out, guess = [], None
+            for v in levels:
+                guess = dc_operating_point(c.with_dc_source("vin", v), initial_guess=guess)
+                out.append(guess)
+            return out
+
+        want = sweep(parse(INVERTER))
+        c = parse(INVERTER)
+        results = {}
+        threads = [threading.Thread(target=lambda t=t: results.__setitem__(t, sweep(c)))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [results.get(t) for t in range(4)] == [want] * 4
+
     def test_replace_with_other_elements_compiles_afresh(self):
         # Same element count and nodes, another resistor value: the copy
         # must not reuse the divider's compile.
@@ -355,7 +436,7 @@ class TestLinearOneIteration:
         geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size + 1)
-        _, iters, _ = nt.solve(x0, const, comp.companion(geq, hist))
+        _, iters, _ = nt.solve(x0, const, (comp.conductances(geq), hist))
         assert iters == 1
 
 
@@ -558,7 +639,7 @@ class TestStepControl:
         h, a = 1e-12, 1e34
         times = [k * h for k in range(4)]
         points = [(t, np.array([v_end + a * (t - times[3]) ** 3])) for t in times]
-        ratio = _lte_ratio(points, CHGTOL / np.array([cap]))
+        ratio, _ = _lte_ratio(_lte_past(points[:3]), *points[3], CHGTOL / np.array([cap]))
         tol = TRTOL * (RELTOL * floor + VTOL)
         assert ratio == pytest.approx(0.5 * h**3 * a / tol, rel=1e-12)
 
