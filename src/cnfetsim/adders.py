@@ -45,14 +45,16 @@ class DeviceParams:
     """Device values every built-in design takes its model cards from.
 
     Field names and units are those of the benchmark config keys, and
-    these defaults are the config's.  Upsized inverters carry a multiple
-    of cnfet_tubes.
+    these defaults are the config's.  They are CnfetParams' and
+    MosfetParams' own, except the benchmark's MOSFETs keep a channel-length
+    modulation of 0.05/V.  Upsized inverters carry a multiple of
+    cnfet_tubes.
     """
 
-    cnfet_tubes: int = 3
-    cnfet_k_per_tube_a_per_v2: float = 1e-4
-    mosfet_k_a_per_v2: float = 4e-4
-    mosfet_vth_v: float = 0.25
+    cnfet_tubes: int = CnfetParams.tube_count
+    cnfet_k_per_tube_a_per_v2: float = CnfetParams.transconductance_per_tube
+    mosfet_k_a_per_v2: float = MosfetParams.transconductance
+    mosfet_vth_v: float = MosfetParams.threshold
     mosfet_lambda_per_v: float = 0.05
 
 

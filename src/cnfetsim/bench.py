@@ -17,14 +17,11 @@ so a report is byte-identical across repeated runs.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 from . import adders, logic, measure, solver
 from .adders import AdderKind, DISPLAY_NAMES, InputSchedule
 from .measure import LogicThresholds, Measurement, Transition
-
-CONFIG_ENV_VAR = "CNFETSIM_BENCH_CONFIG"
 
 REFERENCE_LABEL = "paper (HSPICE, ref model)"
 
@@ -138,13 +135,9 @@ class BenchConfig:
 
 
 def load_config(path: str | None = None) -> BenchConfig:
-    """BenchConfig() with the keys of a JSON file overriding its defaults.
-
-    The file is `path`, else the one CNFETSIM_BENCH_CONFIG names; with
-    neither, the defaults.  An unknown key raises TypeError.
+    """BenchConfig() with the keys of the JSON file `path` overriding its
+    defaults; with no path, the defaults.  An unknown key raises TypeError.
     """
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         return BenchConfig()
     with open(path, encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import adders, bench, charts, devices, measure, netlist, solver
@@ -92,6 +93,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    all_formats = args.format == "all"
+    if all_formats and args.out == "-":
+        return _fail(EXIT_USAGE, "--format all writes several files; give --out DIR")
     try:
         config = bench.load_config(args.config)
     except (OSError, ValueError, TypeError) as exc:
@@ -121,7 +125,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except measure.MissingTransitionError as exc:
         return _fail(EXIT_MEASUREMENT, str(exc))
     try:
-        _emit(args.out, bench.FORMATTERS[args.format](results, config))
+        if all_formats:
+            os.makedirs(args.out, exist_ok=True)
+            for name, formatter in bench.FORMATTERS.items():
+                _emit(os.path.join(args.out, f"report.{name}"), formatter(results, config))
+            charts.write_charts(results, args.out)
+        else:
+            _emit(args.out, bench.FORMATTERS[args.format](results, config))
         if args.charts:
             charts.write_charts(results, args.charts)
     except OSError as exc:
@@ -195,13 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--adders", default=",".join(k.value for k in adders.BENCH_ORDER),
                          help="comma list of adder kinds")
     p_bench.add_argument("--vdd", default="0.9,0.65", help="comma list of supply voltages")
-    p_bench.add_argument("--format", choices=sorted(bench.FORMATTERS), default="md")
+    p_bench.add_argument("--format", choices=[*sorted(bench.FORMATTERS), "all"], default="md",
+                         help="report format; 'all' writes report.md, report.csv, "
+                              "report.json and the charts into the directory --out")
     p_bench.add_argument("--charts", default=None, metavar="DIR",
                          help="also write <metric>_<vdd>.svg/.csv chart data here")
-    p_bench.add_argument("--out", default="-", help="report path, '-' for stdout")
+    p_bench.add_argument("--out", default="-",
+                         help="report path, '-' for stdout; a directory for --format all")
     p_bench.add_argument("--config", default=None,
-                         help="benchmark config JSON whose keys override the defaults "
-                              f"(default: env {bench.CONFIG_ENV_VAR}, else none)")
+                         help="benchmark config JSON whose keys override the defaults")
     p_bench.set_defaults(func=cmd_bench)
 
     p_dev = sub.add_parser("device", help="chirality/threshold calculator")

@@ -162,8 +162,8 @@ class MosfetParams:
     """Reference bulk-MOSFET parameters for the non-CNFET adder designs."""
 
     polarity: Polarity
-    threshold: float
-    transconductance: float
+    threshold: float = 0.25
+    transconductance: float = 4e-4
     channel_length_modulation: float = 0.0
 
     def __post_init__(self) -> None:
@@ -226,13 +226,3 @@ def square_law(p: CnfetParams | MosfetParams) -> tuple[float, float, float]:
     if isinstance(p, CnfetParams):
         return p.transconductance, p.threshold, 0.0
     return p.transconductance, p.threshold, p.channel_length_modulation
-
-
-def drain_current(p: CnfetParams | MosfetParams, vgs: float, vds: float
-                  ) -> tuple[float, float, float]:
-    """(id, dId/dvgs, dId/dvds); id is negative for a conducting P device."""
-    # Drain, gate and source on nodes 0, 1 and 2, the source at 0 V; a
-    # voltage minus 0.0 is that voltage, so the kernel sees vgs and vds.
-    device = (0, 1, 2, p.polarity is Polarity.P, *square_law(p))
-    gds, gm, _, i = drain_currents([device], [vds, vgs, 0.0])
-    return i, gm, gds

@@ -70,21 +70,6 @@ class SourceWaveform:
             if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
                 raise ValueError("pwl breakpoint times must be strictly increasing")
 
-    def value_at(self, t: float) -> float:
-        """Linear interpolation between breakpoints, constant beyond the ends."""
-        if self.kind == "dc":
-            return self.level
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        # Few breakpoints in practice; linear scan is fine.
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        raise AssertionError("unreachable")
-
 
 @dataclass(frozen=True)
 class Element:
@@ -273,6 +258,12 @@ def _parse_model_params(tokens: list[str], line: int) -> dict[str, str]:
     return params
 
 
+def _given_values(raw: dict[str, str], fields: dict[str, str], line: int) -> dict[str, float]:
+    """{field: value} for each card key in `fields` ({key: field}) that the
+    card gives; a key it leaves out keeps the params class default."""
+    return {field: parse_value(raw[key], line) for key, field in fields.items() if key in raw}
+
+
 def _build_model(name: str, mtype: str, raw: dict[str, str], line: int) -> ModelCard:
     try:
         if mtype == "cnfet":
@@ -284,19 +275,17 @@ def _build_model(name: str, mtype: str, raw: dict[str, str], line: int) -> Model
                 chir = Chirality(int(n_str), int(m_str))
             except (ValueError, DeviceError) as exc:
                 raise NetlistError("bad-value", f"bad chirality {ch!r}: {exc}", line) from exc
-            params = CnfetParams(
-                chirality=chir,
-                polarity=Polarity(raw.get("polarity", "n")),
-                tube_count=int(raw.get("tubes", "3")),
-                transconductance_per_tube=parse_value(raw.get("k", "1e-4"), line),
-                lattice_constant=parse_value(raw.get("a", "0.249"), line),
-            )
+            given = _given_values(raw, {"k": "transconductance_per_tube",
+                                        "a": "lattice_constant"}, line)
+            if "tubes" in raw:
+                given["tube_count"] = int(raw["tubes"])
+            params = CnfetParams(chirality=chir, polarity=Polarity(raw.get("polarity", "n")),
+                                 **given)
         elif mtype == "mosfet":
             params = MosfetParams(
                 polarity=Polarity(raw.get("polarity", "n")),
-                threshold=parse_value(raw.get("vth", "0.25"), line),
-                transconductance=parse_value(raw.get("k", "4e-4"), line),
-                channel_length_modulation=parse_value(raw.get("lambda", "0"), line),
+                **_given_values(raw, {"vth": "threshold", "k": "transconductance",
+                                      "lambda": "channel_length_modulation"}, line),
             )
         else:
             raise NetlistError("unknown-model", f"unknown model type {mtype!r}", line)

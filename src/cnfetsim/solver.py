@@ -698,10 +698,13 @@ def _waveforms(comp: _Compiled, circuit: Circuit) -> list[SourceWaveform]:
 def _dc_const(comp: _Compiled, circuit: Circuit) -> np.ndarray:
     """A DC system's padded constant vector: -level at t=0 in each source
     row, read in one pass over the circuit's sources, and 0 elsewhere."""
-    elements = circuit.elements
-    # float() first, so an integer level 0 gives -0.0 as a float one does
-    levels = [-float(elements[k].waveform.value_at(0.0))  # type: ignore[union-attr]
-              for k in comp.source_pos]
+    levels = []
+    for k in comp.source_pos:
+        wf = circuit.elements[k].waveform
+        level = (wf.level if wf.kind == "dc"  # type: ignore[union-attr]
+                 else _pwl_level(*_pwl_corners(wf), 0.0))
+        # float() first, so an integer level 0 gives -0.0 as a float one does
+        levels.append(-float(level))
     return np.array(comp.node_zeros + levels + [0.0])
 
 
@@ -856,34 +859,36 @@ def _breakpoints(waveforms: list[SourceWaveform], tstop: float, unit: float) -> 
     return kept[::-1]
 
 
-def _source_values(waveforms: list[SourceWaveform]) -> Callable[[float], list[float]]:
-    """Source levels at time t, one float per source.
+def _pwl_corners(wf: SourceWaveform) -> tuple[list[float], list[float]]:
+    """A PWL waveform's corner times and levels, as floats."""
+    return [float(t) for t, _ in wf.points], [float(v) for _, v in wf.points]
 
-    PWL is interpolation with constant extrapolation, computed as
-    np.interp computes it, so a level equals np.interp(t, xp, fp) bit for
-    bit.  With j the last corner at or before t, found by bisection (the
-    corner times strictly increase; SourceWaveform checks them), it is
-    fp[0] before the first corner, fp[j] at a corner or past the last one,
-    and (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (t - xp[j]) + fp[j]
-    between corners.
+
+def _pwl_level(xp: list[float], fp: list[float], t: float) -> float:
+    """The PWL level at time t: interpolation with constant extrapolation,
+    computed as np.interp computes it, so it equals np.interp(t, xp, fp)
+    bit for bit.
+
+    With j the last corner at or before t, found by bisection (the corner
+    times strictly increase; SourceWaveform checks them), it is fp[0]
+    before the first corner, fp[j] at a corner or past the last one, and
+    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (t - xp[j]) + fp[j] between
+    corners.
     """
-    table: list[float | tuple[list[float], list[float]]] = []
-    for wf in waveforms:
-        if wf.kind == "dc":
-            table.append(float(wf.level))
-        else:
-            table.append(([float(t) for t, _ in wf.points], [float(v) for _, v in wf.points]))
+    j = bisect.bisect_right(xp, t) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == t:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (t - xp[j]) + fp[j]
 
-    def level(xp: list[float], fp: list[float], t: float) -> float:
-        j = bisect.bisect_right(xp, t) - 1
-        if j < 0:
-            return fp[0]
-        if j == len(xp) - 1 or xp[j] == t:
-            return fp[j]
-        return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (t - xp[j]) + fp[j]
+
+def _source_values(waveforms: list[SourceWaveform]) -> Callable[[float], list[float]]:
+    """Source levels at time t, one float per source; PWL ones by _pwl_level."""
+    table = [float(wf.level) if wf.kind == "dc" else _pwl_corners(wf) for wf in waveforms]
 
     def at(t: float) -> list[float]:
-        return [entry if isinstance(entry, float) else level(*entry, t) for entry in table]
+        return [entry if isinstance(entry, float) else _pwl_level(*entry, t) for entry in table]
 
     return at
 

@@ -45,8 +45,7 @@ DEFAULTS = {
 
 
 class TestConfig:
-    def test_default_is_the_dataclass(self, monkeypatch):
-        monkeypatch.delenv(bench.CONFIG_ENV_VAR, raising=False)
+    def test_default_is_the_dataclass(self):
         assert load_config() == BenchConfig()
 
     def test_defaults_match_the_former_json(self):
@@ -72,12 +71,6 @@ class TestConfig:
         cfg = BenchConfig(cnfet_tubes=6, mosfet_vth_v=0.3)
         assert BenchConfig().devices() == adders.DeviceParams()
         assert cfg.devices() == adders.DeviceParams(cnfet_tubes=6, mosfet_vth_v=0.3)
-
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"transition_time_s": 5e-12}))
-        monkeypatch.setenv(bench.CONFIG_ENV_VAR, str(path))
-        assert load_config().transition_time_s == pytest.approx(5e-12)
 
     def test_explicit_path_wins(self, tmp_path):
         path = tmp_path / "cfg.json"

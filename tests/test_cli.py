@@ -1,11 +1,7 @@
 """Command-line interface: outputs, exit-code partitioning."""
 
-import importlib.util
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,32 +301,65 @@ class TestBenchUsage:
         assert "floor" in capsys.readouterr().err
 
 
-def test_run_bench_script_exits_like_the_cli_on_a_verification_failure(tmp_path, monkeypatch,
-                                                                       capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_bench.py"
-    spec = importlib.util.spec_from_file_location("run_bench", path)
-    run_bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_bench)
-    monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: ([], ["a row failed"]))
-    monkeypatch.setattr(charts, "write_charts", lambda results, out_dir: [])
-    monkeypatch.setattr("sys.argv", ["run_bench.py", str(tmp_path)])
-    assert run_bench.main() == cli.EXIT_VERIFICATION
-    assert "a row failed" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def one_cell():
+    """run_matrix's output for one real cell, proposed at 0.9 V."""
+    return bench.run_matrix([adders.AdderKind.PROPOSED], [0.9], bench.BenchConfig())
 
 
-def test_run_bench_script_exits_5_with_one_line_on_a_missed_toggle(tmp_path):
-    # No cell's sum can hold a level for 1.5 phases, so the first cell's
-    # measurement fails; the script must end as `cnfetsim bench` does.
-    root = Path(__file__).resolve().parents[1]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"min_sustain_fraction": 1.5}')
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    env[bench.CONFIG_ENV_VAR] = str(cfg)
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_bench.py"),
-                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == cli.EXIT_MEASUREMENT
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "no sustained transition on output" in lines[0]
+class TestBenchAll:
+    def test_writes_every_report_and_the_charts_as_the_single_formats_do(
+            self, tmp_path, capsys, monkeypatch, one_cell):
+        monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: one_cell)
+        every, single = tmp_path / "every", tmp_path / "single"
+        assert cli.main(["bench", "--format", "all", "--out", str(every)]) == cli.EXIT_OK
+        single.mkdir()
+        for name in bench.FORMATTERS:
+            assert cli.main(["bench", "--format", name, "--out", str(single / f"report.{name}"),
+                             "--charts", str(single)]) == cli.EXIT_OK
+        written = sorted(p.name for p in every.iterdir())
+        assert written == sorted(p.name for p in single.iterdir())
+        assert len(written) == 3 + 6  # 3 metrics at 1 supply, .svg and .csv each
+        for name in written:
+            assert (every / name).read_bytes() == (single / name).read_bytes(), name
+        charts_dir = tmp_path / "charts"
+        for path in charts.write_charts(one_cell[0], str(charts_dir)):
+            assert (every / os.path.basename(path)).read_bytes() == open(path, "rb").read()
+
+    def test_without_out_exits_2_before_any_cell(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        assert cli.main(["bench", "--format", "all"]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "--format all" in lines[0] and "--out DIR" in lines[0]
+
+    def test_out_through_a_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: ([], []))
+        assert cli.main(["bench", "--format", "all",
+                         "--out", str(tmp_path / "a-file" / "bench")]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: cannot write output")
+
+    def test_verification_failure_exits_6_after_writing_the_reports(
+            self, tmp_path, capsys, monkeypatch, one_cell):
+        monkeypatch.setattr(bench, "run_matrix",
+                            lambda kinds, vdds, config: (one_cell[0], ["a row failed"]))
+        assert cli.main(["bench", "--format", "all",
+                         "--out", str(tmp_path)]) == cli.EXIT_VERIFICATION
+        for name in bench.FORMATTERS:
+            assert (tmp_path / f"report.{name}").stat().st_size > 0
+        assert "verification failure: a row failed" in capsys.readouterr().err
+
+    def test_missed_toggle_exits_5_with_one_line_and_no_report(self, tmp_path, capsys):
+        # No cell's sum can hold a level for 1.5 phases, so the first
+        # cell's measurement fails before anything is written.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_sustain_fraction": 1.5}')
+        out = tmp_path / "out"
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9", "--format", "all",
+                         "--out", str(out), "--config", str(cfg)]) == cli.EXIT_MEASUREMENT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and "no sustained transition on output" in lines[0]
+        assert not out.exists()

@@ -15,10 +15,10 @@ from cnfetsim.devices import (
     chirality_for_threshold,
     chirality_threshold,
     diameter,
-    drain_current,
     is_semiconducting,
     threshold_voltage,
 )
+from scalar_device import drain_current
 
 # Frozen with 50-digit decimal arithmetic on a*sqrt(n^2+nm+m^2)/pi.
 D_19_0 = 1.5059240715355137

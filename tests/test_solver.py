@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from cnfetsim.devices import drain_current
 from cnfetsim import solver
 from cnfetsim.netlist import parse
 from cnfetsim.solver import (
@@ -26,6 +25,7 @@ from cnfetsim.solver import (
     initialize_floating_nodes,
     transient,
 )
+from scalar_device import drain_current
 
 CNFET_MODELS = """\
 .model n19 cnfet polarity=n chirality=19,0 tubes=3 k=1e-4
