@@ -20,6 +20,8 @@ from enum import Enum
 
 from . import logic
 from .devices import (
+    ZIGZAG_SEARCH_MAX_N,
+    ZIGZAG_SEARCH_MIN_N,
     Chirality,
     CnfetParams,
     MosfetParams,
@@ -212,7 +214,14 @@ def predicted_switching_threshold(vdd: float, vtn: float, vtp: float) -> float:
 
 
 def _semiconducting_zigzags() -> list[Chirality]:
-    return [Chirality(n, 0) for n in range(4, 61) if is_semiconducting(Chirality(n, 0))]
+    ladder = (Chirality(n, 0) for n in range(ZIGZAG_SEARCH_MIN_N, ZIGZAG_SEARCH_MAX_N + 1))
+    return [c for c in ladder if is_semiconducting(c)]
+
+
+def _band_margin(vdd: float) -> float:
+    """How far a gate threshold must sit inside its band, and a supply
+    above the NAND/NOR floor: vdd / 30."""
+    return vdd / 30.0
 
 
 def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chirality, Chirality]:
@@ -225,7 +234,7 @@ def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chi
     """
     lo, hi = GATE_BANDS[function]
     lo, hi = lo * vdd, hi * vdd
-    margin = vdd / 30.0
+    margin = _band_margin(vdd)
     target = 0.5 * (lo + hi)
     candidates = _semiconducting_zigzags()
     vth = {c: chirality_threshold(c) for c in candidates}
@@ -554,7 +563,7 @@ def check_operating_point(kind: AdderKind, vdd: float) -> None:
         return
     nand_n, nand_p = _chir("nand3")
     floor = chirality_threshold(nand_n) + chirality_threshold(nand_p)
-    if vdd <= floor + vdd / 30.0:
+    if vdd <= floor + _band_margin(vdd):
         raise GateSynthesisError(
             f"vdd={vdd} V is below the {floor:.3f} V floor of the fixed "
             f"NAND/NOR gate chiralities; rebuild with resynthesized gates"
@@ -583,8 +592,7 @@ class InputSchedule:
 
     Each phase holds its vector for hold_time then ramps over
     transition_time into the next phase, so every single-input
-    transition is exercised in both directions.  Total simulated time is
-    periods * 16 * (transition_time + hold_time).
+    transition is exercised in both directions.  A period is 16 phases.
     """
 
     transition_time: float
@@ -601,8 +609,14 @@ class InputSchedule:
         return (base + list(reversed(base))) * self.periods
 
     @property
+    def period(self) -> float:
+        return 16 * self.phase_length
+
+    @property
     def total_time(self) -> float:
-        return len(self.vectors) * self.phase_length
+        """periods * 16 * (transition_time + hold_time), the same bits as
+        len(vectors) * phase_length without building the vectors."""
+        return self.periods * self.period
 
     def phases(self) -> list[Phase]:
         out = []

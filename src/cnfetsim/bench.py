@@ -17,6 +17,7 @@ so a report is byte-identical across repeated runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from . import adders, logic, measure, solver
@@ -54,6 +55,11 @@ PAPER_REFERENCE: dict[float, dict[str, tuple[str, str, str]]] = {
 }
 
 
+def _finite(value: float) -> bool:
+    """math.isfinite, except that an int of any size is finite."""
+    return isinstance(value, int) or math.isfinite(value)
+
+
 class LogicVerificationError(Exception):
     """A benchmark cell's transient disagreed with the logic oracle."""
 
@@ -80,8 +86,8 @@ class LogicVerificationError(Exception):
 class BenchConfig:
     """Every benchmark parameter, echoed into each report; these are the
     defaults.  The device and capacitance defaults are the `adders` ones.
-    A value out of its range, or a count that is not an integer, raises
-    ValueError."""
+    A value out of its range or not finite, a count that is not an
+    integer, or a stimulus too long to be finite raises ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -109,17 +115,31 @@ class BenchConfig:
         for name in ("transition_time_s", "hold_time_s", "timestep_s", "unit_capacitance_f",
                      "load_capacitance_f", "measure_periods", "cnfet_tubes",
                      "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and _finite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("settle_window_s", "warmup_periods", "min_sustain_fraction",
                      "mosfet_lambda_per_v"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0 and _finite(value)):
+                raise ValueError(f"{name} must be finite and not negative, got {value}")
         for name in ("full_swing_levels", "logic_levels"):
             hi, lo = getattr(self, name)
             if not 0 <= lo < hi <= 1:
                 raise ValueError(f"{name} must be [high, low] fractions of vdd with "
                                  f"0 <= low < high <= 1, got {list(getattr(self, name))}")
+        try:
+            total = self.schedule().total_time
+        except OverflowError:  # an int too large for a float
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError("the stimulus, (warmup_periods + measure_periods) * 16 * "
+                             "(transition_time_s + hold_time_s), must last a finite time")
+
+    def schedule(self) -> InputSchedule:
+        """The stimulus: warmup_periods then measure_periods of it."""
+        return InputSchedule(self.transition_time_s, self.hold_time_s,
+                             self.warmup_periods + self.measure_periods)
 
     def devices(self) -> adders.DeviceParams:
         """The device record built from this config's five device keys."""
@@ -185,15 +205,14 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> 
     the oracle (the row is aborted rather than reported).
     """
     config = config or BenchConfig()
-    periods = config.warmup_periods + config.measure_periods
-    sched = InputSchedule(config.transition_time_s, config.hold_time_s, periods)
+    sched = config.schedule()
     # One record for both builds: the testbench keeps the DUT's model
     # cards where the names match.
     devices = config.devices()
     dut = adders.build_adder(kind, vdd, input_cap=config.unit_capacitance_f, devices=devices)
     tb = adders.build_testbench(
         dut, vdd, config.transition_time_s, config.hold_time_s,
-        periods=periods, load_cap=config.load_capacitance_f, devices=devices,
+        periods=sched.periods, load_cap=config.load_capacitance_f, devices=devices,
     )
     cfg = solver.SolverConfig(timestep=config.timestep_s, timestep_control=True)
     init = solver.initialize_floating_nodes(tb)
@@ -206,9 +225,8 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> 
     if not swing.ok:
         raise LogicVerificationError(DISPLAY_NAMES[kind], vdd, swing)
 
-    one_period = 16 * sched.phase_length
-    t_measure_start = config.warmup_periods * one_period
-    window = (t_measure_start, t_measure_start + config.measure_periods * one_period)
+    t_measure_start = config.warmup_periods * sched.period
+    window = (t_measure_start, t_measure_start + config.measure_periods * sched.period)
     avg_power = measure.average_power(result, "vvdd", vdd, window)
 
     transitions = _measure_delays(result, sched, vdd, config, window)

@@ -132,8 +132,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             charts.write_charts(results, args.out)
         else:
             _emit(args.out, bench.FORMATTERS[args.format](results, config))
-        if args.charts:
-            charts.write_charts(results, args.charts)
     except OSError as exc:
         return _fail(EXIT_USAGE, f"cannot write output: {exc}")
     for err in errors:
@@ -208,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=[*sorted(bench.FORMATTERS), "all"], default="md",
                          help="report format; 'all' writes report.md, report.csv, "
                               "report.json and the charts into the directory --out")
-    p_bench.add_argument("--charts", default=None, metavar="DIR",
-                         help="also write <metric>_<vdd>.svg/.csv chart data here")
     p_bench.add_argument("--out", default="-",
                          help="report path, '-' for stdout; a directory for --format all")
     p_bench.add_argument("--config", default=None,

@@ -94,11 +94,14 @@ def chirality_for_threshold(
     """Semiconducting zigzag (n, 0) whose threshold is nearest target_vth.
 
     Searches n in [4, 60].  Ties break toward smaller n.  Raises
-    UnreachableThresholdError when the best candidate misses by more
-    than `tolerance`.
+    DeviceError unless target_vth is positive and finite and `tolerance`
+    is finite and not negative, and UnreachableThresholdError when the
+    best candidate misses by more than `tolerance`.
     """
-    if target_vth <= 0:
-        raise DeviceError(f"target threshold must be positive, got {target_vth}")
+    if not (math.isfinite(target_vth) and target_vth > 0):
+        raise DeviceError(f"target threshold must be positive and finite, got {target_vth}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DeviceError(f"tolerance must be finite and not negative, got {tolerance}")
     best: Chirality | None = None
     best_err = math.inf
     for n in range(ZIGZAG_SEARCH_MIN_N, ZIGZAG_SEARCH_MAX_N + 1):

@@ -3,85 +3,51 @@
 Unknowns are node voltages plus one branch current per voltage source.
 Nonlinear devices are linearized by Newton-Raphson under one fixed
 policy, the module constants ABSTOL, RELTOL, VTOL, GMIN and
-MAX_NEWTON_ITERS (see there for the convergence test).  A GMIN
-conductance from every node to ground regularizes the matrix
-(capacitive-input gates make nodes that are DC-floating).  A DC
-analysis is one Newton solve from its starting point: a solve that
-fails raises its ConvergenceError, and no gmin is relaxed to rescue it.
-The floating-node initializer is one such DC solve in which each node
-that only capacitors reach holds, in place of its KCL row, its
-zero-charge equation in volts, also to VTOL.
+MAX_NEWTON_ITERS.  A GMIN conductance from every node to ground
+regularizes the matrix (capacitive-input gates make nodes that are
+DC-floating).  A DC analysis is one Newton solve from its starting
+point: a solve that fails raises its ConvergenceError, and no gmin is
+relaxed to rescue it.  The floating-node initializer is one such solve
+in which each node that only capacitors reach holds, in place of its KCL
+row, its zero-charge equation in volts.  Transient integration is
+trapezoidal on capacitor companion models with a backward-Euler first
+step, as in SPICE2 (Nagel, UCB/ERL M520, 1975), fixed-step or
+error-controlled (see transient).
 
-Transient integration is trapezoidal on capacitor companion models, with
-a backward-Euler first step, as in SPICE2 (Nagel, UCB/ERL M520, 1975).
-By default every step is SolverConfig.timestep long.  With
-SolverConfig.timestep_control the step is error-controlled: the local
-truncation error of each capacitor voltage, h^3/12 times its third
-derivative, is estimated from the third divided difference over the
-last four points and held to TRTOL * (RELTOL * max(|v|, CHGTOL / C) +
-VTOL), C being its capacitance and CHGTOL SPICE2's charge floor.  Step
-lengths come from a geometric ladder, timestep/16 * 2**rung up to 64 *
-timestep, so a run is deterministic and builds few companion matrices;
-every PWL corner is a breakpoint that a step lands on, and a
-backward-Euler step follows it.  In both modes a step whose Newton
-solve fails ends the run with a ConvergenceError at that step's time.
+A Newton iterate assembles the residual f and per-row scale and tests
+every row against its tolerance; only when that fails does it build the
+Jacobian J and make one row-equilibrated dense LU solve (_lin_solve).
+Vectors carry one trailing ground entry and the Jacobian one trailing
+sink row, so no stamp branches on a grounded terminal.  Every transistor
+is evaluated in one call of devices.drain_currents, and the stamps go in
+with np.add.at in device-major, stamp-minor order, the order a scalar
+stamping loop would use, so results match it bit for bit.  At these
+sizes a NumPy call costs more than its arithmetic, so an iterate makes
+as few as it can, in their cheapest forms.
 
-The linear solve is one row-equilibrated dense LU with partial pivoting
-per Newton iterate; benchmark circuits stay under a hundred nodes, so
-sparse machinery would be dead weight.  An iterate assembles the
-residual f and per-row scale, tests every row against its tolerance in
-one vector comparison (see _Compiled.system), and builds the Jacobian J
-only when that fails and a solve follows, so the converged iterate that
-ends every solve builds none.  The solve is of J dx = f, and the iterate
-subtracts the clamped dx: negation commutes exactly with the row scaling,
-the LU and the symmetric clamp, so this is the textbook x + solve(J, -f)
-bit for bit without negating f.  A Jacobian row that is all zero raises
-LinAlgError before any scaling (see _lin_solve).  At these sizes each
-NumPy call costs more than its arithmetic, so an iterate makes as few as
-it can: a solve allocates its current work vector once, the convergence
-test scans a list rather than reducing, and every Jacobian is contiguous.
+What solves reuse lives on the circuit's compiled topology (_Compiled),
+built once into the circuit's topology slot (see _compiled) and shared
+with every copy Circuit.with_dc_source makes: no compiled value depends
+on a source level, since each analysis reads the levels from the circuit
+it is given.  A compile changes after it is built in two places only:
 
-Assembly works on a ground-padded system: the base matrix, residual and
-solution carry one trailing entry whose row and column stand for ground
-(node index -1), so no stamp branches on a grounded terminal; the
-Jacobian keeps only a trailing sink row, which device stamps to ground
-land in (see _Compiled.system).  Each Newton iterate evaluates every
-transistor in one call of the batch kernel devices.drain_currents, which
-returns four values per device; one take and one sign multiply expand
-them into the six Jacobian and two current stamps per device.  The
-Jacobian stamps and the currents each go in with one np.add.at, through
-flat indices built at compile time in device-major, stamp-minor order;
-every entry is therefore summed in the order a scalar stamping loop
-would use, and results match it bit for bit.  Resistor and capacitor
-currents come from one conductance vector over both
-(_Compiled.conductances), built once per step length of a transient and
-once per compile for DC, and a circuit with neither skips them.  Device
-stamps depend on the node voltages alone, and a fixed step's first
-iterate is the previous step's solution, so the stamps evaluated there
-are carried into the next step instead of being recomputed; a controlled
-step starts from the linear predictor through the last two points.  A
-DC solve carries them the same way: the compile remembers the stamps at
-its last DC solution (_Compiled.dc_last), and a solve that starts from
-exactly those node voltages, as each point of a warm-started sweep
-does, reuses them for its first iterate.
+- its system cache (_Compiled.system), which builds what a _Newton
+  solves against once per companion multiplier and set of charge rows,
+  for DC and for every transient step length alike;
+- its carried-stamp record (_Compiled.last): the node voltages of the
+  last solution of any solve on the compile, as bytes, and the device
+  stamps evaluated there.  Stamps depend on the node voltages alone, so
+  a solve that starts from exactly those bytes takes them for its first
+  iterate, with the same bits as evaluating them again.
 
-One run is single-threaded and deterministic.  A circuit's compiled
-topology (_Compiled) is built once, into the circuit's topology slot
-(see _compiled), and shared with every copy Circuit.with_dc_source
-makes: such a copy differs only in one source's level, and no compiled
-value depends on a level, since each analysis reads the levels from the
-circuit it is given.  The compile also caches its DC systems (see
-_Compiled.dc_system), so a DC sweep compiles once and its points build
-no matrix and no tolerance vector.  It caches a system's parts, not a
-_Newton, which holds its compile: that would make a reference cycle.
+The cache holds read-only array parts, never a _Newton, which refers to
+its compile and would make a reference cycle.  `last` is one tuple,
+replaced whole and read once per solve, so threads may analyse circuits
+that share a compile: a race only builds a system twice, with equal
+results, or misses a carried stamp, which the solve then evaluates.
 Every other way of making a circuit (parse, flatten, the builders,
 dataclasses.replace) starts an empty slot, so a changed element never
-meets a stale compile.  A compile is not modified once built, except
-that its cache of read-only DC systems grows and that it remembers its
-last DC solution's stamps as one tuple, replaced whole and read once
-per solve, so threads may analyse related circuits at once: a race
-only builds something twice, with equal results, or misses a carried
-stamp, which the solve then evaluates.  The slot pickles empty.
+meets a stale compile; the slot pickles empty.
 """
 
 from __future__ import annotations
@@ -101,8 +67,8 @@ from .netlist import GROUND, Circuit, ElementKind, NetlistError, SourceWaveform
 # residual is at most ABSTOL + RELTOL * (largest current incident on its
 # node) and every source or zero-charge row's at most VTOL; a solve that
 # has not converged after MAX_NEWTON_ITERS linear solves fails.  GMIN
-# (siemens) ties every node to ground in every analysis; it is never
-# relaxed, so a failed solve is not retried.
+# (siemens) ties every node to ground in every analysis and is never
+# relaxed.
 ABSTOL = 1.0e-12
 RELTOL = 1.0e-4
 VTOL = 1.0e-6
@@ -111,24 +77,20 @@ MAX_NEWTON_ITERS = 100
 
 # Newton's per-node update clamp, applied only when nonlinear devices are
 # present (a linear circuit must converge in one full-length step).  Kept
-# at junction scale: larger moves overshoot whole square-law regions and
-# re-randomize the device states every iteration.
+# at junction scale: larger moves overshoot whole square-law regions.
 MAX_VOLTAGE_STEP = 0.3
 
-# Error-controlled transient (SolverConfig.timestep_control).  Time counts
-# in units of timestep / UNITS_PER_TIMESTEP and a step is 2**rung units
-# long, rung 0 to MAX_RUNG (12.8 ps on the benchmark's 0.2 ps timestep),
-# so a run needs few companion matrices.
-UNITS_PER_TIMESTEP = 16
+# Error-controlled transient (SolverConfig.timestep_control).  A step is
+# 2**rung units of timestep / UNITS_PER_TIMESTEP, rung 0 to MAX_RUNG, and
+# rung TIMESTEP_RUNG is one timestep.
 TIMESTEP_RUNG = 4
+UNITS_PER_TIMESTEP = 1 << TIMESTEP_RUNG
 MAX_RUNG = 10
 # SPICE2's multiplier on the truncation-error tolerance.
 TRTOL = 7.0
 # SPICE2's charge floor (coulombs): a capacitor's voltage is held to its
 # truncation-error tolerance relative to max(|v|, CHGTOL / C), so a
-# settled node near 0 V is not held to microvolts.  SPICE's 1e-14 is
-# sized for its reltol of 1e-3; against this solver's 1e-4 it moves
-# delays by 2.5e-2, and 1e-15 by at most 3e-3.
+# settled node near 0 V is not held to microvolts.
 CHGTOL = 1.0e-15
 # Steps of one timestep after each breakpoint, the first backward Euler,
 # before the estimate (which needs four points past the breakpoint) leads.
@@ -173,8 +135,7 @@ class SolverConfig:
     `timestep` is the transient step.  With `timestep_control` it is the
     base of the error-controlled ladder instead (see transient): the step
     taken after each breakpoint, 16 times the shortest step and 1/64 of
-    the longest.  Steps are trapezoidal, with a backward-Euler first
-    step (see transient).
+    the longest.
     """
 
     timestep: float = 1e-12
@@ -227,7 +188,7 @@ class _Compiled:
     It holds no source waveform and no reference to the circuit, so every
     circuit that shares its topology slot (see _compiled) can use it; an
     analysis reads the source levels from the circuit it is given, through
-    source_pos.
+    source_pos.  `last` is the carried-stamp record (see solve).
     """
 
     def __init__(self, circuit: Circuit):
@@ -273,21 +234,19 @@ class _Compiled:
         self.branch_zeros = [0.0] * (len(self.sources) + 1)
         self.has_devices = bool(self.devices)
         self._build_arrays()
-        # DC systems by charge rows; see dc_system.
-        self._dc_systems: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._systems: dict[tuple[float | None, tuple[int, ...]], tuple[np.ndarray, ...]] = {}
         # (node voltages as bytes, read-only device stamps there) at the
-        # last DC solution; see _solve_dc.  Bytes, not values, so that a
-        # start at -0.0 does not take the stamps evaluated at 0.0.
-        self.dc_last: tuple[bytes, np.ndarray | None] = (b"", None)
+        # last solution.  Bytes, not values, so that a start at -0.0 does
+        # not take the stamps evaluated at 0.0.
+        self.last: tuple[bytes, np.ndarray | None] = (b"", None)
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
 
         Every vector the solver assembles, but the per-row scale, carries
         one trailing ground entry, so a ground index (-1) lands there and
-        needs no branch; the solution's ground entry stays zero and the
-        rest of that padding is never read.  The Jacobian carries one
-        trailing sink row instead, for the same purpose (see system).
+        needs no branch; the solution's ground entry stays zero.  The
+        Jacobian carries one trailing sink row instead (see system).
         """
         # Resistors then capacitors: one gather serves both.
         rc_i = [i for i, _, _ in self.resistors + self.capacitors]
@@ -306,20 +265,15 @@ class _Compiled:
         self.cap_bins = np.concatenate((self.cap_i, self.cap_j)) % (self.size + 1)
         self.n_src = len(self.sources)
         self.n_branch = self.n_rc + self.n_src
-        # A DC solve's companions: capacitors open, no history; read-only.
-        no_caps = np.zeros(self.n_cap)
-        self.dc_companion = (self.conductances(no_caps), no_caps)
-        for a in self.dc_companion:
-            a.flags.writeable = False
         # Device stamps, device-major and in the order the scalar loop
         # applied them, so np.add.at sums every entry in that order: drain
         # row (d, g, s), then source row (s, d, g) of the Jacobian, and
         # the drain current into d then out of s.  The kernel's four
         # values per device (gds, gm, gm + gds, id) expand into those six
         # Jacobian values and two currents by stamp_take and stamp_sign;
-        # a product with -1.0 is an exact negation.  The Jacobian is held
-        # as size + 1 rows of size (see system): a stamp on a ground row or
-        # column lands in the last row's first entry, which nothing reads.
+        # a product with -1.0 is an exact negation.  A stamp on a ground
+        # row or column lands in the sink row's first entry (see system),
+        # which nothing reads.
         size = self.size
         sink = size * size
 
@@ -354,12 +308,6 @@ class _Compiled:
         self.scale_take = np.array([b for row in runs for b in row], dtype=np.intp)
         self.scale_start = np.cumsum([0] + [len(row) for row in runs[:-1]],
                                      dtype=np.intp)[: self.size]
-
-    def conductances(self, geq: np.ndarray) -> np.ndarray:
-        """The conductance of every resistor, then of every capacitor
-        (geq): the first half of the (conductances, history currents) pair
-        _Newton reads as its capacitor companions."""
-        return np.concatenate((self.res_g, geq))
 
     def step_const(self, src_vals: list[float], hist: np.ndarray) -> np.ndarray:
         """A transient step's padded constant vector: -level in each source
@@ -399,20 +347,28 @@ class _Compiled:
             g[row, m] -= 1.0
         return g
 
-    def system(self, base: np.ndarray, charge_rows: Sequence[int] = ()) -> tuple[np.ndarray, ...]:
-        """What a _Newton solves against: (jac_base, core, tol_base, rel).
+    def system(self, cap_geq: float | None = None,
+               charge_rows: Sequence[int] = ()) -> tuple[np.ndarray, ...]:
+        """What a _Newton solves against: (jac_base, core, tol_base, rel, g),
+        built once per (cap_geq, charge_rows) and then shared.
 
-        `base` is a padded base matrix with `charge_rows` stamped.  core is
-        its part without the ground row and column, and jac_base is core
+        cap_geq is base_matrix's, and each row in `charge_rows` holds its
+        zero-charge equation (see stamp_charge_rows).  core is that base
+        matrix without the ground row and column, and jac_base is core
         with one more row of zeros: the sink that device stamps to ground
-        land in (see _build_arrays).  core is jac_base's first size rows,
-        so it and every Jacobian made from jac_base are contiguous, which
-        the linear solve's row scaling reads faster than a strided view.
-        Row r's tolerance is tol_base[r] + rel[r] * scale[r]: ABSTOL +
-        RELTOL * scale on a KCL row, and VTOL on a source row or a charge
-        row, whose rel is 0.  Every array is made read-only
-        (_Newton._jacobian copies jac_base).
+        land in.  core is jac_base's first size rows, so it and every
+        Jacobian made from jac_base are contiguous.  Row r's tolerance is
+        tol_base[r] + rel[r] * scale[r]: ABSTOL + RELTOL * scale on a KCL
+        row, and VTOL on a source or charge row, whose rel is 0.  g is the
+        conductance of every resistor, then of every capacitor (cap_geq
+        times its capacitance, 0 at DC).  Every array is read-only.
         """
+        key = (cap_geq, tuple(charge_rows))
+        parts = self._systems.get(key)
+        if parts is not None:
+            return parts
+        base = self.base_matrix(cap_geq)
+        self.stamp_charge_rows(base, key[1])
         nn = self.n_nodes
         tol_base = np.full(self.size, VTOL)
         rel = np.zeros(self.size)
@@ -424,19 +380,12 @@ class _Compiled:
             rel[rows] = 0.0
         jac_base = np.zeros((self.size + 1, self.size))
         jac_base[: self.size] = base[: self.size, : self.size]
-        parts = (jac_base, jac_base[: self.size], tol_base, rel)
+        geq = np.zeros(self.n_cap) if cap_geq is None else cap_geq * self.cap_c
+        parts = (jac_base, jac_base[: self.size], tol_base, rel,
+                 np.concatenate((self.res_g, geq)))
         for a in parts:
             a.flags.writeable = False
-        return parts
-
-    def dc_system(self, charge_rows: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The DC system (see system) with `charge_rows` stamped, built
-        once per set of charge rows."""
-        parts = self._dc_systems.get(charge_rows)
-        if parts is None:
-            base = self.base_matrix(None)
-            self.stamp_charge_rows(base, charge_rows)
-            parts = self._dc_systems[charge_rows] = self.system(base, charge_rows)
+        self._systems[key] = parts
         return parts
 
     def stamp_charge_rows(self, g: np.ndarray, charge_rows: Sequence[int]) -> None:
@@ -460,11 +409,8 @@ class _Compiled:
 
 @functools.lru_cache(maxsize=None)
 def _stamp_layout(n_dev: int) -> tuple[np.ndarray, np.ndarray]:
-    """_Compiled.stamp_take and stamp_sign for n_dev transistors.
-
-    They depend on the device count alone, so each count builds them once;
-    the arrays are shared and read-only.
-    """
+    """_Compiled.stamp_take and stamp_sign for n_dev transistors: shared,
+    read-only arrays that depend on the device count alone."""
     first = 4 * np.arange(n_dev, dtype=np.intp)[:, None]
     take = np.concatenate(((first + [0, 1, 2, 2, 0, 1]).ravel(), (first + [3, 3]).ravel()))
     sign = np.concatenate((np.tile([1.0, 1.0, -1.0, 1.0, -1.0, -1.0], n_dev),
@@ -477,23 +423,15 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row-equilibrated dense LU solve of jac @ dx = rhs.
 
     MNA rows span ~10 decades (gmin-only nodes against capacitor
-    companions), which costs a naive LU six digits and leaves Newton
-    chasing a residual floor it can never reach, so each row is scaled
-    to unit max first.  With that scaling one solve suffices: over 1 ns
-    of transient on three designs at 0.65 V the row-wise backward error
-    |J dx - rhs|_i / (max_j |J_ij| * |dx|_inf + |rhs_i|) stayed at or
-    below 2.4e-16 (2.3e-16 with a round of iterative refinement), and
-    refinement moved reported power by at most 1.6e-14 relative and the
-    worst delay by at most 6e-13 on the twelve benchmark cells.
-
-    A row that is all zero makes the matrix singular, so it raises
-    LinAlgError before any scaling, as LAPACK would after it.  Newton
-    solves against its residual f and subtracts the result: LU and the
-    row scaling commute exactly with negation, so x - solve(J, f) is
-    x + solve(J, -f) bit for bit, without negating f.
+    companions), so each row is scaled to unit max first, and one solve,
+    with no refinement, holds every row to within a few ulps.  A row that
+    is all zero makes the matrix singular, so it raises LinAlgError before
+    any scaling, as LAPACK would after it.  LU and the row scaling commute
+    exactly with negation, so Newton's x - solve(J, f) is x + solve(J, -f)
+    bit for bit.
     """
     r = np.maximum.reduce(np.abs(jac), axis=1)  # ndarray.max without its wrapper
-    if 0.0 in r.tolist():  # a list scan: cheaper than a mask test at these sizes
+    if 0.0 in r.tolist():  # a list scan, not a reduction
         raise np.linalg.LinAlgError("Singular matrix")
     a, b = jac / r[:, None], rhs / r
     if _solve1 is None:
@@ -505,10 +443,8 @@ def _lin_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # np.linalg.solve's own error state: LAPACK's singular flag is `invalid`,
-# which _lin_solve turns into LinAlgError.  One module-level decorator
-# costs less per call than a `with np.errstate(...)` block, which builds
-# its object each time; since NumPy 2.0 the decorator keeps each call's
-# context token to itself, so threads do not share it.
+# which _lin_solve turns into LinAlgError.  Since NumPy 2.0 the decorator
+# keeps each call's context to itself, so threads do not share it.
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _solve1(a, b)  # both float64, so its dd->d loop
@@ -522,48 +458,41 @@ def _stamp_conductance(g: np.ndarray, i: int, j: int, cond: float) -> None:
 
 
 class _Newton:
-    """Newton solves against one fixed system, as _Compiled.system builds it.
+    """Newton solves against one system, as _Compiled.system builds it.
 
     The residual is F(x) = base @ x + const + device currents; `const`,
     an argument of each solve, holds -V(t) in source rows and capacitor
-    companion history currents in node rows.  A charge row is a node row
-    whose base-matrix row is a zero-charge equation in volts (see
-    _Compiled.stamp_charge_rows), held to VTOL.  Vectors are
-    ground-padded and the Jacobian has a sink row (see
-    _Compiled._build_arrays).  Making one only stores
-    references, so a DC analysis makes one per solve from its compile's
-    cached system.
+    companion history currents in node rows.  Making one only stores
+    references, so an analysis makes one per solve.
     """
 
-    __slots__ = ("comp", "base", "base_core", "tol_base", "rel")
+    __slots__ = ("comp", "base", "base_core", "tol_base", "rel", "g")
 
     def __init__(self, comp: _Compiled, system: tuple[np.ndarray, ...]):
         self.comp = comp
-        self.base, self.base_core, self.tol_base, self.rel = system
+        self.base, self.base_core, self.tol_base, self.rel, self.g = system
 
-    def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
-                  cap_companion: tuple[np.ndarray, np.ndarray], stamps: np.ndarray | None = None,
+    def _assemble(self, x_pad: np.ndarray, const: np.ndarray, hist: np.ndarray | None,
+                  stamps: np.ndarray | None = None,
                   currents: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded residual, per-row scale and the device stamps.
 
-        `const` and `cap_companion` are as in solve.  The device stamps
-        are one float array: six Jacobian values per transistor in
+        `const` and `hist` are as in solve.  The device stamps are one
+        float array: six Jacobian values per transistor in
         _Compiled.dev_jac order, then two currents per transistor in
-        _Compiled.dev_rows order.  `stamps` are those already evaluated at
-        this x_pad; device stamps depend on x alone, so a caller may carry
-        them between solves.  The Jacobian at x_pad is _jacobian(stamps).
-        `currents` is a work array of n_currents + 1 entries whose last is
-        0.0 (see _Compiled._build_arrays); solve passes one per solve, and
-        every other entry is overwritten here.
+        _Compiled.dev_rows order.  `stamps`, if given, are those already
+        evaluated at this x_pad.  The Jacobian at x_pad is
+        _jacobian(stamps).  `currents` is a work array of n_currents + 1
+        entries whose last is 0.0 (see _Compiled._build_arrays); every
+        other entry is overwritten here.
         """
         comp = self.comp
         size, rc = comp.size, comp.n_rc
         x = x_pad[:size]
         f = const.copy()
         f_core = f[:size]
-        # In place through the view: no setitem.  ndarray.dot makes the
-        # same BLAS matrix-vector product as @, bit for bit, and skips the
-        # matmul gufunc's dispatch, about 1 us of each assemble.
+        # In place through the view; ndarray.dot is the same BLAS product
+        # as @, bit for bit.
         f_core += self.base_core.dot(x)
 
         # Branch currents (resistors, capacitors, sources) and the device
@@ -571,9 +500,9 @@ class _Newton:
         if currents is None:
             currents = np.zeros(comp.n_currents + 1)
         if rc:
-            g, hist = cap_companion
-            currents[:rc] = g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
-            currents[comp.n_res: rc] += hist
+            currents[:rc] = self.g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
+            if hist is not None:
+                currents[comp.n_res: rc] += hist
         currents[rc: comp.n_branch] = x[comp.n_nodes:]
 
         if comp.has_devices:
@@ -602,23 +531,21 @@ class _Newton:
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
         """Every row within its tolerance; a NaN in any row fails, since
-        nan <= tol is False.  A scan of the list is cheaper at these sizes
-        than any NumPy reduction (ndarray.all or np.count_nonzero)."""
+        nan <= tol is False."""
         within = np.abs(f[: self.comp.size]) <= self._tolerance(scale)
         return False not in within.tolist()
 
-    def solve(self, x0_pad: np.ndarray, const: np.ndarray,
-              cap_companion: tuple[np.ndarray, np.ndarray], time: float | None = None,
-              stamps: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray]:
-        """Returns (padded solution, iterations, device stamps at the solution).
+    def solve(self, x0_pad: np.ndarray, const: np.ndarray, hist: np.ndarray | None = None,
+              time: float | None = None) -> tuple[np.ndarray, int]:
+        """Returns (padded solution, iterations); iterations counts linear solves.
 
-        Iterations counts linear solves.  `x0_pad` and `const` are
-        ground-padded, and x0_pad is not modified; `cap_companion` is
-        the pair of _Compiled.conductances and the capacitor history
-        currents, read for the tolerance scale; `stamps`, if given, are
-        the device stamps at x0_pad (the previous solve's third result
-        when x0_pad is its solution).  The Jacobian is built only when a linear
-        solve follows, so a converged iterate builds none.
+        `x0_pad` and `const` are ground-padded, and x0_pad is not
+        modified; `hist` holds the capacitor history currents (None at
+        DC), read for the tolerance scale.  A start whose node voltages
+        are, byte for byte, those at the compile's `last` takes the stamps
+        recorded there for its first iterate, and a converged solve
+        records its own solution and stamps there.  The Jacobian is built
+        only when a linear solve follows.
 
         A nonlinear iterate clamps each node's update to
         MAX_VOLTAGE_STEP and takes it; a linear circuit takes the raw
@@ -629,16 +556,20 @@ class _Newton:
         comp = self.comp
         nn, size, clamp = comp.n_nodes, comp.size, comp.has_devices
         assemble, converged = self._assemble, self._converged
+        last_nodes, stamps = comp.last
+        if x0_pad[:nn].tobytes() != last_nodes:
+            stamps = None
         x_pad = x0_pad.copy()
         x = x_pad[:size]
         currents = np.empty(comp.n_currents + 1)
         currents[-1] = 0.0
         for it in range(limit + 1):
-            f, scale, stamps = assemble(
-                x_pad, const, cap_companion, stamps if it == 0 else None, currents
-            )
+            f, scale, stamps = assemble(x_pad, const, hist, stamps if it == 0 else None, currents)
             if converged(f, scale):
-                return x_pad, it, stamps
+                if stamps is not None:
+                    stamps.flags.writeable = False
+                comp.last = (x_pad[:nn].tobytes(), stamps)
+                return x_pad, it
             if it == limit:
                 break
             jac = self._jacobian(stamps)
@@ -648,11 +579,10 @@ class _Newton:
                 raise self._failure(f"singular MNA matrix: {exc}", f, scale, time) from exc
             if clamp:
                 # An inverter output on its vertical transfer segment (both
-                # devices saturated, gmin-only diagonal) legitimately asks
-                # for a kilovolt move; clamping per node lets that node walk
-                # to its region in a few steps without squashing the rest
-                # of the update.  The clamp is symmetric, so clamping the
-                # negated update is exact.
+                # devices saturated, gmin-only diagonal) asks for a kilovolt
+                # move; clamping per node lets that node walk to its region
+                # without squashing the rest of the update.  The clamp is
+                # symmetric, so clamping the negated update is exact.
                 dv = dx[:nn]
                 np.minimum(dv, MAX_VOLTAGE_STEP, out=dv)
                 np.maximum(dv, -MAX_VOLTAGE_STEP, out=dv)
@@ -714,24 +644,10 @@ def _solve_dc(comp: _Compiled, const: np.ndarray, charge_rows: Sequence[int] = (
     _dc_const), from the padded `x0_pad` (zeros if None; its ground entry
     is 0.0); returns the padded solution and the iteration count, and a
     failure raises its ConvergenceError.  Each floating node in
-    `charge_rows` meets its zero-charge equation in place of KCL.
-
-    Device stamps depend on the node voltages alone, and on no source
-    level or charge row, so a start whose node voltages are, byte for
-    byte, the compile's last DC solution takes the stamps evaluated
-    there (_Compiled.dc_last) for its first iterate."""
+    `charge_rows` meets its zero-charge equation in place of KCL."""
     if x0_pad is None:
         x0_pad = np.zeros(comp.size + 1)
-    nn = comp.n_nodes
-    last_nodes, stamps = comp.dc_last
-    if x0_pad[:nn].tobytes() != last_nodes:
-        stamps = None
-    newton = _Newton(comp, comp.dc_system(tuple(charge_rows)))
-    x, iters, stamps = newton.solve(x0_pad, const, comp.dc_companion, stamps=stamps)
-    if stamps is not None:
-        stamps.setflags(write=False)
-    comp.dc_last = (x[:nn].tobytes(), stamps)
-    return x, iters
+    return _Newton(comp, comp.system(None, charge_rows)).solve(x0_pad, const)
 
 
 def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
@@ -746,8 +662,7 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     starts at 0 V, and its ground and "i(<source>)" entries are ignored,
     so a sweep that passes each point the previous solution starts every
     solve from zero branch currents.  `cfg` is not read, since every DC
-    setting is a module constant; it stays for callers that pass one, as
-    perfbench/run.py does.
+    setting is a module constant; it stays for callers that pass one.
     """
     comp = _compiled(circuit)
     x0 = None
@@ -912,9 +827,7 @@ def _lte_ratio(past: tuple, t3: float, v3: np.ndarray, v_floor: np.ndarray) -> t
     divided difference over the four points (a sixth of the third
     derivative, so this is the trapezoidal rule's h^3/12 times it); each
     capacitor voltage v is held to TRTOL * (RELTOL * max(|v|, v_floor) +
-    VTOL), v_floor being CHGTOL / C per capacitor (SPICE2's charge floor).
-    The first and second divided differences ending at the newest point
-    are the next step's, so a step computes one of each.
+    VTOL), v_floor being CHGTOL / C per capacitor.
     """
     t0, t1, t2, v2, d12, dd012 = past
     d23 = (v3 - v2) / (t3 - t2)
@@ -939,9 +852,8 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
 
     Fixed step (the default): the samples are the k*cfg.timestep grid.
     Every step is exactly cfg.timestep long except a short final one when
-    the timestep does not divide tstop (the differences of the k*dt sample
-    times jitter in their last bits, and each distinct length would build
-    its own companion matrix).
+    the timestep does not divide tstop, so every full step shares one
+    companion system.
 
     With cfg.timestep_control, time counts in units of cfg.timestep / 16
     and steps are 2**rung units long, up to 64 * cfg.timestep.  Every PWL
@@ -949,12 +861,10 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     off-ladder step when the corner is off the unit grid).  After each
     breakpoint come BREAKPOINT_STEPS steps of cfg.timestep, the first
     backward Euler; from then on a step whose truncation-error ratio r
-    (_lte_ratio, each capacitor voltage held to TRTOL * (RELTOL *
-    max(|v|, CHGTOL / C) + VTOL)) exceeds 1 is rejected and retried
-    ceil(log2(r)/3) rungs down, and an accepted step with r <= 1/8 lets
-    the next one be a rung longer.  Newton starts from the linear
-    predictor through the last two points, except on a breakpoint's first
-    step.
+    (_lte_ratio) exceeds 1 is rejected and retried ceil(log2(r)/3) rungs
+    down, and an accepted step with r <= 1/8 lets the next one be a rung
+    longer.  Newton starts from the linear predictor through the last two
+    points, except on a breakpoint's first step.
 
     In both modes every accepted step is a sample, and a step whose Newton
     solve fails raises its ConvergenceError at that step's time.
@@ -996,34 +906,17 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
 
-    # What a step length shares, by (euler, h): its _Newton on the
-    # companion matrix, the capacitor companion conductances geq and the
-    # conductance vector over resistors and capacitors.  Ladder lengths
-    # are kept; an off-ladder step (a landing on a breakpoint) builds its
-    # own.
-    base_cache: dict[tuple[bool, float], tuple[_Newton, np.ndarray, np.ndarray]] = {}
-
-    def step(x_in, stamps_in, src_vals, t_new, h, euler, ladder):
-        key = (euler, h)
-        entry = base_cache.get(key)
-        if entry is None:
-            geq_mult = (1.0 / h) if euler else (2.0 / h)
-            geq = geq_mult * comp.cap_c
-            newton = _Newton(comp, comp.system(comp.base_matrix(geq_mult)))
-            entry = (newton, geq, comp.conductances(geq))
-            if ladder:
-                base_cache[key] = entry
-        newton, geq, g = entry
+    def step(x_in, src_vals, t_new, h, euler):
+        # BE at h and trapezoidal at 2h share one multiplier, so one system.
+        newton = _Newton(comp, comp.system((1.0 / h) if euler else (2.0 / h)))
+        geq = newton.g[comp.n_res:]
         if euler:
             hist = -geq * cap_v
         else:
             hist = -geq * cap_v - cap_i_state
-        const = comp.step_const(src_vals, hist)
-        x_new, iters, stamps_out = newton.solve(
-            x_in, const, (g, hist), time=t_new, stamps=stamps_in
-        )
+        x_new, iters = newton.solve(x_in, comp.step_const(src_vals, hist), hist, t_new)
         v_new = x_new[comp.cap_i] - x_new[comp.cap_j]
-        return x_new, v_new, geq * v_new + hist, stamps_out, iters
+        return x_new, v_new, geq * v_new + hist, iters
 
     out_times = [0.0]
     history = [x_pad[: comp.size]]
@@ -1038,9 +931,6 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     # then rolled forward by each accepted estimate; None until built.
     recent = [(0.0, cap_v)]
     past = None
-    # A step's first Newton iterate is the previous step's solution, so the
-    # device stamps evaluated there are carried in rather than recomputed.
-    stamps = None
     for k, b in enumerate(targets):
         p = (b - anchor) / unit
         if control:
@@ -1060,14 +950,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 units = m
                 t_new = anchor + (n + m) * unit
                 h = m * unit
-            ladder = isinstance(units, int) and units & (units - 1) == 0
             if control and since:
-                x_in, stamps_in = x_pad + (h / h_prev) * (x_pad - x_prev), None
+                x_in = x_pad + (h / h_prev) * (x_pad - x_prev)
             else:
-                x_in, stamps_in = x_pad, stamps
-            x_new, v_new, i_new, stamps_new, iters = step(
-                x_in, stamps_in, sources_at(t_new), t_new, h, since == 0, ladder
-            )
+                x_in = x_pad
+            x_new, v_new, i_new, iters = step(x_in, sources_at(t_new), t_new, h, since == 0)
             newton_iterations += iters
             if control and since >= BREAKPOINT_STEPS:
                 if past is None:
@@ -1081,7 +968,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 if ratio <= 0.125 and rung < MAX_RUNG:
                     rung += 1
             x_prev, h_prev = x_pad, h
-            x_pad, cap_v, cap_i_state, stamps = x_new, v_new, i_new, stamps_new
+            x_pad, cap_v, cap_i_state = x_new, v_new, i_new
             t = t_new
             since += 1
             out_times.append(t)
@@ -1117,8 +1004,7 @@ def _settle_source_currents(comp: _Compiled, const: np.ndarray, x: np.ndarray) -
     current at its positive terminal (or negative, if + is ground).
     `const` is _dc_const's vector and `x` the padded solution.
     """
-    newton = _Newton(comp, comp.dc_system(()))
-    f, _, _ = newton._assemble(x, const, comp.dc_companion)
+    f, _, _ = _Newton(comp, comp.system())._assemble(x, const, None)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
         if p >= 0:

@@ -197,10 +197,12 @@ def _random_state(comp, vdd, rng):
     return x, const, (geq, hist)
 
 
-def _cap_companion(comp, companion):
-    """_Newton's (conductances, history currents) pair for a state's (geq, hist)."""
+def _with_companion(comp, newton, companion):
+    """A _Newton on newton's system with a state's capacitor conductances
+    geq in place of its own, and the state's history currents hist."""
     geq, hist = companion
-    return comp.conductances(geq), hist
+    g = np.concatenate((comp.res_g, geq))
+    return _Newton(comp, (newton.base, newton.base_core, newton.tol_base, newton.rel, g)), hist
 
 
 def _newton_case(make, analysis):
@@ -213,9 +215,7 @@ def _newton_case(make, analysis):
     comp = _Compiled(circuit)
     cap_geq = 2.0 / 2e-13 if analysis == "transient" else None
     charge_rows = sorted(_floating_nodes(comp)) if analysis == "dc-charge" else []
-    base = comp.base_matrix(cap_geq)
-    comp.stamp_charge_rows(base, charge_rows)
-    newton = _Newton(comp, comp.system(base, charge_rows))
+    newton = _Newton(comp, comp.system(cap_geq, charge_rows))
     return comp, vdd, charge_rows, cap_geq, newton
 
 
@@ -228,8 +228,9 @@ def test_assemble_equals_scalar_loop(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, scale, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
-        jac = newton._jacobian(stamps)
+        nt, hist = _with_companion(comp, newton, companion)
+        f, scale, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        jac = nt._jacobian(stamps)
         ref_f, ref_jac, ref_scale = _ref_assemble(comp, ref_base, const[: comp.size], companion, x)
         assert np.array_equal(f[: comp.size], ref_f)
         assert np.array_equal(jac[: comp.size, : comp.size], ref_jac)
@@ -246,8 +247,9 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
-        jac = newton._jacobian(stamps)[:size, :size]
+        nt, hist = _with_companion(comp, newton, companion)
+        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        jac = nt._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         dx = _lin_solve(jac, rhs)
         resid = np.abs(jac @ dx - rhs)
@@ -269,8 +271,9 @@ def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
-        jac = newton._jacobian(stamps)[:size, :size]
+        nt, hist = _with_companion(comp, newton, companion)
+        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        jac = nt._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         r = np.abs(jac).max(axis=1)
         r[r == 0.0] = 1.0
@@ -295,8 +298,9 @@ def test_subtracted_update_equals_added_negated_one(make, analysis):
 
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        f, _, stamps = newton._assemble(np.append(x, 0.0), const, _cap_companion(comp, companion))
-        jac = newton._jacobian(stamps)
+        nt, hist = _with_companion(comp, newton, companion)
+        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        jac = nt._jacobian(stamps)
         new = x - clamped(_lin_solve(jac, f[:size]))
         old = x + clamped(_lin_solve(jac, -f[:size]))
         assert np.array_equal(new, old)
@@ -423,10 +427,11 @@ def test_carried_stamps_equal_fresh_evaluation():
     for name, v in init.items():
         if comp.node_index.get(name, -1) >= 0:
             x[comp.node_index[name]] = v
-    newton = _Newton(comp, comp.system(comp.base_matrix(1.0 / cfg.timestep)))
+    newton = _Newton(comp, comp.system(1.0 / cfg.timestep))
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
-    companion = (comp.conductances(comp.cap_c / cfg.timestep), np.zeros(comp.n_cap))
-    x_new, _, carried = newton.solve(np.append(x, 0.0), const, companion)
-    _, _, fresh = newton._assemble(x_new, const, companion)
+    hist = np.zeros(comp.n_cap)
+    x_new, _ = newton.solve(np.append(x, 0.0), const, hist)
+    carried = comp.last[1]
+    _, _, fresh = newton._assemble(x_new, const, hist)
     assert np.array_equal(carried, fresh)

@@ -287,6 +287,23 @@ class TestControlledCell:
         # lets a settled output take long steps: 3,957 steps without it.
         assert len(_proposed_cell().result.times) - 1 <= 3000
 
+    def test_one_companion_system_per_distinct_multiplier(self, monkeypatch):
+        # The cell's steps take 11 distinct companion multipliers (1/h for
+        # backward Euler, 2/h for trapezoidal); each builds its base matrix
+        # once, off-ladder lengths and the two methods alike.
+        from cnfetsim import solver
+        built = []
+        base_matrix = solver._Compiled.base_matrix
+
+        def counting(comp, cap_geq):
+            if cap_geq is not None:
+                built.append(cap_geq)
+            return base_matrix(comp, cap_geq)
+
+        monkeypatch.setattr(solver._Compiled, "base_matrix", counting)
+        bench.run_cell(AdderKind.PROPOSED, 0.9)
+        assert len(built) == len(set(built)) == 11
+
     def test_every_pwl_corner_is_a_sample(self):
         config = BenchConfig()
         sched = InputSchedule(config.transition_time_s, config.hold_time_s,

@@ -1,7 +1,6 @@
 """Command-line interface: outputs, exit-code partitioning."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +188,19 @@ class TestDevice:
     def test_unreachable_target(self, capsys):
         assert cli.main(["device", "--target-vth", "10"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [["--target-vth", "nan"], ["--target-vth", "inf"],
+                                       ["--target-vth", "0.3", "--tolerance", "nan"],
+                                       ["--target-vth", "0.3", "--tolerance", "inf"],
+                                       ["--target-vth", "0.3", "--tolerance=-0.01"]])
+    def test_nonfinite_target_or_tolerance_exits_2(self, capsys, flags):
+        # nan and inf ended in an AssertionError traceback; a NaN tolerance
+        # accepted (17,0), 0.0117 V off a 0.3 V target.
+        assert cli.main(["device", *flags]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: ")
+
     def test_requires_exactly_one_flag(self, capsys):
         assert cli.main(["device"]) == cli.EXIT_USAGE
         assert cli.main(["device", "--chirality", "19,0", "--target-vth", "0.3"]) == cli.EXIT_USAGE
@@ -233,6 +245,25 @@ class TestBenchUsage:
                          "--config", str(cfg)]) == cli.EXIT_USAGE
         assert "cannot load benchmark config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"transition_time_s": Infinity}',
+        '{"hold_time_s": 1e308}',
+        '{"unit_capacitance_f": Infinity}',
+        '{"load_capacitance_f": NaN}',
+        '{"settle_window_s": Infinity}',
+        pytest.param('{"warmup_periods": 1' + "0" * 400 + "}", id="warmup_periods-1e400"),
+    ])
+    def test_nonfinite_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, text):
+        # JSON reads Infinity and NaN, and 16 * (transition + hold) can
+        # overflow: each ended in a traceback or a NaN residual (exit 4).
+        monkeypatch.setattr(bench, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--config", str(cfg)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: cannot load benchmark")
+
     def test_nonconvergence_exits_4_without_a_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         report = tmp_path / "report.md"
@@ -241,12 +272,8 @@ class TestBenchUsage:
         assert "Newton failed after 1 iterations" in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("flag,path", [("--out", "missing/report.md"),
-                                           ("--charts", "a-file/charts")])
+    @pytest.mark.parametrize("flag,path", [("--out", "missing/report.md")])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, monkeypatch, flag, path):
-        # --charts creates missing directories, so its failing path runs
-        # through a regular file.
-        (tmp_path / "a-file").write_text("")
         monkeypatch.setattr(bench, "run_matrix", lambda kinds, vdds, config: ([], []))
         assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
                          flag, str(tmp_path / path)]) == cli.EXIT_USAGE
@@ -315,16 +342,14 @@ class TestBenchAll:
         assert cli.main(["bench", "--format", "all", "--out", str(every)]) == cli.EXIT_OK
         single.mkdir()
         for name in bench.FORMATTERS:
-            assert cli.main(["bench", "--format", name, "--out", str(single / f"report.{name}"),
-                             "--charts", str(single)]) == cli.EXIT_OK
+            assert cli.main(["bench", "--format", name,
+                             "--out", str(single / f"report.{name}")]) == cli.EXIT_OK
+        charts.write_charts(one_cell[0], str(single))
         written = sorted(p.name for p in every.iterdir())
         assert written == sorted(p.name for p in single.iterdir())
         assert len(written) == 3 + 6  # 3 metrics at 1 supply, .svg and .csv each
         for name in written:
             assert (every / name).read_bytes() == (single / name).read_bytes(), name
-        charts_dir = tmp_path / "charts"
-        for path in map(Path, charts.write_charts(one_cell[0], str(charts_dir))):
-            assert (every / path.name).read_bytes() == path.read_bytes()
 
     def test_without_out_exits_2_before_any_cell(self, capsys, monkeypatch):
         monkeypatch.setattr(bench, "run_cell", lambda *a: pytest.fail("a cell ran"))

@@ -93,6 +93,17 @@ class TestThresholdSearch:
         with pytest.raises(DeviceError):
             chirality_for_threshold(-0.3, 0.01)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_target_rejected(self, target):
+        with pytest.raises(DeviceError, match="target threshold"):
+            chirality_for_threshold(target, 0.01)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+    def test_nonfinite_or_negative_tolerance_rejected(self, tolerance):
+        # A NaN tolerance would accept any miss: best_err > nan is False.
+        with pytest.raises(DeviceError, match="tolerance"):
+            chirality_for_threshold(0.3, tolerance)
+
     @given(st.floats(0.1, 1.3))
     def test_roundtrip_within_tolerance(self, target):
         tol = 0.06  # ladder spacing near the top is ~0.27 V/step below n=5

@@ -134,13 +134,13 @@ class TestDcOperatingPoint:
         # Five iterations cannot walk the output from 0 V onto the vertical
         # segment: the one solve at GMIN fails, and its error is raised.
         requests = []
-        dc_system = solver._Compiled.dc_system
+        system = solver._Compiled.system
 
-        def recording(comp, charge_rows):
+        def recording(comp, cap_geq=None, charge_rows=()):
             requests.append(charge_rows)
-            return dc_system(comp, charge_rows)
+            return system(comp, cap_geq, charge_rows)
 
-        monkeypatch.setattr(solver._Compiled, "dc_system", recording)
+        monkeypatch.setattr(solver._Compiled, "system", recording)
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 5)
         c = parse(INVERTER).with_dc_source("vin", 0.45)
         with pytest.raises(ConvergenceError) as err:
@@ -164,7 +164,7 @@ class TestDcOperatingPoint:
         # at 1000x abstol (1e-9 A), although 2e-6 > 1e-9.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.system(comp.base_matrix(None)))
+        newton = _Newton(comp, comp.system())
         f = np.zeros(comp.size + 1)
         f[comp.node_index["out"]] = 1e-9
         f[comp.n_nodes] = 2e-6
@@ -177,7 +177,7 @@ class TestDcOperatingPoint:
         # tolerance" would accept a NaN iterate as a solution.
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(INVERTER))
-        newton = _Newton(comp, comp.system(comp.base_matrix(None)))
+        newton = _Newton(comp, comp.system())
         scale = np.zeros(comp.size)
         f = np.zeros(comp.size + 1)
         assert newton._converged(f, scale)
@@ -191,7 +191,7 @@ class TestDcOperatingPoint:
         assert not newton._converged(f, scale)
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        charge = _Newton(comp, comp.system(comp.base_matrix(None), [x]))
+        charge = _Newton(comp, comp.system(None, [x]))
         f = np.zeros(comp.size + 1)
         f[x] = math.nan
         assert not charge._converged(f, np.zeros(comp.size))
@@ -203,7 +203,7 @@ class TestDcOperatingPoint:
         from cnfetsim.solver import _Compiled, _Newton
         comp = _Compiled(parse(COUPLED_INVERTER))
         x = comp.node_index["x"]
-        newton = _Newton(comp, comp.system(comp.base_matrix(None), [x]))
+        newton = _Newton(comp, comp.system(None, [x]))
         scale = np.zeros(comp.size)
         f = np.zeros(comp.size + 1)
         f[x] = 2e-6
@@ -235,6 +235,24 @@ def _assert_same_transient(a, b):
     for name in a.source_currents:
         assert np.array_equal(a.current(name), b.current(name)), name
     assert (a.lte_rejections, a.newton_iterations) == (b.lte_rejections, b.newton_iterations)
+
+
+def _count_kernel_and_assembles(monkeypatch):
+    """Counters of devices.drain_currents calls and _Newton._assemble calls."""
+    counts = {"kernel": 0, "assemble": 0}
+    kernel, assemble = solver.drain_currents, solver._Newton._assemble
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "drain_currents", counting_kernel)
+    monkeypatch.setattr(solver._Newton, "_assemble", counting_assemble)
+    return counts
 
 
 class TestSharedCompile:
@@ -325,29 +343,11 @@ class TestSharedCompile:
         assert not any(th.is_alive() for th in threads)
         assert [results.get(t) for t in range(4)] == [want] * 4
 
-    @staticmethod
-    def _count_kernel_and_assembles(monkeypatch):
-        """Counters of devices.drain_currents calls and _Newton._assemble calls."""
-        counts = {"kernel": 0, "assemble": 0}
-        kernel, assemble = solver.drain_currents, solver._Newton._assemble
-
-        def counting_kernel(*args):
-            counts["kernel"] += 1
-            return kernel(*args)
-
-        def counting_assemble(*args, **kwargs):
-            counts["assemble"] += 1
-            return assemble(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "drain_currents", counting_kernel)
-        monkeypatch.setattr(solver._Newton, "_assemble", counting_assemble)
-        return counts
-
     def test_warm_sweep_carries_each_points_stamps_to_the_next(self, monkeypatch):
         # Each point after the first starts at the previous solution, so its
         # first assemble reuses the stamps evaluated there: 120 of a
         # 121-point sweep's assembles call no device kernel.
-        counts = self._count_kernel_and_assembles(monkeypatch)
+        counts = _count_kernel_and_assembles(monkeypatch)
         c = parse(INVERTER)
         guess = None
         for k in range(121):
@@ -365,7 +365,7 @@ class TestSharedCompile:
         x, _ = solver._solve_dc(comp, const)
         k = comp.node_index["in"]
         assert x[k] == 0.0 and not math.copysign(1.0, x[k]) < 0
-        counts = self._count_kernel_and_assembles(monkeypatch)
+        counts = _count_kernel_and_assembles(monkeypatch)
         same, iters = solver._solve_dc(comp, const, x0_pad=x.copy())
         assert iters == 0 and counts["kernel"] == 0
         assert np.array_equal(same, x)
@@ -405,6 +405,35 @@ class TestSharedCompile:
         assert not any(th.is_alive() for th in threads)
         assert [results.get(t) for t in range(4)] == [want] * 4
 
+    def test_threads_running_transients_on_one_compile_get_the_serial_results(self):
+        # Transient steps share the compile's systems and carried stamps
+        # too; two threads at each supply level may meet each other's
+        # last solution, and every run must equal a fresh circuit's.
+        cfg = SolverConfig(timestep=2e-14)
+        levels = [0.9, 0.7]
+        want = [transient(parse(_with_level(INVERTER_PWL, "vdd", v)), cfg, 2e-12) for v in levels]
+        c = parse(INVERTER_PWL)
+        results = {}
+
+        def run(t):
+            results[t] = [transient(c.with_dc_source("vdd", levels[t % 2]), cfg, 2e-12)
+                          for _ in range(2)]
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(4):
+            for got in results[t]:
+                _assert_same_transient(got, want[t % 2])
+
     def test_replace_with_other_elements_compiles_afresh(self):
         # Same element count and nodes, another resistor value: the copy
         # must not reuse the divider's compile.
@@ -430,17 +459,24 @@ class TestLinearOneIteration:
         cfg = SolverConfig(timestep=1e-14)
         c = parse("v1 a 0 dc 0.9\nr1 a b 1k\nc1 b 0 1f\n")
         comp = _Compiled(c)
-        base = comp.base_matrix(2.0 / cfg.timestep)
-        nt = _Newton(comp, comp.system(base))
+        nt = _Newton(comp, comp.system(2.0 / cfg.timestep))
         const = _dc_const(comp, c)
-        geq = (2.0 / cfg.timestep) * comp.cap_c
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size + 1)
-        _, iters, _ = nt.solve(x0, const, (comp.conductances(geq), hist))
+        _, iters = nt.solve(x0, const, hist)
         assert iters == 1
 
 
 class TestTransient:
+    def test_each_fixed_step_reuses_the_stamps_at_its_start(self, monkeypatch):
+        # Every step starts at the last solution on the compile, the first
+        # at the DC point: each step's first assemble calls no device
+        # kernel, and only the cold DC start evaluates at its first.
+        counts = _count_kernel_and_assembles(monkeypatch)
+        res = transient(parse(INVERTER_PWL), SolverConfig(timestep=2e-14), 4e-12)
+        assert len(res.times) - 1 == 200
+        assert counts["assemble"] - counts["kernel"] == 200
+
     def test_fixed_step_builds_one_companion_matrix_per_method(self, monkeypatch):
         # A benchmark cell's 33,600 steps of 0.2 ps: k*dt sample times
         # differ by 18 distinct float values, but every full step must use
