@@ -60,6 +60,13 @@ def _finite(value: float) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
+def _require_number(name: str, value: object) -> None:
+    """ValueError unless value is an int or a float; a bool, which JSON's
+    true and false give, is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 class LogicVerificationError(Exception):
     """A benchmark cell's transient disagreed with the logic oracle."""
 
@@ -87,7 +94,8 @@ class BenchConfig:
     """Every benchmark parameter, echoed into each report; these are the
     defaults.  The device and capacitance defaults are the `adders` ones.
     A value out of its range or not finite, a count that is not an
-    integer, or a stimulus too long to be finite raises ValueError."""
+    integer, a float field or level that is not a number (a bool is not),
+    or a stimulus too long to be finite raises ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -112,6 +120,14 @@ class BenchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        # Annotations are strings here (from __future__ import annotations).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                _require_number(f.name, value)
+            elif f.type == "tuple[float, float]":
+                for k, level in enumerate(value):
+                    _require_number(f"{f.name}[{k}]", level)
         for name in ("transition_time_s", "hold_time_s", "timestep_s", "unit_capacitance_f",
                      "load_capacitance_f", "measure_periods", "cnfet_tubes",
                      "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v"):

@@ -14,9 +14,13 @@ trapezoidal on capacitor companion models with a backward-Euler first
 step, as in SPICE2 (Nagel, UCB/ERL M520, 1975), fixed-step or
 error-controlled (see transient).
 
-A Newton iterate assembles the residual f and per-row scale and tests
-every row against its tolerance; only when that fails does it build the
-Jacobian J and make one row-equilibrated dense LU solve (_lin_solve).
+A Newton iterate assembles the residual f and decides from it first:
+with every row within its tolerance floor (ABSTOL on a KCL row, VTOL
+on a source or charge row) it has converged, and with a source row
+outside it it has not.  Only an iterate left open builds the per-row
+tolerance scale and tests every row against its full tolerance (see
+_Newton.solve).  An iterate that has not converged builds the Jacobian
+J and makes one row-equilibrated dense LU solve (_lin_solve).
 Vectors carry one trailing ground entry and the Jacobian one trailing
 sink row, so no stamp branches on a grounded terminal.  Every transistor
 is evaluated in one call of devices.drain_currents, and the stamps go in
@@ -472,48 +476,52 @@ class _Newton:
         self.comp = comp
         self.base, self.base_core, self.tol_base, self.rel, self.g = system
 
-    def _assemble(self, x_pad: np.ndarray, const: np.ndarray, hist: np.ndarray | None,
-                  stamps: np.ndarray | None = None,
-                  currents: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded residual, per-row scale and the device stamps.
+    def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
+                  stamps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Padded residual and the device stamps.
 
-        `const` and `hist` are as in solve.  The device stamps are one
-        float array: six Jacobian values per transistor in
-        _Compiled.dev_jac order, then two currents per transistor in
-        _Compiled.dev_rows order.  `stamps`, if given, are those already
+        `const` is as in solve.  The device stamps are one float array:
+        six Jacobian values per transistor in _Compiled.dev_jac order,
+        then two currents per transistor in _Compiled.dev_rows order
+        (None with no transistor).  `stamps`, if given, are those already
         evaluated at this x_pad.  The Jacobian at x_pad is
-        _jacobian(stamps).  `currents` is a work array of n_currents + 1
+        _jacobian(stamps), and the per-row tolerance scale is
+        _scale(x_pad, hist, stamps).
+        """
+        comp = self.comp
+        f = const.copy()
+        f_core = f[: comp.size]
+        # In place through the view; ndarray.dot is the same BLAS product
+        # as @, bit for bit.
+        f_core += self.base_core.dot(x_pad[: comp.size])
+        if comp.has_devices:
+            if stamps is None:
+                values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
+                stamps = values.take(comp.stamp_take) * comp.stamp_sign
+            np.add.at(f, comp.dev_rows, stamps[comp.n_jac:])
+        return f, stamps
+
+    def _scale(self, x_pad: np.ndarray, hist: np.ndarray | None, stamps: np.ndarray | None,
+               currents: np.ndarray | None = None) -> np.ndarray:
+        """Per-row tolerance scale at x_pad: on a node row the largest
+        |current| of the branches and device stamps incident on it, 0 on a
+        source row.  `hist` is as in solve and `stamps` as _assemble
+        returns them.  `currents` is a work array of n_currents + 1
         entries whose last is 0.0 (see _Compiled._build_arrays); every
         other entry is overwritten here.
         """
         comp = self.comp
-        size, rc = comp.size, comp.n_rc
-        x = x_pad[:size]
-        f = const.copy()
-        f_core = f[:size]
-        # In place through the view; ndarray.dot is the same BLAS product
-        # as @, bit for bit.
-        f_core += self.base_core.dot(x)
-
-        # Branch currents (resistors, capacitors, sources) and the device
-        # stamps feed the per-row tolerance scale.
+        rc = comp.n_rc
         if currents is None:
             currents = np.zeros(comp.n_currents + 1)
         if rc:
             currents[:rc] = self.g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
             if hist is not None:
                 currents[comp.n_res: rc] += hist
-        currents[rc: comp.n_branch] = x[comp.n_nodes:]
-
+        currents[rc: comp.n_branch] = x_pad[comp.n_nodes: comp.size]
         if comp.has_devices:
-            if stamps is None:
-                values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
-                stamps = values.take(comp.stamp_take) * comp.stamp_sign
-            dev_currents = stamps[comp.n_jac:]
-            currents[comp.n_branch: -1] = dev_currents
-            np.add.at(f, comp.dev_rows, dev_currents)
-        scale = np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)
-        return f, scale, stamps
+            currents[comp.n_branch: -1] = stamps[comp.n_jac:]
+        return np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)
 
     def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
         """The Jacobian, size by size and contiguous: the base matrix plus
@@ -547,6 +555,19 @@ class _Newton:
         records its own solution and stamps there.  The Jacobian is built
         only when a linear solve follows.
 
+        Each iterate is decided from its residual first, and the scale is
+        built only when that leaves it open.  Row r's tolerance is
+        tol_base[r] + rel[r] * scale[r], so a source row (rel 0) not
+        within tol_base fails _converged whatever its scale, and a NaN
+        residual is not within.  A charge row has rel 0 too, but only the
+        floating-node initializer's one solve has any, so _converged
+        decides it.  An iterate with every row within tol_base passes
+        _converged too: a NaN scale, the only way _converged can reject a
+        row within tol_base, needs a nonfinite node voltage, source
+        current, device current or history current, and each of those
+        makes its own rows' residual nonfinite (GMIN loads every node,
+        and a source's current enters its terminals' rows as +1 or -1).
+
         A nonlinear iterate clamps each node's update to
         MAX_VOLTAGE_STEP and takes it; a linear circuit takes the raw
         Newton step and lands exactly in one iteration.  MAX_NEWTON_ITERS
@@ -555,17 +576,25 @@ class _Newton:
         limit = MAX_NEWTON_ITERS
         comp = self.comp
         nn, size, clamp = comp.n_nodes, comp.size, comp.has_devices
-        assemble, converged = self._assemble, self._converged
+        assemble, tol_base = self._assemble, self.tol_base
         last_nodes, stamps = comp.last
         if x0_pad[:nn].tobytes() != last_nodes:
             stamps = None
         x_pad = x0_pad.copy()
         x = x_pad[:size]
-        currents = np.empty(comp.n_currents + 1)
-        currents[-1] = 0.0
+        currents = None  # the scale's work array, made when first needed
         for it in range(limit + 1):
-            f, scale, stamps = assemble(x_pad, const, hist, stamps if it == 0 else None, currents)
-            if converged(f, scale):
+            f, stamps = assemble(x_pad, const, stamps if it == 0 else None)
+            within = (np.abs(f[:size]) <= tol_base).tolist()
+            if False not in within:
+                done = True
+            elif False in within[nn:]:  # a source row, whose rel is 0
+                done = False
+            else:
+                if currents is None:
+                    currents = np.zeros(comp.n_currents + 1)
+                done = self._converged(f, self._scale(x_pad, hist, stamps, currents))
+            if done:
                 if stamps is not None:
                     stamps.flags.writeable = False
                 comp.last = (x_pad[:nn].tobytes(), stamps)
@@ -576,7 +605,8 @@ class _Newton:
             try:
                 dx = _lin_solve(jac, f[:size])
             except np.linalg.LinAlgError as exc:
-                raise self._failure(f"singular MNA matrix: {exc}", f, scale, time) from exc
+                raise self._failure(f"singular MNA matrix: {exc}", f,
+                                    self._scale(x_pad, hist, stamps), time) from exc
             if clamp:
                 # An inverter output on its vertical transfer segment (both
                 # devices saturated, gmin-only diagonal) asks for a kilovolt
@@ -587,7 +617,8 @@ class _Newton:
                 np.minimum(dv, MAX_VOLTAGE_STEP, out=dv)
                 np.maximum(dv, -MAX_VOLTAGE_STEP, out=dv)
             x -= dx  # dx solves J dx = f, so this is the Newton step
-        raise self._failure(f"Newton failed after {limit} iterations", f, scale, time)
+        raise self._failure(f"Newton failed after {limit} iterations", f,
+                            self._scale(x_pad, hist, stamps), time)
 
     def _failure(self, message: str, f: np.ndarray, scale: np.ndarray,
                  time: float | None) -> ConvergenceError:
@@ -1004,7 +1035,7 @@ def _settle_source_currents(comp: _Compiled, const: np.ndarray, x: np.ndarray) -
     current at its positive terminal (or negative, if + is ground).
     `const` is _dc_const's vector and `x` the padded solution.
     """
-    f, _, _ = _Newton(comp, comp.system())._assemble(x, const, None)
+    f, _ = _Newton(comp, comp.system())._assemble(x, const)
     for b, (_, p, m) in enumerate(comp.sources):
         row = comp.n_nodes + b
         if p >= 0:

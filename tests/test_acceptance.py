@@ -183,6 +183,28 @@ def test_matrix_stays_within_the_fine_step_reference(bench_runs):
     assert fails == []
 
 
+def test_no_measured_toggle_runs_into_the_next_input_edge(bench_runs):
+    # A delay is searched for only up to the next input edge (the end of
+    # the stimulus after the last one), so a toggle that needs the whole
+    # gap would be cut off or pinned on the wrong edge.  Every measured
+    # delay must use less than its gap; the worst is printed.
+    config = bench_runs["config"]
+    results, _ = bench_runs["a"]
+    assert len(results) == 12
+    sched = config.schedule()
+    edge_times = [t_mid for t_mid, _, _ in sched.edges()]
+    ends = edge_times[1:] + [sched.total_time]
+    worst = (0.0, "")
+    for r in results:
+        assert r.measurement.transitions
+        for tr in r.measurement.transitions:
+            gap = ends[edge_times.index(tr.edge_time)] - tr.edge_time
+            worst = max(worst, (tr.delay / gap, f"{r.measurement.circuit} @ {r.vdd:g} V, "
+                                                f"{tr.output} at {tr.edge_time:.4e} s"))
+    print(f"worst delay / gap to the next input edge: {worst[0]:.3f} ({worst[1]})")
+    assert worst[0] < 1.0, worst
+
+
 def test_source_levels_equal_np_interp_at_every_step(bench_runs):
     # The transient reads each PWL source level with a bisection and
     # np.interp's own formula; at every accepted step time of the 12

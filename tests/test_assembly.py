@@ -2,9 +2,9 @@
 
 The solver stamps device Jacobian and current values through one
 np.add.at per iterate into ground-padded arrays: `_Newton._assemble`
-builds the residual and scale, `_Newton._jacobian` the Jacobian.  Every
-entry must be summed in the scalar loop's order, so the comparisons here
-use ==, not a tolerance.  The single equilibrated LU solve of each
+builds the residual, `_Newton._scale` the tolerance scale and
+`_Newton._jacobian` the Jacobian.  Every entry must be summed in the
+scalar loop's order, so the comparisons here use ==, not a tolerance.  The single equilibrated LU solve of each
 iterate is checked here too, by its row-wise backward error.
 """
 
@@ -229,7 +229,9 @@ def test_assemble_equals_scalar_loop(make, analysis):
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
         nt, hist = _with_companion(comp, newton, companion)
-        f, scale, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        x_pad = np.append(x, 0.0)
+        f, stamps = nt._assemble(x_pad, const)
+        scale = nt._scale(x_pad, hist, stamps)
         jac = nt._jacobian(stamps)
         ref_f, ref_jac, ref_scale = _ref_assemble(comp, ref_base, const[: comp.size], companion, x)
         assert np.array_equal(f[: comp.size], ref_f)
@@ -247,8 +249,8 @@ def test_single_solve_is_backward_stable_per_row(make, analysis):
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        nt, hist = _with_companion(comp, newton, companion)
-        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        nt, _ = _with_companion(comp, newton, companion)
+        f, stamps = nt._assemble(np.append(x, 0.0), const)
         jac = nt._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         dx = _lin_solve(jac, rhs)
@@ -271,8 +273,8 @@ def test_lin_solve_returns_numpy_solve_bits(make, analysis, gufunc, monkeypatch)
     rng = np.random.default_rng(1234)
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        nt, hist = _with_companion(comp, newton, companion)
-        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        nt, _ = _with_companion(comp, newton, companion)
+        f, stamps = nt._assemble(np.append(x, 0.0), const)
         jac = nt._jacobian(stamps)[:size, :size]
         rhs = -f[:size]
         r = np.abs(jac).max(axis=1)
@@ -298,8 +300,8 @@ def test_subtracted_update_equals_added_negated_one(make, analysis):
 
     for _ in range(4):
         x, const, companion = _random_state(comp, vdd, rng)
-        nt, hist = _with_companion(comp, newton, companion)
-        f, _, stamps = nt._assemble(np.append(x, 0.0), const, hist)
+        nt, _ = _with_companion(comp, newton, companion)
+        f, stamps = nt._assemble(np.append(x, 0.0), const)
         jac = nt._jacobian(stamps)
         new = x - clamped(_lin_solve(jac, f[:size]))
         old = x + clamped(_lin_solve(jac, -f[:size]))
@@ -433,5 +435,5 @@ def test_carried_stamps_equal_fresh_evaluation():
     hist = np.zeros(comp.n_cap)
     x_new, _ = newton.solve(np.append(x, 0.0), const, hist)
     carried = comp.last[1]
-    _, _, fresh = newton._assemble(x_new, const, hist)
+    _, fresh = newton._assemble(x_new, const)
     assert np.array_equal(carried, fresh)

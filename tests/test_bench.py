@@ -72,6 +72,36 @@ class TestConfig:
         assert BenchConfig().devices() == adders.DeviceParams()
         assert cfg.devices() == adders.DeviceParams(cnfet_tubes=6, mosfet_vth_v=0.3)
 
+    FLOAT_FIELDS = ("transition_time_s", "hold_time_s", "timestep_s", "settle_window_s",
+                    "unit_capacitance_f", "load_capacitance_f", "min_sustain_fraction",
+                    "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v",
+                    "mosfet_lambda_per_v")
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, "1e-10", None])
+    def test_float_field_must_be_a_number(self, name, value):
+        # A bool is an int, so True passed "> 0" and set a 1 s hold.
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+            BenchConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["full_swing_levels", "logic_levels"])
+    @pytest.mark.parametrize("pair,bad", [((True, 0.3), 0), ((0.9, False), 1),
+                                          (("0.9", 0.1), 0), ((0.9, None), 1)])
+    def test_level_must_be_a_number(self, name, pair, bad):
+        with pytest.raises(ValueError,
+                           match=rf"^{name}\[{bad}\] must be a number, got {pair[bad]!r}$"):
+            BenchConfig(**{name: pair})
+
+    def test_integer_valued_float_field_accepted(self):
+        # JSON writes 1 for 1.0; an int is a number.
+        assert BenchConfig(mosfet_lambda_per_v=0, logic_levels=(1, 0)).logic_levels == (1, 0)
+
+    def test_json_true_rejected_from_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hold_time_s": true}')
+        with pytest.raises(ValueError, match="hold_time_s must be a number, got True"):
+            load_config(str(path))
+
     def test_explicit_path_wins(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"hold_time_s": 1e-10}))

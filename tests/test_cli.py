@@ -264,6 +264,27 @@ class TestBenchUsage:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: cannot load benchmark")
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"hold_time_s": true}', "hold_time_s must be a number, got True"),
+        ('{"unit_capacitance_f": false}', "unit_capacitance_f must be a number, got False"),
+        ('{"mosfet_vth_v": "0.3"}', "mosfet_vth_v must be a number, got '0.3'"),
+        ('{"timestep_s": null}', "timestep_s must be a number, got None"),
+        ('{"logic_levels": [true, 0.3]}', "logic_levels[0] must be a number, got True"),
+        ('{"full_swing_levels": [0.9, "0.1"]}',
+         "full_swing_levels[1] must be a number, got '0.1'"),
+    ])
+    def test_non_number_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                        text, message):
+        # A JSON true held a 1 s input for 32 s of stimulus; a string gave
+        # "'>' not supported between instances of 'str' and 'int'".
+        monkeypatch.setattr(bench, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--config", str(cfg)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"cnfetsim: error: cannot load benchmark config: {message}"]
+
     def test_nonconvergence_exits_4_without_a_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         report = tmp_path / "report.md"

@@ -820,3 +820,149 @@ class TestPassivity:
         res = transient(c, cfg, 1e-11)
         p = 0.9 * (-res.current("vdd"))
         assert np.mean(p) >= 0.0
+
+
+
+def _record_iterates(monkeypatch):
+    """Every iterate of every _Newton.solve from here on, one record per
+    solve: [newton, const, hist, iterates, converged], where each iterate
+    is the (x_pad, f, stamps) its _assemble saw and returned.  solve goes
+    on past an iterate only when its verdict is "not converged", so every
+    iterate but a converged solve's last had that verdict."""
+    solves = []
+    assemble, solve = solver._Newton._assemble, solver._Newton.solve
+
+    def recording_solve(self, x0_pad, const, hist=None, time=None):
+        record = [self, const.copy(), None if hist is None else hist.copy(), [], False]
+        solves.append(record)
+        out = solve(self, x0_pad, const, hist, time)
+        record[4] = True
+        return out
+
+    def recording_assemble(self, x_pad, const, stamps=None):
+        f, stamps = assemble(self, x_pad, const, stamps)
+        if solves and not solves[-1][4]:  # not _settle_source_currents
+            solves[-1][3].append((x_pad.copy(), f.copy(), stamps))
+        return f, stamps
+
+    monkeypatch.setattr(solver._Newton, "solve", recording_solve)
+    monkeypatch.setattr(solver._Newton, "_assemble", recording_assemble)
+    return solves
+
+
+def _verdict_path(newton, f):
+    """Which of solve's verdicts decides f: every row within tol_base, a
+    source row not within it, or the full test."""
+    within = np.abs(f[: newton.comp.size]) <= newton.tol_base
+    if within.all():
+        return "within"
+    return "source" if not within[newton.comp.n_nodes:].all() else "full"
+
+
+class TestResidualFirstVerdict:
+    """solve decides an iterate from its residual before it builds the
+    tolerance scale; every verdict must be _converged's with the scale."""
+
+    @staticmethod
+    def _check(solves):
+        paths = {"within": 0, "source": 0, "full": 0}
+        for newton, _, hist, iterates, converged in solves:
+            assert iterates
+            for k, (x_pad, f, stamps) in enumerate(iterates):
+                verdict = converged and k == len(iterates) - 1
+                scale = newton._scale(x_pad, hist, stamps)
+                assert newton._converged(f, scale) == verdict
+                paths[_verdict_path(newton, f)] += 1
+        return paths
+
+    @staticmethod
+    def _proposed_testbench():
+        from cnfetsim.adders import AdderKind, build_adder, build_testbench
+        return build_testbench(build_adder(AdderKind.PROPOSED, 0.9), 0.9, 1e-11, 2e-10)
+
+    @pytest.mark.parametrize("vdd", [0.65, 0.9])
+    def test_every_iterate_of_each_catalog_gates_warm_sweep(self, monkeypatch, vdd):
+        from cnfetsim.adders import GATE_CHIRALITIES
+        solves = _record_iterates(monkeypatch)
+        for cn, cp in GATE_CHIRALITIES.values():
+            c = parse(f".model nsw cnfet polarity=n chirality={cn.n},{cn.m}\n"
+                      f".model psw cnfet polarity=p chirality={cp.n},{cp.m}\n"
+                      f"vdd vdd 0 dc {vdd}\nvin in 0 dc 0\n"
+                      "qn out in 0 nsw\nqp out in vdd psw\n")
+            guess = None
+            for k in range(121):
+                guess = dc_operating_point(c.with_dc_source("vin", vdd * k / 120),
+                                           initial_guess=guess)
+        assert len(solves) == len(GATE_CHIRALITIES) * 121
+        paths = self._check(solves)
+        assert min(paths.values()) > 0, paths
+
+    def test_every_iterate_of_a_fixed_step_proposed_testbench(self, monkeypatch):
+        # The floating-node initializer's one solve, with its charge rows,
+        # then 250 fixed steps across the first input edge at 205 ps.
+        tb = self._proposed_testbench()
+        solves = _record_iterates(monkeypatch)
+        init = initialize_floating_nodes(tb)
+        res = transient(tb, SolverConfig(timestep=1e-12), 2.5e-10, initial_conditions=init)
+        assert len(solves) == 1 + 250 == len(res.times)
+        assert solves[0][0].rel.tolist().count(0.0) > solves[0][0].comp.n_src  # charge rows
+        paths = self._check(solves)
+        assert min(paths.values()) > 0, paths
+
+    def test_every_iterate_of_a_floating_node_initialization(self, monkeypatch):
+        solves = _record_iterates(monkeypatch)
+        initialize_floating_nodes(parse(COUPLED_INVERTER))
+        assert len(solves) == 1
+        self._check(solves)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_states(self, monkeypatch, value):
+        # From the last converged transient step and the converged DC
+        # point of the proposed testbench, one node voltage, source
+        # current or capacitor history at a time is made nonfinite, and
+        # the residual is built through _assemble.  With no Newton
+        # iteration allowed, solve's verdict on a state is whether it
+        # returns; it must be _converged's.
+        tb = self._proposed_testbench()
+        comp = solver._compiled(tb)
+        solves = _record_iterates(monkeypatch)
+        transient(tb, SolverConfig(timestep=1e-12), 2.1e-10,
+                  initial_conditions=initialize_floating_nodes(tb))
+        monkeypatch.undo()
+        dc = solver._Newton(comp, comp.system())
+        x_dc, _ = dc.solve(np.zeros(comp.size + 1), solver._dc_const(comp, tb))
+        step, step_const, step_hist, step_iterates, _ = solves[-1]
+        levels = (-step_const[comp.n_nodes: comp.size]).tolist()
+        states = [(dc, x_dc, None), (step, step_iterates[-1][0], step_hist)]
+        for newton, x_star, hist in states[:2]:
+            for row in range(comp.size):
+                x_pad = x_star.copy()
+                x_pad[row] = value
+                states.append((newton, x_pad, hist))
+        for cap in range(comp.n_cap):
+            hist = step_hist.copy()
+            hist[cap] = value
+            states.append((step, step_iterates[-1][0], hist))
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 0)
+        verdicts = []
+        with np.errstate(all="ignore"):
+            for newton, x_pad, hist in states:
+                const = (solver._dc_const(comp, tb) if hist is None
+                         else comp.step_const(levels, hist))
+                f, stamps = newton._assemble(x_pad, const)
+                want = newton._converged(f, newton._scale(x_pad, hist, stamps))
+                try:
+                    newton.solve(x_pad, const, hist)
+                    got = True
+                except ConvergenceError:
+                    got = False
+                assert got == want
+                verdicts.append(got)
+        # The two unperturbed states converge, and no state with a
+        # nonfinite voltage or source current does.  An infinite history
+        # current makes its rows' residual and tolerance both infinite,
+        # which _converged accepts; only the agreement is asserted there.
+        assert verdicts[:2] == [True, True]
+        assert not any(verdicts[2: 2 + 2 * comp.size])
+        if math.isnan(value):
+            assert not any(verdicts[2:])
