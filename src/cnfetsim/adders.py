@@ -220,7 +220,7 @@ def _semiconducting_zigzags() -> list[Chirality]:
 
 def _band_margin(vdd: float) -> float:
     """How far a gate threshold must sit inside its band, and a supply
-    above the NAND/NOR floor: vdd / 30."""
+    above a design's gate floor: vdd / 30."""
     return vdd / 30.0
 
 
@@ -552,21 +552,43 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
     return b.circuit()
 
 
+# The catalog gates each CNFET design is built from.  CNT-FA2's sum
+# inverter is a (59,0) pair, whose floor (0.180 V) is below any of these.
+DESIGN_GATES: dict[AdderKind, tuple[str, ...]] = {
+    AdderKind.PROPOSED: ("nand3", "nor3", "majority_not", "inverter"),
+    AdderKind.CNT_FA1: ("majority_not", "inverter"),
+    AdderKind.CNT_FA2: ("nand3", "nor3", "majority_not", "inverter"),
+    AdderKind.CNT_FA3: ("majority_not", "inverter"),
+}
+
+
+def gate_floor(gate: str) -> float:
+    """vtn + vtp of a catalog gate's chirality pair: below it some input
+    range leaves both devices off."""
+    n, p = _chir(gate)
+    return chirality_threshold(n) + chirality_threshold(p)
+
+
 def check_operating_point(kind: AdderKind, vdd: float) -> None:
     """Raise GateSynthesisError if `kind` cannot be built for supply `vdd`.
 
-    The CNFET designs' fixed NAND/NOR chirality pair needs vtn + vtp < vdd
-    (no input range with both devices off) and headroom for the band
-    margins; the CMOS designs take any supply.
+    A CNFET design needs a supply above the floor (see gate_floor) of
+    each of its gates, with headroom for the band margins, so it is held
+    to the highest: Proposed and CNT-FA2 to their nand3 gate's
+    (10,0)/(59,0) pair, 0.620 V, and CNT-FA1 and CNT-FA3 to their
+    majority_not gate's (19,0)/(19,0) pair, 0.558 V.  The CMOS designs
+    take any supply.
     """
-    if kind not in (AdderKind.PROPOSED, AdderKind.CNT_FA1, AdderKind.CNT_FA2, AdderKind.CNT_FA3):
+    gates = DESIGN_GATES.get(kind)
+    if gates is None:
         return
-    nand_n, nand_p = _chir("nand3")
-    floor = chirality_threshold(nand_n) + chirality_threshold(nand_p)
+    gate = max(gates, key=gate_floor)  # the first of equal floors
+    floor = gate_floor(gate)
     if vdd <= floor + _band_margin(vdd):
+        n, p = _chir(gate)
         raise GateSynthesisError(
-            f"vdd={vdd} V is below the {floor:.3f} V floor of the fixed "
-            f"NAND/NOR gate chiralities; rebuild with resynthesized gates"
+            f"vdd={vdd} V is below the {floor:.3f} V floor of {DISPLAY_NAMES[kind]}'s "
+            f"{gate} gate chiralities {n}/{p}; rebuild with resynthesized gates"
         )
 
 
@@ -708,45 +730,7 @@ def oracle_network(kind: AdderKind) -> logic.LogicNetwork:
     def maj_not(name: str, refs, weights) -> None:
         net.add_gate(name, logic.majority_not_gate(weights=tuple(weights)), refs)
 
-    if kind in (AdderKind.CNT_FA1, AdderKind.CNT_FA3):
-        maj_not("cob", abc, (1, 1, 1))
-        net.add_gate("co", logic.not_gate(), ("cob",))
-        maj_not("nsum", ("a", "b", "c", "cob"), (1, 1, 1, 2))
-        net.add_gate("su", logic.not_gate(), ("nsum",))
-        net.add_output("sum", "su")
-        net.add_output("cout", "co")
-    elif kind is AdderKind.CNT_FA2:
-        maj_not("cob", abc, (1, 1, 1))
-        net.add_gate("co", logic.not_gate(), ("cob",))
-        net.add_gate("nando", logic.nand3_gate(), abc)
-        net.add_gate("noro", logic.nor3_gate(), abc)
-        maj_not("su", ("a", "b", "c", "nando", "noro"), (1, 1, 1, 2, 2))
-        net.add_output("sum", "su")
-        net.add_output("cout", "co")
-    elif kind is AdderKind.PROPOSED:
-        maj_not("cob", abc, (1, 1, 1))
-        net.add_gate("co", logic.not_gate(), ("cob",))
-        net.add_gate("nando", logic.nand3_gate(), abc)
-        net.add_gate("noro", logic.nor3_gate(), abc)
-        net.add_gate("nnor", logic.not_gate(), ("noro",))
-        net.add_gate("nnand", logic.not_gate(), ("nando",))
-        net.add_gate("hi1", logic.and_gate(2), ("cob", "nnor"))
-        net.add_gate("hi2", logic.and_gate(2), ("co", "nnand"))
-        net.add_gate("su", logic.or_gate(2), ("hi1", "hi2"))
-        net.add_output("sum", "su")
-        net.add_output("cout", "co")
-    elif kind is AdderKind.C_CMOS:
-        maj_not("cob", abc, (1, 1, 1))
-        net.add_gate("co", logic.not_gate(), ("cob",))
-        net.add_gate("any", logic.or_gate(3), abc)
-        net.add_gate("all3", logic.and_gate(3), abc)
-        net.add_gate("t1", logic.and_gate(2), ("any", "cob"))
-        net.add_gate("sumb_in", logic.or_gate(2), ("t1", "all3"))
-        net.add_gate("sumb", logic.not_gate(), ("sumb_in",))
-        net.add_gate("su", logic.not_gate(), ("sumb",))
-        net.add_output("sum", "su")
-        net.add_output("cout", "co")
-    elif kind is AdderKind.TGA:
+    if kind is AdderKind.TGA:
         net.add_gate("na", logic.not_gate(), ("a",))
         net.add_gate("nb", logic.not_gate(), ("b",))
         net.add_gate("nc", logic.not_gate(), ("c",))
@@ -760,8 +744,34 @@ def oracle_network(kind: AdderKind) -> logic.LogicNetwork:
         net.add_gate("c1", logic.and_gate(2), ("h", "c"))
         net.add_gate("c2", logic.and_gate(2), ("nh", "a"))
         net.add_gate("co", logic.or_gate(2), ("c1", "c2"))
-        net.add_output("sum", "su")
-        net.add_output("cout", "co")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown adder kind {kind}")
+    else:
+        # Every other design's carry: not(cout) is the majority-not of a, b, c.
+        maj_not("cob", abc, (1, 1, 1))
+        net.add_gate("co", logic.not_gate(), ("cob",))
+        if kind in (AdderKind.CNT_FA1, AdderKind.CNT_FA3):
+            maj_not("nsum", ("a", "b", "c", "cob"), (1, 1, 1, 2))
+            net.add_gate("su", logic.not_gate(), ("nsum",))
+        elif kind is AdderKind.CNT_FA2:
+            net.add_gate("nando", logic.nand3_gate(), abc)
+            net.add_gate("noro", logic.nor3_gate(), abc)
+            maj_not("su", ("a", "b", "c", "nando", "noro"), (1, 1, 1, 2, 2))
+        elif kind is AdderKind.PROPOSED:
+            net.add_gate("nando", logic.nand3_gate(), abc)
+            net.add_gate("noro", logic.nor3_gate(), abc)
+            net.add_gate("nnor", logic.not_gate(), ("noro",))
+            net.add_gate("nnand", logic.not_gate(), ("nando",))
+            net.add_gate("hi1", logic.and_gate(2), ("cob", "nnor"))
+            net.add_gate("hi2", logic.and_gate(2), ("co", "nnand"))
+            net.add_gate("su", logic.or_gate(2), ("hi1", "hi2"))
+        elif kind is AdderKind.C_CMOS:
+            net.add_gate("any", logic.or_gate(3), abc)
+            net.add_gate("all3", logic.and_gate(3), abc)
+            net.add_gate("t1", logic.and_gate(2), ("any", "cob"))
+            net.add_gate("sumb_in", logic.or_gate(2), ("t1", "all3"))
+            net.add_gate("sumb", logic.not_gate(), ("sumb_in",))
+            net.add_gate("su", logic.not_gate(), ("sumb",))
+        else:  # pragma: no cover
+            raise ValueError(f"unknown adder kind {kind}")
+    net.add_output("sum", "su")
+    net.add_output("cout", "co")
     return net

@@ -170,8 +170,6 @@ def cmd_device(args: argparse.Namespace) -> int:
 
 
 def cmd_adders(args: argparse.Namespace) -> int:
-    if args.action != "list":
-        return _fail(EXIT_USAGE, f"unknown adders action {args.action!r}")
     print(f"{'kind':10s} {'design':16s} {'transistors':>11s} {'capacitors':>10s}")
     for kind in adders.BENCH_ORDER:
         circuit = adders.build_adder(kind)

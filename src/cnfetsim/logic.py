@@ -4,8 +4,10 @@ Every analog gate in this project is, at heart, a capacitive divider
 feeding a threshold-tuned inverter.  Its intended Boolean behaviour is a
 weighted-sum-versus-threshold test, so each circuit has an exact logic
 twin built from ThresholdGate objects.  The twin is evaluated by brute
-force over all input vectors and used as the independent oracle that
-every transient simulation must agree with.
+force over all input vectors and checked against the full-adder truth
+table (fa_truth) on every adders.build_adder call.  A transient is not
+checked against the twin: the benchmark checks each cell's settled
+phases against fa_truth itself (bench.phase_truth).
 
 Thresholds are exact rationals in units of the supply voltage, so the
 oracle is voltage-independent and immune to float boundary effects.

@@ -99,9 +99,8 @@ def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> tuple[np.ndarray,
 
 def _sustained(t: np.ndarray, wf: np.ndarray, cross_time: float, direction: int,
                level: float, min_sustain: float) -> bool:
-    """True if wf stays on the new side of level for min_sustain after the cross."""
-    if min_sustain <= 0:
-        return True
+    """True if wf stays on the new side of level for min_sustain after the
+    cross; with min_sustain <= 0 no sample is selected, so it is."""
     until = cross_time + min_sustain
     sel = (t > cross_time) & (t <= until)
     seg = wf[sel]

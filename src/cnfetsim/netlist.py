@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .devices import Chirality, CnfetParams, DeviceError, MosfetParams, Polarity
+from .devices import Chirality, CnfetParams, MosfetParams, Polarity
 
 GROUND = "0"
 
@@ -273,7 +273,7 @@ def _build_model(name: str, mtype: str, raw: dict[str, str], line: int) -> Model
             try:
                 n_str, m_str = ch.split(",")
                 chir = Chirality(int(n_str), int(m_str))
-            except (ValueError, DeviceError) as exc:
+            except ValueError as exc:
                 raise NetlistError("bad-value", f"bad chirality {ch!r}: {exc}", line) from exc
             given = _given_values(raw, {"k": "transconductance_per_tube",
                                         "a": "lattice_constant"}, line)
@@ -289,9 +289,7 @@ def _build_model(name: str, mtype: str, raw: dict[str, str], line: int) -> Model
             )
         else:
             raise NetlistError("unknown-model", f"unknown model type {mtype!r}", line)
-    except DeviceError as exc:
-        raise NetlistError("bad-value", f"model {name!r}: {exc}", line) from exc
-    except ValueError as exc:
+    except ValueError as exc:  # a devices.DeviceError is a ValueError
         raise NetlistError("bad-value", f"model {name!r}: {exc}", line) from exc
     return ModelCard(name=name, params=params)
 
@@ -393,14 +391,10 @@ def parse(text: str) -> Circuit:
                     name, ElementKind.VSOURCE, tuple(tokens[1:3]),
                     waveform=_parse_waveform(tokens[3:], lineno), line=lineno,
                 )
-            elif key == "r":
+            elif key in ("r", "c"):
+                kind = ElementKind.RESISTOR if key == "r" else ElementKind.CAPACITOR
                 el = Element(
-                    name, ElementKind.RESISTOR, tuple(tokens[1:3]),
-                    value=parse_value(tokens[3], lineno) if len(tokens) > 3 else None, line=lineno,
-                )
-            elif key == "c":
-                el = Element(
-                    name, ElementKind.CAPACITOR, tuple(tokens[1:3]),
+                    name, kind, tuple(tokens[1:3]),
                     value=parse_value(tokens[3], lineno) if len(tokens) > 3 else None, line=lineno,
                 )
             elif key in ("m", "q"):

@@ -378,10 +378,9 @@ class _Compiled:
         rel = np.zeros(self.size)
         tol_base[:nn] = ABSTOL
         rel[:nn] = RELTOL
-        if charge_rows:
-            rows = list(charge_rows)
-            tol_base[rows] = VTOL
-            rel[rows] = 0.0
+        rows = list(charge_rows)
+        tol_base[rows] = VTOL
+        rel[rows] = 0.0
         jac_base = np.zeros((self.size + 1, self.size))
         jac_base[: self.size] = base[: self.size, : self.size]
         geq = np.zeros(self.n_cap) if cap_geq is None else cap_geq * self.cap_c
@@ -477,13 +476,13 @@ class _Newton:
         self.base, self.base_core, self.tol_base, self.rel, self.g = system
 
     def _assemble(self, x_pad: np.ndarray, const: np.ndarray,
-                  stamps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+                  stamps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Padded residual and the device stamps.
 
         `const` is as in solve.  The device stamps are one float array:
         six Jacobian values per transistor in _Compiled.dev_jac order,
         then two currents per transistor in _Compiled.dev_rows order
-        (None with no transistor).  `stamps`, if given, are those already
+        (empty with no transistor).  `stamps`, if given, are those already
         evaluated at this x_pad.  The Jacobian at x_pad is
         _jacobian(stamps), and the per-row tolerance scale is
         _scale(x_pad, hist, stamps).
@@ -494,14 +493,13 @@ class _Newton:
         # In place through the view; ndarray.dot is the same BLAS product
         # as @, bit for bit.
         f_core += self.base_core.dot(x_pad[: comp.size])
-        if comp.has_devices:
-            if stamps is None:
-                values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
-                stamps = values.take(comp.stamp_take) * comp.stamp_sign
-            np.add.at(f, comp.dev_rows, stamps[comp.n_jac:])
+        if stamps is None:
+            values = np.array(drain_currents(comp.devices, x_pad.tolist()), dtype=float)
+            stamps = values.take(comp.stamp_take) * comp.stamp_sign
+        np.add.at(f, comp.dev_rows, stamps[comp.n_jac:])
         return f, stamps
 
-    def _scale(self, x_pad: np.ndarray, hist: np.ndarray | None, stamps: np.ndarray | None,
+    def _scale(self, x_pad: np.ndarray, hist: np.ndarray | None, stamps: np.ndarray,
                currents: np.ndarray | None = None) -> np.ndarray:
         """Per-row tolerance scale at x_pad: on a node row the largest
         |current| of the branches and device stamps incident on it, 0 on a
@@ -514,22 +512,20 @@ class _Newton:
         rc = comp.n_rc
         if currents is None:
             currents = np.zeros(comp.n_currents + 1)
-        if rc:
+        if rc:  # five NumPy calls on empty arrays otherwise, as on every gate sweep
             currents[:rc] = self.g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
             if hist is not None:
                 currents[comp.n_res: rc] += hist
         currents[rc: comp.n_branch] = x_pad[comp.n_nodes: comp.size]
-        if comp.has_devices:
-            currents[comp.n_branch: -1] = stamps[comp.n_jac:]
+        currents[comp.n_branch: -1] = stamps[comp.n_jac:]
         return np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)
 
-    def _jacobian(self, stamps: np.ndarray | None) -> np.ndarray:
+    def _jacobian(self, stamps: np.ndarray) -> np.ndarray:
         """The Jacobian, size by size and contiguous: the base matrix plus
         the device stamps, those to ground summed into the sink row."""
         comp = self.comp
         jac = self.base.copy()
-        if comp.has_devices:
-            np.add.at(jac.ravel(), comp.dev_jac, stamps[: comp.n_jac])
+        np.add.at(jac.ravel(), comp.dev_jac, stamps[: comp.n_jac])
         return jac[: comp.size]
 
     def _tolerance(self, scale: np.ndarray) -> np.ndarray:
@@ -538,10 +534,14 @@ class _Newton:
         return self.tol_base + self.rel * scale
 
     def _converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
-        """Every row within its tolerance; a NaN in any row fails, since
-        nan <= tol is False."""
-        within = np.abs(f[: self.comp.size]) <= self._tolerance(scale)
-        return False not in within.tolist()
+        """Every row within its tolerance, and every residual finite.  A
+        NaN in any row fails, since nan <= tol is False; an infinite
+        residual is within the infinite tolerance an infinite incident
+        current gives its row, so that is checked apart."""
+        res = np.abs(f[: self.comp.size])
+        if False in (res <= self._tolerance(scale)).tolist():
+            return False
+        return math.inf not in res.tolist()
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray, hist: np.ndarray | None = None,
               time: float | None = None) -> tuple[np.ndarray, int]:
@@ -595,8 +595,7 @@ class _Newton:
                     currents = np.zeros(comp.n_currents + 1)
                 done = self._converged(f, self._scale(x_pad, hist, stamps, currents))
             if done:
-                if stamps is not None:
-                    stamps.flags.writeable = False
+                stamps.flags.writeable = False
                 comp.last = (x_pad[:nn].tobytes(), stamps)
                 return x_pad, it
             if it == limit:
@@ -627,10 +626,10 @@ class _Newton:
 
         KCL rows are currents and source or charge rows are voltages, so
         each is measured against its own tolerance before they are compared.
+        A nonfinite residual ranks first: its ratio is inf, or NaN over an
+        infinite tolerance, and argmax takes the first NaN as the largest.
         """
         comp = self.comp
-        if not comp.size:
-            return ConvergenceError(message, 0.0, time)
         res = np.abs(f[: comp.size])
         row = int((res / self._tolerance(scale)).argmax())
         nn = comp.n_nodes

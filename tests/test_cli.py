@@ -318,9 +318,23 @@ class TestBenchUsage:
         assert "must be positive and finite" in lines[0]
 
     def test_supply_below_the_gate_floor_rejected(self, capsys):
-        # The built-in NAND/NOR gate chiralities need at least 0.62 V.
+        # CNT-FA1's (19,0) gates need more than 0.558 V.
         assert cli.main(["bench", "--adders", "cnt-fa1", "--vdd", "0.3"]) == cli.EXIT_USAGE
         assert "floor" in capsys.readouterr().err
+
+    def test_each_design_is_held_to_the_floor_of_its_own_gates(self, capsys):
+        # CNT-FA1 and CNT-FA3 are built from (19,0) gates alone, so 0.6 V
+        # runs them; Proposed and CNT-FA2 hold a (10,0)/(59,0) NAND3 gate,
+        # whose 0.620 V floor 0.6 V is below.
+        assert cli.main(["bench", "--adders", "cnt-fa1,cnt-fa3", "--vdd", "0.6",
+                         "--format", "csv"]) == cli.EXIT_OK
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.endswith(",measured")]
+        assert [row.split(",")[:2] for row in rows] == [["CNT-FA1", "0.6"], ["CNT-FA3", "0.6"]]
+        for design in ("proposed", "cnt-fa2"):
+            assert cli.main(["bench", "--adders", design, "--vdd", "0.6"]) == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "0.620 V floor" in err and "nand3" in err
 
     def test_missed_toggle_exits_5_naming_the_output_and_edge(self, tmp_path, capsys):
         # The sum toggles on every 210 ps phase, so it cannot hold a new
