@@ -141,6 +141,7 @@ class _Builder:
         self.devices = devices
         self.elements: list[Element] = []
         self.models: dict[str, ModelCard] = {}
+        self.cnfet_pairs: list[tuple[str, Chirality, Chirality]] = []  # (tag, n, p)
 
     def cnfet_model(self, chirality: Chirality, polarity: Polarity,
                     tubes: int | None = None) -> str:
@@ -192,6 +193,7 @@ class _Builder:
     def cnfet_inverter(self, tag: str, inp: str, out: str,
                        n_chir: Chirality, p_chir: Chirality,
                        tubes: int | None = None) -> None:
+        self.cnfet_pairs.append((tag, n_chir, p_chir))
         nm = self.cnfet_model(n_chir, Polarity.N, tubes)
         pm = self.cnfet_model(p_chir, Polarity.P, tubes)
         self.transistor(f"qn{tag}", ElementKind.CNFET, out, inp, "0", nm)
@@ -526,12 +528,11 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
     """Flat full-adder circuit with terminals a, b, c, sum, cout, vdd.
 
     vdd is not baked into the structure (the testbench supplies power);
-    it gates a cheap feasibility check that the fixed gate chiralities
-    work at the requested operating point.  The logic twin of the design
-    is verified against the full-adder truth table on every build.
-    `devices` sets the transistor model cards.
+    it gates a cheap feasibility check that the built gate chiralities
+    work at the requested operating point (see check_operating_point).
+    The logic twin of the design is verified against the full-adder truth
+    table on every build.  `devices` sets the transistor model cards.
     """
-    check_operating_point(kind, vdd)
     b = _Builder(devices)
     if kind is AdderKind.PROPOSED:
         _build_proposed(b, input_cap)
@@ -547,48 +548,38 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
         _build_tga(b)
     else:  # pragma: no cover
         raise ValueError(f"unknown adder kind {kind}")
+    check_operating_point(DISPLAY_NAMES[kind], vdd, b.cnfet_pairs)
     report = logic.verify_adder_network(oracle_network(kind))
     assert report.ok, f"{kind.value} logic twin fails the truth table:\n{report.to_json()}"
     return b.circuit()
 
 
-# The catalog gates each CNFET design is built from.  CNT-FA2's sum
-# inverter is a (59,0) pair, whose floor (0.180 V) is below any of these.
-DESIGN_GATES: dict[AdderKind, tuple[str, ...]] = {
-    AdderKind.PROPOSED: ("nand3", "nor3", "majority_not", "inverter"),
-    AdderKind.CNT_FA1: ("majority_not", "inverter"),
-    AdderKind.CNT_FA2: ("nand3", "nor3", "majority_not", "inverter"),
-    AdderKind.CNT_FA3: ("majority_not", "inverter"),
-}
+def check_operating_point(design: str, vdd: float,
+                          cnfet_pairs: list[tuple[str, Chirality, Chirality]]) -> None:
+    """Raise GateSynthesisError if `design`'s CNFET gate pairs
+    `cnfet_pairs`, (tag, n, p) as _Builder records them, cannot work at
+    supply `vdd`.
 
-
-def gate_floor(gate: str) -> float:
-    """vtn + vtp of a catalog gate's chirality pair: below it some input
-    range leaves both devices off."""
-    n, p = _chir(gate)
-    return chirality_threshold(n) + chirality_threshold(p)
-
-
-def check_operating_point(kind: AdderKind, vdd: float) -> None:
-    """Raise GateSynthesisError if `kind` cannot be built for supply `vdd`.
-
-    A CNFET design needs a supply above the floor (see gate_floor) of
-    each of its gates, with headroom for the band margins, so it is held
-    to the highest: Proposed and CNT-FA2 to their nand3 gate's
-    (10,0)/(59,0) pair, 0.620 V, and CNT-FA1 and CNT-FA3 to their
-    majority_not gate's (19,0)/(19,0) pair, 0.558 V.  The CMOS designs
-    take any supply.
+    Below a pair's floor, vtn + vtp, some input range leaves both devices
+    off, and the band margins need vdd/30 of headroom above it, so a
+    design needs vdd > f + vdd/30, that is vdd > 30f/29, f being its
+    highest floor.  Proposed and CNT-FA2 are held to their nor gate's
+    (59,0)/(10,0) pair, f = 0.620 V, so vdd > 0.641 V, and CNT-FA1 and
+    CNT-FA3 to their maj gate's (19,0)/(19,0) pair, f = 0.558 V, so
+    vdd > 0.577 V.  The CMOS designs have no CNFET pair and take any
+    supply.
     """
-    gates = DESIGN_GATES.get(kind)
-    if gates is None:
+    if not cnfet_pairs:
         return
-    gate = max(gates, key=gate_floor)  # the first of equal floors
-    floor = gate_floor(gate)
+    floors = [chirality_threshold(n) + chirality_threshold(p) for _, n, p in cnfet_pairs]
+    floor = max(floors)
     if vdd <= floor + _band_margin(vdd):
-        n, p = _chir(gate)
+        tag, n, p = cnfet_pairs[floors.index(floor)]
+        least = floor / (1.0 - _band_margin(1.0))  # the margin is linear in vdd
         raise GateSynthesisError(
-            f"vdd={vdd} V is below the {floor:.3f} V floor of {DISPLAY_NAMES[kind]}'s "
-            f"{gate} gate chiralities {n}/{p}; rebuild with resynthesized gates"
+            f"vdd={vdd} V is too low for {design}: it needs vdd > {least:.3f} V, the "
+            f"{floor:.3f} V floor of its {tag} gate's {n}/{p} pair plus vdd/30; "
+            f"rebuild with resynthesized gates"
         )
 
 

@@ -512,10 +512,9 @@ class _Newton:
         rc = comp.n_rc
         if currents is None:
             currents = np.zeros(comp.n_currents + 1)
-        if rc:  # five NumPy calls on empty arrays otherwise, as on every gate sweep
-            currents[:rc] = self.g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
-            if hist is not None:
-                currents[comp.n_res: rc] += hist
+        currents[:rc] = self.g * (x_pad[comp.rc_i] - x_pad[comp.rc_j])
+        if hist is not None:
+            currents[comp.n_res: rc] += hist
         currents[rc: comp.n_branch] = x_pad[comp.n_nodes: comp.size]
         currents[comp.n_branch: -1] = stamps[comp.n_jac:]
         return np.maximum.reduceat(np.abs(currents.take(comp.scale_take)), comp.scale_start)

@@ -330,21 +330,6 @@ class TestOracleTwins:
         with pytest.raises(GateSynthesisError):
             build_adder(AdderKind.PROPOSED, vdd=0.4)
 
-    @pytest.mark.parametrize("kind", list(adders.DESIGN_GATES))
-    def test_design_gates_are_the_inverter_pairs_of_the_build(self, kind):
-        # Each listed catalog gate is an inverter pair (qn<tag>, qp<tag>)
-        # of the build, and the highest floor among them is the highest
-        # vtn + vtp of any pair, so check_operating_point's floor is the
-        # design's own.
-        circuit = build_adder(kind, 0.9)
-        chir = {el.name: circuit.models[el.model].params.chirality
-                for el in circuit.elements if el.kind is netlist.ElementKind.CNFET}
-        pairs = {(chir[name], chir["qp" + name[2:]]) for name in chir if name.startswith("qn")}
-        gates = adders.DESIGN_GATES[kind]
-        assert {adders.GATE_CHIRALITIES[gate] for gate in gates} <= pairs
-        assert max(map(adders.gate_floor, gates)) == max(
-            chirality_threshold(n) + chirality_threshold(p) for n, p in pairs)
-
     def test_mosfet_designs_skip_cnfet_feasibility(self):
         # The reference MOSFET adders have no chirality-tuned gates.
         build_adder(AdderKind.C_CMOS, vdd=0.4)

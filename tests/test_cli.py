@@ -324,17 +324,20 @@ class TestBenchUsage:
 
     def test_each_design_is_held_to_the_floor_of_its_own_gates(self, capsys):
         # CNT-FA1 and CNT-FA3 are built from (19,0) gates alone, so 0.6 V
-        # runs them; Proposed and CNT-FA2 hold a (10,0)/(59,0) NAND3 gate,
-        # whose 0.620 V floor 0.6 V is below.
-        assert cli.main(["bench", "--adders", "cnt-fa1,cnt-fa3", "--vdd", "0.6",
+        # and 0.62 V run them; Proposed and CNT-FA2 hold a (59,0)/(10,0)
+        # NOR3 gate, whose 0.620 V floor needs vdd > 0.620 + vdd/30, so
+        # more than 0.641 V.
+        assert cli.main(["bench", "--adders", "cnt-fa1,cnt-fa3", "--vdd", "0.6,0.62",
                          "--format", "csv"]) == cli.EXIT_OK
         rows = [line for line in capsys.readouterr().out.splitlines()
                 if line.endswith(",measured")]
-        assert [row.split(",")[:2] for row in rows] == [["CNT-FA1", "0.6"], ["CNT-FA3", "0.6"]]
-        for design in ("proposed", "cnt-fa2"):
-            assert cli.main(["bench", "--adders", design, "--vdd", "0.6"]) == cli.EXIT_USAGE
-            err = capsys.readouterr().err
-            assert "0.620 V floor" in err and "nand3" in err
+        assert sorted(row.split(",")[:2] for row in rows) == [
+            ["CNT-FA1", "0.6"], ["CNT-FA1", "0.62"], ["CNT-FA3", "0.6"], ["CNT-FA3", "0.62"]]
+        for vdd in (0.6, 0.62):
+            for design in ("proposed", "cnt-fa2"):
+                assert cli.main(["bench", "--adders", design, "--vdd", str(vdd)]) == cli.EXIT_USAGE
+                err = capsys.readouterr().err
+                assert "needs vdd > 0.641 V, the 0.620 V floor of its nor gate" in err
 
     def test_missed_toggle_exits_5_naming_the_output_and_edge(self, tmp_path, capsys):
         # The sum toggles on every 210 ps phase, so it cannot hold a new
