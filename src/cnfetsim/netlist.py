@@ -16,6 +16,7 @@ or the serializer, and it pickles empty.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -230,17 +231,23 @@ _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)([a-z]*)$")
 
 
 def parse_value(token: str, line: int = 0) -> float:
-    """Number with optional SI suffix: '1k' -> 1000.0, '2.5f' -> 2.5e-15."""
+    """Number with optional SI suffix: '1k' -> 1000.0, '2.5f' -> 2.5e-15.
+
+    A value that overflows a float ('1e999', '1e308k') is refused, so no
+    level, corner, element value or model parameter is ever infinite.
+    """
     m = _NUMBER_RE.match(token.lower())
     if not m:
         raise NetlistError("bad-value", f"cannot parse value {token!r}", line)
-    base, suffix = float(m.group(1)), m.group(2)
-    if not suffix:
-        return base
-    for name, mult in _SUFFIXES:
-        if suffix.startswith(name):
-            return base * mult
-    raise NetlistError("bad-value", f"unknown unit suffix in {token!r}", line)
+    value, suffix = float(m.group(1)), m.group(2)
+    if suffix:
+        mult = next((mult for name, mult in _SUFFIXES if suffix.startswith(name)), None)
+        if mult is None:
+            raise NetlistError("bad-value", f"unknown unit suffix in {token!r}", line)
+        value *= mult
+    if not math.isfinite(value):
+        raise NetlistError("bad-value", f"value {token!r} overflows a float", line)
+    return value
 
 
 def _format_value(v: float) -> str:

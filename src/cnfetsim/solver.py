@@ -136,10 +136,12 @@ class IllConditionedDividerError(Exception):
 class SolverConfig:
     """The transient step policy; Newton's is fixed (ABSTOL and the rest).
 
-    `timestep` is the transient step.  With `timestep_control` it is the
-    base of the error-controlled ladder instead (see transient): the step
-    taken after each breakpoint, 16 times the shortest step and 1/64 of
-    the longest.
+    `timestep` is the base of transient's step ladder: the step taken
+    after each breakpoint, 16 times the shortest step and 1/64 of the
+    longest.  A fixed-step run (the default) is the ladder held at that
+    one rung, with tstop as its only breakpoint; `timestep_control` lets
+    the truncation-error estimate move the rung and makes every PWL
+    corner a breakpoint (see transient).
     """
 
     timestep: float = 1e-12
@@ -781,16 +783,6 @@ def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
 # --- transient ----------------------------------------------------------------
 
 
-def _time_grid(tstop: float, dt: float) -> tuple[np.ndarray, int]:
-    """Sample times k*dt up to tstop, with tstop appended when dt does not
-    divide it, and the number of full dt steps among them."""
-    n = int(math.floor(tstop / dt + 1e-9))
-    times = [k * dt for k in range(n + 1)]
-    if times[-1] < tstop * (1.0 - 1e-12):
-        times.append(tstop)
-    return np.array(times), n
-
-
 def _breakpoints(waveforms: list[SourceWaveform], tstop: float, unit: float) -> list[float]:
     """Every PWL corner in (0, tstop), then tstop.  A corner within a
     thousandth of a unit of t=0 or of the next one kept is dropped."""
@@ -879,21 +871,25 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     cfg.timestep_control, the first one after each breakpoint, which are
     backward Euler.
 
-    Fixed step (the default): the samples are the k*cfg.timestep grid.
-    Every step is exactly cfg.timestep long except a short final one when
-    the timestep does not divide tstop, so every full step shares one
-    companion system.
+    Both modes walk one step ladder.  Time counts in units of
+    cfg.timestep / 16, a step is 2**rung units long, and a step lands on
+    each breakpoint exactly: one short step when the breakpoint is off
+    the unit grid (within a millionth of a unit counts as on it).
 
-    With cfg.timestep_control, time counts in units of cfg.timestep / 16
-    and steps are 2**rung units long, up to 64 * cfg.timestep.  Every PWL
-    corner is a breakpoint that a step lands on exactly (one short
-    off-ladder step when the corner is off the unit grid).  After each
-    breakpoint come BREAKPOINT_STEPS steps of cfg.timestep, the first
-    backward Euler; from then on a step whose truncation-error ratio r
-    (_lte_ratio) exceeds 1 is rejected and retried ceil(log2(r)/3) rungs
-    down, and an accepted step with r <= 1/8 lets the next one be a rung
-    longer.  Newton starts from the linear predictor through the last two
-    points, except on a breakpoint's first step.
+    Fixed step (the default) is the ladder held at the rung of one
+    cfg.timestep, with tstop as its only breakpoint.  The samples before
+    tstop are the k*cfg.timestep grid, bit for bit, and every step before
+    the last is exactly cfg.timestep long, so they share one companion
+    system.
+
+    With cfg.timestep_control every PWL corner is a breakpoint too, and
+    steps reach up to 64 * cfg.timestep.  After each breakpoint come
+    BREAKPOINT_STEPS steps of cfg.timestep, the first backward Euler; from
+    then on a step whose truncation-error ratio r (_lte_ratio) exceeds 1
+    is rejected and retried ceil(log2(r)/3) rungs down, and an accepted
+    step with r <= 1/8 lets the next one be a rung longer.  Newton starts
+    from the linear predictor through the last two points, except on a
+    breakpoint's first step.
 
     In both modes every accepted step is a sample, and a step whose Newton
     solve fails raises its ConvergenceError at that step's time.
@@ -906,12 +902,8 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     control = cfg.timestep_control
     unit = cfg.timestep / UNITS_PER_TIMESTEP
     sources_at = _source_values(waveforms)
-    if control:
-        targets = _breakpoints(waveforms, tstop, unit)
-        v_floor = CHGTOL / comp.cap_c
-    else:
-        grid, n_full = _time_grid(tstop, cfg.timestep)
-        targets = grid[1:].tolist()
+    targets = _breakpoints(waveforms, tstop, unit) if control else [tstop]
+    v_floor = CHGTOL / comp.cap_c
 
     if initial_conditions is None:
         x_pad, _ = _solve_dc(comp, dc_const)
@@ -951,7 +943,9 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     history = [x_pad[: comp.size]]
     lte_rejections = newton_iterations = 0
     # t is anchor + n units, or the last target reached.  A fixed-step
-    # run keeps its anchor at 0, so its grid points are k * timestep.
+    # run has one target, so its anchor stays at 0 and, at rung
+    # TIMESTEP_RUNG, its grid points are (16k) * (timestep / 16), which
+    # rounds as k * timestep does.
     t, anchor, n = 0.0, 0.0, 0
     rung, since = TIMESTEP_RUNG, 0  # since: accepted steps since the last breakpoint
     x_prev, h_prev = x_pad, 0.0
@@ -960,13 +954,10 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     # then rolled forward by each accepted estimate; None until built.
     recent = [(0.0, cap_v)]
     past = None
-    for k, b in enumerate(targets):
+    for b in targets:
         p = (b - anchor) / unit
-        if control:
-            nb = round(p)
-            on_grid = nb >= 1 and abs(p - nb) <= 1e-6
-        else:
-            nb, on_grid = UNITS_PER_TIMESTEP * (k + 1), k < n_full
+        nb = round(p)
+        on_grid = nb >= 1 and abs(p - nb) <= 1e-6
         end = nb if on_grid else p  # the target, in units past the anchor
         while True:
             m = 1 << rung
@@ -1008,11 +999,8 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             if landed:
                 break
             n += m
-        if control:
-            anchor, n, since, rung = b, 0, 0, TIMESTEP_RUNG
-            recent, past = [(b, cap_v)], None
-        else:
-            n = nb
+        anchor, n, since, rung = b, 0, 0, TIMESTEP_RUNG
+        recent, past = [(b, cap_v)], None
 
     samples = np.array(history)
     node_voltages = {name: samples[:, comp.node_index[name]].copy() for name in comp.node_names}

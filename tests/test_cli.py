@@ -86,6 +86,20 @@ class TestSimulate:
         assert cli.main(["simulate", str(bad), "--tstop", "1e-12"]) == cli.EXIT_PARSE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["v1 in 0 dc 1e999\nr1 in out 1k\nc1 out 0 1f\n",
+                                      "v1 in 0 pwl(0 0 1e999 0.9)\nr1 in out 1k\nc1 out 0 1f\n"],
+                             ids=["dc-level", "pwl-corner"])
+    def test_overflowing_value_exits_3_with_one_line(self, tmp_path, capsys, text):
+        # An infinite dc level ran into a NaN residual (exit 4), and an
+        # infinite PWL corner ran with the source held at 0 V (exit 0).
+        src = tmp_path / "inf.cir"
+        src.write_text(text)
+        assert cli.main(["simulate", str(src), "--tstop", "1e-12"]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cnfetsim: error: line 1: [bad-value]")
+        assert captured.out == ""
+
     def test_nonpositive_tstop_is_usage_error(self, rc_path, capsys):
         assert cli.main(["simulate", rc_path, "--tstop", "-1"]) == cli.EXIT_USAGE
 

@@ -49,6 +49,31 @@ class TestValues:
         with pytest.raises(NetlistError):
             parse_value(token)
 
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1e306meg", "1e308k"])
+    def test_overflowing_value_is_refused(self, token):
+        # float() reads each as +-inf, or the suffix carries it there.
+        with pytest.raises(NetlistError) as err:
+            parse_value(token, 7)
+        assert err.value.code == "bad-value" and err.value.line == 7
+
+    @pytest.mark.parametrize("text", [
+        "v1 in 0 dc 1e999\nr1 in 0 1k\n",
+        "v1 in 0 -1e999\nr1 in 0 1k\n",
+        "v1 in 0 pwl(0 0 1e999 0.9)\nr1 in 0 1k\n",
+        "v1 in 0 pwl(0 0 1p 1e306meg)\nr1 in 0 1k\n",
+        "v1 in 0 dc 0.9\nr1 in 0 1e308k\n",
+        "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1e999\n",
+        ".model n19 cnfet polarity=n chirality=19,0 k=1e999\n",
+        ".model nm mosfet polarity=n vth=0.25 k=1e999\n",
+        ".model nm mosfet polarity=n vth=1e999\n",
+    ], ids=["dc-level", "bare-level", "pwl-time", "pwl-level", "resistor", "capacitor",
+            "cnfet-k", "mosfet-k", "mosfet-vth"])
+    def test_overflowing_value_is_refused_in_every_element(self, text):
+        with pytest.raises(NetlistError) as err:
+            parse(text)
+        assert err.value.code == "bad-value"
+        assert "overflows a float" in str(err.value)
+
 
 class TestWaveform:
     def test_pwl_interpolation_and_extrapolation(self):

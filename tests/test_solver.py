@@ -468,9 +468,10 @@ class TestLinearOneIteration:
         assert iters == 1
 
 
-def _samples_sha256(res) -> str:
-    """sha256 of a transient's times, node voltages (by name) and source currents."""
-    h = hashlib.sha256(res.times.tobytes())
+def _samples_sha256(res, times=None) -> str:
+    """sha256 of a transient's times (or `times` in their place), node
+    voltages (by name) and source currents."""
+    h = hashlib.sha256((res.times if times is None else times).tobytes())
     for name in sorted(res.node_voltages):
         h.update(res.node_voltages[name].tobytes())
     for name in res.source_currents:
@@ -486,10 +487,16 @@ class TestTransistorFreeBits:
     RC_RAMP = "v1 in 0 pwl(0 0 1p 0 3p 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
 
     def test_fixed_step_rc_samples(self):
+        # Every value but the last time was recorded with the k*dt sample
+        # grid, whose 200th point is fl(200 * 5e-14) = 1.0000000000000001e-11;
+        # the step ladder lands the last sample on tstop itself.
         res = transient(parse(self.RC_RAMP), SolverConfig(timestep=5e-14), 1e-11,
                         initial_conditions={"in": 0.0, "out": 0.0})
+        assert _samples_sha256(res, res.times[:-1]) == (
+            "1d7eef383d7f4d3db85a39c3a4ada534b9e6348e1fd8396c0b3f87f066dd6e6b")
+        assert res.times[-1] == 1e-11
         assert _samples_sha256(res) == (
-            "6e5efb70cd1a727a310ddf68da49f6b0071c8f08258b8d1d75ba2c005cc65d46")
+            "4087ee28f3dbac4377ba66b1f1b6c9256005ace992cd93a80554b28b779ecd5f")
         assert (len(res.times) - 1, res.newton_iterations, res.lte_rejections) == (200, 180, 0)
 
     def test_error_controlled_rc_samples_and_counts(self):
@@ -503,6 +510,37 @@ class TestTransistorFreeBits:
         op = dc_operating_point(parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b c 2.2k\nr3 c 0 4.7k\n"))
         assert repr(op) == ("{'a': 0.9, 'b': 0.7860759483619614, 'c': 0.535443036487643, "
                             "'i(v1)': -0.00011392405253803862, '0': 0.0}")
+
+
+class TestFixedStepGrid:
+    """A fixed-step run is the step ladder held at one rung, with tstop its
+    only breakpoint: samples at k * dt, bit for bit, then tstop."""
+
+    RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
+
+    @pytest.mark.parametrize("dt,tstop,steps", [
+        (5e-14, 1e-11, 200),       # a multiple, though fl(200 * 5e-14) > 1e-11
+        (1e-13, 1.0001e-11, 101),  # not a multiple: a short last step
+        (2e-13, 2.05e-11, 103),    # a multiple of dt / 16 but not of dt
+        (1e-13, 3e-14, 1),         # below dt: one step to tstop
+    ], ids=["multiple", "non-multiple", "half-step", "below-dt"])
+    def test_samples_are_the_k_dt_grid_then_tstop(self, dt, tstop, steps):
+        res = transient(parse(self.RC), SolverConfig(timestep=dt), tstop,
+                        initial_conditions={"in": 0.9, "out": 0.0})
+        assert len(res.times) - 1 == steps
+        assert res.times[:-1].tolist() == [k * dt for k in range(steps)]
+        assert res.times[-1] == tstop
+
+    def test_pwl_corner_between_grid_points_adds_no_sample(self):
+        # Under step control each corner, 1.03 ps and 2.57 ps here, is a
+        # breakpoint; a fixed-step run steps over them.
+        c = parse("v1 in 0 pwl(0 0 1.03e-12 0 2.57e-12 0.9)\nr1 in out 1k\nc1 out 0 1f\n")
+        res = transient(c, SolverConfig(timestep=1e-13), 5e-12,
+                        initial_conditions={"in": 0.0, "out": 0.0})
+        assert res.times.tolist() == [k * 1e-13 for k in range(50)] + [5e-12]
+        controlled = transient(c, SolverConfig(timestep=1e-13, timestep_control=True), 5e-12,
+                               initial_conditions={"in": 0.0, "out": 0.0})
+        assert {1.03e-12, 2.57e-12} <= set(controlled.times.tolist())
 
 
 class TestTransient:
