@@ -314,22 +314,19 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
 
     Three equal input capacitors join at internal node x driving one
     CNFET inverter (the INVERTER function drops the capacitors and takes
-    input a directly).  Explicit chirality fields are used as given;
-    when both are unset the catalog pair is taken, falling back to a
-    fresh synthesis for spec.vdd if the catalog pair fails to verify.
-    With verify=True the inverter's switching threshold is measured with
-    one DC solve of it self-biased (see measure_switching_threshold) and
-    must land inside the function's band.
+    input a directly).  Explicit chirality fields are used as given, and
+    an unset one is the catalog's.  When both are unset the catalog pair
+    is taken unless its predicted threshold falls outside the function's
+    band, in which case a pair is synthesized for spec.vdd.  The pair
+    does not depend on `verify`: with verify=True the inverter's switching
+    threshold is also measured with one DC solve of it self-biased (see
+    measure_switching_threshold) and must land inside the band.
     """
-    n_chir, p_chir = spec.n_chirality, spec.p_chirality
-    synthesized = False
-    if n_chir is None or p_chir is None:
-        cat_n, cat_p = GATE_CHIRALITIES[spec.function.value]
-        n_chir = n_chir or cat_n
-        p_chir = p_chir or cat_p
-        synthesized = spec.n_chirality is None and spec.p_chirality is None
-    if synthesized and verify:
-        lo, hi = spec.band()
+    cat_n, cat_p = GATE_CHIRALITIES[spec.function.value]
+    n_chir = spec.n_chirality or cat_n
+    p_chir = spec.p_chirality or cat_p
+    lo, hi = spec.band()
+    if spec.n_chirality is None and spec.p_chirality is None:
         vm = predicted_switching_threshold(
             spec.vdd, chirality_threshold(n_chir), chirality_threshold(p_chir)
         )
@@ -337,7 +334,6 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
             n_chir, p_chir = synthesize_gate_chiralities(spec.function, spec.vdd)
     if verify:
         vm = measure_switching_threshold(n_chir, p_chir, spec.vdd)
-        lo, hi = spec.band()
         if not (lo < vm < hi):
             raise GateSynthesisError(
                 f"measured switching threshold {vm:.4f} V outside {spec.function.value} "

@@ -95,7 +95,8 @@ class BenchConfig:
     defaults.  The device and capacitance defaults are the `adders` ones.
     A value out of its range or not finite, a count that is not an
     integer, a float field or level that is not a number (a bool is not),
-    or a stimulus too long to be finite raises ValueError."""
+    a full_swing_designs that is not a list of AdderKind values, or a
+    stimulus too long to be finite raises ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -128,6 +129,11 @@ class BenchConfig:
             elif f.type == "tuple[float, float]":
                 for k, level in enumerate(value):
                     _require_number(f"{f.name}[{k}]", level)
+        designs = self.full_swing_designs
+        known = [kind.value for kind in AdderKind]
+        if not isinstance(designs, (tuple, list)) or not all(d in known for d in designs):
+            raise ValueError(f"full_swing_designs must be a list of design names from "
+                             f"{', '.join(known)}; got {designs!r}")
         for name in ("transition_time_s", "hold_time_s", "timestep_s", "unit_capacitance_f",
                      "load_capacitance_f", "measure_periods", "cnfet_tubes",
                      "cnfet_k_per_tube_a_per_v2", "mosfet_k_a_per_v2", "mosfet_vth_v"):
@@ -173,13 +179,15 @@ class BenchConfig:
 def load_config(path: str | None = None) -> BenchConfig:
     """BenchConfig() with the keys of the JSON file `path` overriding its
     defaults; with no path, the defaults.  An unknown key raises TypeError.
+    A JSON list becomes a tuple; any other value is passed as it is, for
+    BenchConfig to check.
     """
     if path is None:
         return BenchConfig()
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     for key in ("full_swing_designs", "full_swing_levels", "logic_levels"):
-        if key in data:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     return BenchConfig(**data)
 
@@ -193,12 +201,12 @@ class CellResult:
     result: solver.TransientResult = field(repr=False)
 
 
-def phase_truth(sched: InputSchedule, transition_time: float) -> list[tuple[float, float, dict[str, int]]]:
+def phase_truth(sched: InputSchedule) -> list[tuple[float, float, dict[str, int]]]:
     """Settled-interval expectations: each phase up to the start of its ramp."""
     out = []
     for ph in sched.phases():
         s, co = logic.fa_truth(*ph.vector)
-        out.append((ph.t_start, ph.t_end - transition_time, {"sum": s, "cout": co}))
+        out.append((ph.t_start, ph.t_end - sched.transition_time, {"sum": s, "cout": co}))
     return out
 
 
@@ -235,7 +243,7 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> 
     result = solver.transient(tb, cfg, sched.total_time, initial_conditions=init)
 
     swing = measure.full_swing_check(
-        result, ["sum", "cout"], phase_truth(sched, config.transition_time_s),
+        result, ["sum", "cout"], phase_truth(sched),
         thresholds_for(kind, vdd, config),
     )
     if not swing.ok:

@@ -398,18 +398,15 @@ class _Compiled:
         floating node's (see _floating_nodes), by its zero-charge equation
         v_n - sum(C_j v_j) / sum(C_j) over its capacitors' far ends.  No
         device, resistor or source stamp reaches such a row."""
-        total = dict.fromkeys(charge_rows, 0.0)
-        for i, j, c in self.capacitors:
-            for n in (i, j):
-                if n in total:
-                    total[n] += c
+        table = _floating_nodes(self)
         for n in charge_rows:
+            total = 0.0  # summed in order: sum() compensates from Python 3.12
+            for _, c in table[n]:
+                total += c
             g[n] = 0.0
             g[n, n] = 1.0
-        for i, j, c in self.capacitors:
-            for n, other in ((i, j), (j, i)):
-                if n in total:
-                    g[n, other] -= c / total[n]
+            for other, c in table[n]:
+                g[n, other] -= c / total
 
 
 @functools.lru_cache(maxsize=None)
@@ -715,25 +712,28 @@ def _solution_dict(comp: _Compiled, x_pad: np.ndarray) -> dict[str, float]:
 # --- floating-node initialization --------------------------------------------
 
 
-def _floating_nodes(comp: _Compiled) -> set[int]:
-    """Nodes whose every current-carrying connection is a capacitor.
+def _floating_nodes(comp: _Compiled) -> dict[int, list[tuple[int, float]]]:
+    """Nodes whose every current-carrying connection is a capacitor, each
+    mapped to its capacitors' (far end, capacitance) pairs in capacitor
+    order; a capacitor with both ends on the node is listed twice.
 
-    Transistor gates draw no current in this model, so a gate terminal
-    does not anchor a node; drain and source terminals do.
+    Ground, and every resistor, source, drain and source terminal, anchors
+    a node.  Transistor gates draw no current in this model, so a gate
+    terminal does not.
     """
-    caps_at: dict[int, int] = {}
-    anchored: set[int] = set()
-    for i, j, _ in comp.capacitors:
-        for t in (i, j):
-            if t >= 0:
-                caps_at[t] = caps_at.get(t, 0) + 1
+    anchored = {-1}
     for i, j, _ in comp.resistors:
-        anchored.update(t for t in (i, j) if t >= 0)
+        anchored.update((i, j))
     for _, p, m in comp.sources:
-        anchored.update(t for t in (p, m) if t >= 0)
+        anchored.update((p, m))
     for d, _, s, *_ in comp.devices:
-        anchored.update(t for t in (d, s) if t >= 0)
-    return {n for n in caps_at if n not in anchored}
+        anchored.update((d, s))
+    table: dict[int, list[tuple[int, float]]] = {}
+    for i, j, c in comp.capacitors:
+        for this, other in ((i, j), (j, i)):
+            if this not in anchored:
+                table.setdefault(this, []).append((other, c))
+    return table
 
 
 def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
@@ -745,38 +745,27 @@ def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
     the t=0 source levels, so dividers coupled to each other or hanging
     off gate outputs that other dividers drive are all solved jointly.
     Other input levels are set on the circuit with Circuit.with_dc_source.
-    Returns what dc_operating_point does.  Raises
-    IllConditionedDividerError when a cluster of capacitive nodes touches
-    no other node, so its charge cannot fix its voltages.
+    Returns what dc_operating_point does.  A floating node is isolated
+    when no chain of capacitors through floating nodes reaches a node that
+    is not floating, so its charge cannot fix its voltage; any isolated
+    node raises IllConditionedDividerError naming all of them.
     """
     comp = _compiled(circuit)
-    floating = sorted(_floating_nodes(comp))
-    adj: dict[int, set[int]] = {n: set() for n in floating}
-    driven: set[int] = set()
-    for i, j, _ in comp.capacitors:
-        for this, other in ((i, j), (j, i)):
-            if this in adj:
-                if other in adj:
-                    adj[this].add(other)
-                else:
-                    driven.add(this)
-    seen: set[int] = set()
-    for start in floating:
-        if start in seen:
-            continue
-        cluster, stack = [], [start]
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                cluster.append(n)
-                stack.extend(adj[n] - seen)
-        if driven.isdisjoint(cluster):
-            names = ", ".join(comp.node_names[n] for n in sorted(cluster))
-            raise IllConditionedDividerError(
-                f"capacitive nodes coupled only to other capacitive nodes: {names}"
-            )
-    x, _ = _solve_dc(comp, _dc_const(comp, circuit), floating)
+    table = _floating_nodes(comp)
+    stack = [n for n, caps in table.items() if any(o not in table for o, _ in caps)]
+    reached = set(stack)
+    while stack:
+        for other, _ in table[stack.pop()]:
+            if other in table and other not in reached:
+                reached.add(other)
+                stack.append(other)
+    isolated = sorted(table.keys() - reached)
+    if isolated:
+        names = ", ".join(comp.node_names[n] for n in isolated)
+        raise IllConditionedDividerError(
+            f"capacitive nodes coupled only to other capacitive nodes: {names}"
+        )
+    x, _ = _solve_dc(comp, _dc_const(comp, circuit), sorted(table))
     return _solution_dict(comp, x)
 
 
@@ -865,8 +854,9 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
 
     With `initial_conditions` None the run starts from the DC operating
     point; a dict, even an empty one, supplies the t=0 node voltages
-    (missing nodes default to 0, and source currents given as
-    "i(<source>)" are taken, else settled from the node voltages).
+    (missing nodes default to 0, ground's "0" is ignored and an unknown
+    name raises KeyError).  Source currents given as "i(<source>)" are
+    taken; a dict that names none has them settled from the node voltages.
     Steps are trapezoidal, except the first one and, with
     cfg.timestep_control, the first one after each breakpoint, which are
     backward Euler.
@@ -909,19 +899,13 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
         x_pad, _ = _solve_dc(comp, dc_const)
     else:
         x_pad = np.zeros(comp.size + 1)
-        source_rows = {name: comp.n_nodes + b for b, name in enumerate(comp.current_names)}
-        have_currents = False
+        rows = {name: r for r, name in enumerate(comp.solution_names)}
         for name, v in initial_conditions.items():
-            if name in source_rows:
-                x_pad[source_rows[name]] = float(v)
-                have_currents = True
-                continue
-            idx = comp.node_index.get(name)
-            if idx is None:
-                raise KeyError(f"initial condition names unknown node {name!r}")
-            if idx >= 0:
-                x_pad[idx] = float(v)
-        if not have_currents:
+            if name != GROUND:
+                if name not in rows:
+                    raise KeyError(f"initial condition names unknown node {name!r}")
+                x_pad[rows[name]] = float(v)
+        if initial_conditions.keys().isdisjoint(comp.current_names):
             _settle_source_currents(comp, dc_const, x_pad)
 
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]

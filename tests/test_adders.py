@@ -180,6 +180,15 @@ class TestGateThresholds:
         s = netlist.stats(gate)
         assert (s.transistor_count, s.capacitor_count) == (2, 0)
 
+    def test_verify_flag_does_not_pick_the_pair(self):
+        # The catalog NOR3 pair (59,0)/(10,0) is predicted out of band at
+        # 1.5 V, so both flag values build the synthesized (59,0)/(5,0).
+        spec = GateSpec(GateFunction.NOR3, 1.5)
+        checked = build_threshold_inverter_gate(spec, verify=True)
+        unchecked = build_threshold_inverter_gate(spec, verify=False)
+        assert netlist.serialize(unchecked) == netlist.serialize(checked)
+        assert sorted(checked.models) == ["ncnt59_0", "pcnt5_0"]
+
 
 class TestGateBehavior:
     """Transient checks of the constructed capacitive gates at 0.9 V."""

@@ -102,6 +102,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="hold_time_s must be a number, got True"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text", ['"proposed"', '["propsed"]', '[1, 2]'])
+    def test_full_swing_designs_must_be_design_names(self, tmp_path, text):
+        # Each was accepted and held Proposed to the relaxed 0.7/0.3 levels;
+        # the string became the tuple of its letters.
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"full_swing_designs": {text}}}')
+        with pytest.raises(ValueError, match="^full_swing_designs must be a list of design names"):
+            load_config(str(path))
+
     def test_explicit_path_wins(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"hold_time_s": 1e-10}))
@@ -127,12 +136,13 @@ class TestReferenceData:
 
 class TestPhaseTruth:
     def test_expectations_follow_truth_table(self):
-        sched = InputSchedule(1e-11, 2e-10, periods=1)
-        truth = phase_truth(sched, 1e-11)
+        # Each settled interval ends where the schedule's own ramp starts.
+        sched = InputSchedule(3e-11, 2e-10, periods=1)
+        truth = phase_truth(sched)
         assert len(truth) == 16
         for (t0, t1, expected), ph in zip(truth, sched.phases()):
             assert expected == dict(zip(("sum", "cout"), logic.fa_truth(*ph.vector)))
-            assert t1 == pytest.approx(ph.t_end - 1e-11)
+            assert t1 == pytest.approx(ph.t_end - 3e-11)
 
 
 class TestThresholds:

@@ -299,6 +299,19 @@ class TestBenchUsage:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"cnfetsim: error: cannot load benchmark config: {message}"]
 
+    @pytest.mark.parametrize("text", ['"proposed"', '["propsed"]', '[1, 2]'])
+    def test_bad_full_swing_designs_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                            text):
+        monkeypatch.setattr(bench, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"full_swing_designs": {text}}}')
+        assert cli.main(["bench", "--adders", "proposed", "--vdd", "0.9",
+                         "--config", str(cfg)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cnfetsim: error: cannot load benchmark config: "
+                                   "full_swing_designs must be a list of design names")
+
     def test_nonconvergence_exits_4_without_a_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         report = tmp_path / "report.md"

@@ -603,6 +603,33 @@ class TestTransient:
         dc = transient(c, cfg, 1e-12)
         assert np.all(np.abs(dc.voltage("out") - 0.9) <= 1e-9)
 
+    def test_given_source_current_is_the_start(self):
+        # An "i(<source>)" entry is the t=0 branch current as given; a dict
+        # that names no source current has each one settled instead, here
+        # to the 0.6 mA that r1 draws from v1's + terminal.
+        c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
+        cfg = SolverConfig(timestep=1e-13)
+        given = transient(c, cfg, 1e-12,
+                          initial_conditions={"in": 0.9, "out": 0.3, "i(v1)": 1e-3})
+        assert given.current("v1")[0] == 1e-3
+        settled = transient(c, cfg, 1e-12, initial_conditions={"in": 0.9, "out": 0.3})
+        assert settled.current("v1")[0] == pytest.approx(-0.6e-3, rel=1e-6)
+
+    def test_unknown_initial_condition_name_raises(self):
+        c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
+        with pytest.raises(KeyError, match="unknown node 'nowhere'"):
+            transient(c, SolverConfig(timestep=1e-13), 1e-12,
+                      initial_conditions={"in": 0.9, "nowhere": 0.1})
+
+    def test_ground_initial_condition_is_ignored(self):
+        # initialize_floating_nodes returns ground's 0.0 with the rest, so
+        # a "0" entry is read as nothing, whatever level it gives.
+        c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
+        cfg = SolverConfig(timestep=1e-13)
+        plain = transient(c, cfg, 1e-12, initial_conditions={"in": 0.9, "out": 0.3})
+        grounded = transient(c, cfg, 1e-12, initial_conditions={"0": 0.5, "in": 0.9, "out": 0.3})
+        _assert_same_transient(grounded, plain)
+
     def test_first_step_is_backward_euler(self):
         # The run opens with one backward-Euler step, then turns trapezoidal.
         tau, h = 1e-12, 1e-13
@@ -851,6 +878,35 @@ class TestFloatingNodes:
         c = parse("va a 0 dc 0.9\nr1 a 0 1k\nc1 x y 1f\nc2 y x 2f\n")
         with pytest.raises(IllConditionedDividerError):
             initialize_floating_nodes(c)
+
+    def test_every_isolated_cluster_is_named(self):
+        # Two isolated pairs beside a driven, resistor-anchored node: the
+        # error names all four nodes, not only the first pair found.
+        c = parse("va a 0 dc 0.9\nr1 a 0 1k\nc1 x y 1f\nc2 p q 1f\n")
+        with pytest.raises(IllConditionedDividerError, match="nodes: p, q, x, y$"):
+            initialize_floating_nodes(c)
+
+    def test_only_the_isolated_pair_is_named(self):
+        # x is a divider between two driven nodes; p and q touch only
+        # each other.
+        c = parse("va a 0 dc 0.9\nvb b 0 dc 0\nc1 a x 1f\nc2 b x 1f\nc3 p q 1f\n")
+        with pytest.raises(IllConditionedDividerError, match="nodes: p, q$"):
+            initialize_floating_nodes(c)
+
+    def test_table_lists_far_ends_in_capacitor_order(self):
+        # Ground anchors a node as a resistor does; a capacitor with both
+        # ends on a floating node is listed twice, and a gate terminal
+        # does not anchor.
+        c = parse(CNFET_MODELS + "vdd vdd 0 dc 0.9\nva a 0 dc 0.9\n"
+                  "c1 a x 1f\nc2 x 0 2f\nc3 x x 3f\nc4 x y 4f\nc5 y 0 5f\n"
+                  "qn out y 0 n19\nqp out y vdd p19\n")
+        comp = solver._compiled(c)
+        a, x, y = (comp.node_index[n] for n in "axy")
+        table = solver._floating_nodes(comp)
+        assert {n: [far for far, _ in caps] for n, caps in table.items()} == {
+            x: [a, -1, x, x, y], y: [x, -1]}
+        assert [c for _, c in table[x]] == pytest.approx([1e-15, 2e-15, 3e-15, 3e-15, 4e-15])
+        assert [c for _, c in table[y]] == pytest.approx([4e-15, 5e-15])
 
     def test_gate_terminals_do_not_anchor(self):
         # The divider node drives transistor gates only; it still counts
