@@ -38,7 +38,7 @@ def main() -> int:
     for function, (n_chir, p_chir) in GATE_CHIRALITIES.items():
         for vdd in (0.9, 0.65):
             rows = transfer(n_chir, p_chir, vdd)
-            path = os.path.join(out_dir, f"{function}_{vdd:g}.csv")
+            path = os.path.join(out_dir, f"{function.value}_{vdd:g}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("vin,vout\n")
                 fh.writelines(f"{vin:.6f},{vout:.6f}\n" for vin, vout in rows)

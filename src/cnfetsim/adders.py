@@ -15,19 +15,18 @@ are kept as goldens under tests/goldens.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from . import logic
 from .devices import (
-    ZIGZAG_SEARCH_MAX_N,
-    ZIGZAG_SEARCH_MIN_N,
     Chirality,
     CnfetParams,
     MosfetParams,
     Polarity,
     chirality_threshold,
-    is_semiconducting,
+    semiconducting_zigzags,
 )
 from .netlist import (
     Circuit,
@@ -60,24 +59,23 @@ class DeviceParams:
     mosfet_lambda_per_v: float = 0.05
 
 
-# Canonical chirality pairs (N, P) for the threshold-inverter gates.
-# Chosen so each gate's switching threshold sits in its band with
-# comfortable margin at both 0.9 V and 0.65 V, with no input range where
-# both devices are cut off (see tests for the measured thresholds).
-GATE_CHIRALITIES: dict[str, tuple[Chirality, Chirality]] = {
-    "majority_not": (Chirality(19, 0), Chirality(19, 0)),
-    "nand3": (Chirality(10, 0), Chirality(59, 0)),
-    "nor3": (Chirality(59, 0), Chirality(10, 0)),
-    "inverter": (Chirality(19, 0), Chirality(19, 0)),
-}
-
-
 class GateFunction(Enum):
     MAJORITY_NOT = "majority_not"
     NAND3 = "nand3"
     NOR3 = "nor3"
     INVERTER = "inverter"
 
+
+# Canonical chirality pairs (N, P) for the threshold-inverter gates.
+# Chosen so each gate's switching threshold sits in its band with
+# comfortable margin at both 0.9 V and 0.65 V, with no input range where
+# both devices are cut off (see tests for the measured thresholds).
+GATE_CHIRALITIES: dict[GateFunction, tuple[Chirality, Chirality]] = {
+    GateFunction.MAJORITY_NOT: (Chirality(19, 0), Chirality(19, 0)),
+    GateFunction.NAND3: (Chirality(10, 0), Chirality(59, 0)),
+    GateFunction.NOR3: (Chirality(59, 0), Chirality(10, 0)),
+    GateFunction.INVERTER: (Chirality(19, 0), Chirality(19, 0)),
+}
 
 # Switching-threshold band for each function, in units of vdd.
 GATE_BANDS: dict[GateFunction, tuple[float, float]] = {
@@ -101,7 +99,7 @@ class AdderKind(Enum):
     TGA = "tga"
 
 
-# Display names follow the benchmark-table row labels.
+# Display names follow the benchmark-table row labels, in bench order.
 DISPLAY_NAMES = {
     AdderKind.C_CMOS: "C-CMOS",
     AdderKind.TGA: "TGA",
@@ -111,23 +109,15 @@ DISPLAY_NAMES = {
     AdderKind.PROPOSED: "Proposed Adder",
 }
 
-BENCH_ORDER = [
-    AdderKind.C_CMOS,
-    AdderKind.TGA,
-    AdderKind.CNT_FA1,
-    AdderKind.CNT_FA2,
-    AdderKind.CNT_FA3,
-    AdderKind.PROPOSED,
-]
+BENCH_ORDER = list(DISPLAY_NAMES)
 
 
 @dataclass(frozen=True)
 class GateSpec:
+    """A threshold gate: its function and the supply it must work at."""
+
     function: GateFunction
     vdd: float
-    input_cap: float = DEFAULT_INPUT_CAP
-    n_chirality: Chirality | None = None
-    p_chirality: Chirality | None = None
 
     def band(self) -> tuple[float, float]:
         lo, hi = GATE_BANDS[self.function]
@@ -135,10 +125,16 @@ class GateSpec:
 
 
 class _Builder:
-    """Accumulates elements and model cards in construction order."""
+    """Accumulates elements and model cards in construction order.
 
-    def __init__(self, devices: DeviceParams = DeviceParams()) -> None:
+    `devices` sets the transistor model cards and `input_cap` is the unit
+    input capacitor of the capacitive gates.
+    """
+
+    def __init__(self, devices: DeviceParams = DeviceParams(),
+                 input_cap: float = DEFAULT_INPUT_CAP) -> None:
         self.devices = devices
+        self.input_cap = input_cap
         self.elements: list[Element] = []
         self.models: dict[str, ModelCard] = {}
         self.cnfet_pairs: list[tuple[str, Chirality, Chirality]] = []  # (tag, n, p)
@@ -215,11 +211,6 @@ def predicted_switching_threshold(vdd: float, vtn: float, vtp: float) -> float:
     return 0.5 * (vdd + vtn - vtp)
 
 
-def _semiconducting_zigzags() -> list[Chirality]:
-    ladder = (Chirality(n, 0) for n in range(ZIGZAG_SEARCH_MIN_N, ZIGZAG_SEARCH_MAX_N + 1))
-    return [c for c in ladder if is_semiconducting(c)]
-
-
 def _band_margin(vdd: float) -> float:
     """How far a gate threshold must sit inside its band, and a supply
     above a design's gate floor: vdd / 30."""
@@ -234,11 +225,10 @@ def synthesize_gate_chiralities(function: GateFunction, vdd: float) -> tuple[Chi
     leaves both devices cut off (vtn + vtp < vdd).  Raises
     GateSynthesisError when nothing in the n=[4,60] ladder qualifies.
     """
-    lo, hi = GATE_BANDS[function]
-    lo, hi = lo * vdd, hi * vdd
+    lo, hi = GateSpec(function, vdd).band()
     margin = _band_margin(vdd)
     target = 0.5 * (lo + hi)
-    candidates = _semiconducting_zigzags()
+    candidates = semiconducting_zigzags()
     vth = {c: chirality_threshold(c) for c in candidates}
     best: tuple[float, int, int, Chirality, Chirality] | None = None
     for cn in candidates:
@@ -314,24 +304,21 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
 
     Three equal input capacitors join at internal node x driving one
     CNFET inverter (the INVERTER function drops the capacitors and takes
-    input a directly).  Explicit chirality fields are used as given, and
-    an unset one is the catalog's.  When both are unset the catalog pair
-    is taken unless its predicted threshold falls outside the function's
-    band, in which case a pair is synthesized for spec.vdd.  The pair
-    does not depend on `verify`: with verify=True the inverter's switching
-    threshold is also measured with one DC solve of it self-biased (see
-    measure_switching_threshold) and must land inside the band.
+    input a directly).  The inverter is the function's catalog pair
+    (GATE_CHIRALITIES) unless that pair's predicted threshold falls
+    outside the function's band at spec.vdd, in which case a pair is
+    synthesized for spec.vdd.  The pair does not depend on `verify`: with
+    verify=True the inverter's switching threshold is also measured with
+    one DC solve of it self-biased (see measure_switching_threshold) and
+    must land inside the band, or GateSynthesisError is raised.
     """
-    cat_n, cat_p = GATE_CHIRALITIES[spec.function.value]
-    n_chir = spec.n_chirality or cat_n
-    p_chir = spec.p_chirality or cat_p
+    n_chir, p_chir = GATE_CHIRALITIES[spec.function]
     lo, hi = spec.band()
-    if spec.n_chirality is None and spec.p_chirality is None:
-        vm = predicted_switching_threshold(
-            spec.vdd, chirality_threshold(n_chir), chirality_threshold(p_chir)
-        )
-        if not (lo < vm < hi):
-            n_chir, p_chir = synthesize_gate_chiralities(spec.function, spec.vdd)
+    vm = predicted_switching_threshold(
+        spec.vdd, chirality_threshold(n_chir), chirality_threshold(p_chir)
+    )
+    if not (lo < vm < hi):
+        n_chir, p_chir = synthesize_gate_chiralities(spec.function, spec.vdd)
     if verify:
         vm = measure_switching_threshold(n_chir, p_chir, spec.vdd)
         if not (lo < vm < hi):
@@ -344,7 +331,7 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
         b.cnfet_inverter("1", "a", "out", n_chir, p_chir)
         return b.circuit()
     for inp in ("a", "b", "c"):
-        b.cap(f"c{inp}", inp, "x", spec.input_cap)
+        b.cap(f"c{inp}", inp, "x", b.input_cap)
     b.cnfet_inverter("1", "x", "out", n_chir, p_chir)
     return b.circuit()
 
@@ -352,19 +339,15 @@ def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circui
 # --- adders --------------------------------------------------------------------
 
 
-def _chir(function: str) -> tuple[Chirality, Chirality]:
-    return GATE_CHIRALITIES[function]
-
-
-def _build_proposed(b: _Builder, input_cap: float) -> None:
+def _build_proposed(b: _Builder) -> None:
     """14T + 3C: capacitive majority-not plus NAND/NOR readers of the same
     node, combined by a 6-transistor static output stage."""
-    maj_n, maj_p = _chir("majority_not")
-    nand_n, nand_p = _chir("nand3")
-    nor_n, nor_p = _chir("nor3")
-    inv_n, inv_p = _chir("inverter")
+    maj_n, maj_p = GATE_CHIRALITIES[GateFunction.MAJORITY_NOT]
+    nand_n, nand_p = GATE_CHIRALITIES[GateFunction.NAND3]
+    nor_n, nor_p = GATE_CHIRALITIES[GateFunction.NOR3]
+    inv_n, inv_p = GATE_CHIRALITIES[GateFunction.INVERTER]
     for inp in ("a", "b", "c"):
-        b.cap(f"c{inp}", inp, "x", input_cap)
+        b.cap(f"c{inp}", inp, "x", b.input_cap)
     b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p)     # cob = not(cout)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
     b.cnfet_inverter("nor", "x", "noro", nor_n, nor_p)    # noro = nor(a,b,c)
@@ -382,7 +365,7 @@ def _build_proposed(b: _Builder, input_cap: float) -> None:
     b.transistor("qn3", ElementKind.CNFET, "sn", "nando", "0", nm)
 
 
-def _build_cnt_fa1(b: _Builder, input_cap: float) -> None:
+def _build_cnt_fa1(b: _Builder) -> None:
     """8T + 7C: majority-not carry stage, then a five-input majority-not
     for sum with not(cout) entering at double weight through one 2C cap.
 
@@ -390,13 +373,13 @@ def _build_cnt_fa1(b: _Builder, input_cap: float) -> None:
     and the first-stage inverter is upsized: it must slew the not(cout)
     coupling cap within a hold time even at the low supply, where its
     overdrive shrinks to a quarter."""
-    maj_n, maj_p = _chir("majority_not")
-    inv_n, inv_p = _chir("inverter")
+    maj_n, maj_p = GATE_CHIRALITIES[GateFunction.MAJORITY_NOT]
+    inv_n, inv_p = GATE_CHIRALITIES[GateFunction.INVERTER]
     for inp in ("a", "b", "c"):
-        b.cap(f"c{inp}1", inp, "x", input_cap)
+        b.cap(f"c{inp}1", inp, "x", b.input_cap)
     b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * b.devices.cnfet_tubes)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
-    half = input_cap / 2
+    half = b.input_cap / 2
     for inp in ("a", "b", "c"):
         b.cap(f"c{inp}2", inp, "y", half)
     b.cap("ccob2", "cob", "y", 2 * half)
@@ -404,7 +387,7 @@ def _build_cnt_fa1(b: _Builder, input_cap: float) -> None:
     b.cnfet_inverter("su", "nsum", "sum", inv_n, inv_p)
 
 
-def _build_cnt_fa2(b: _Builder, input_cap: float) -> None:
+def _build_cnt_fa2(b: _Builder) -> None:
     """10T + 8C: sum from one inverting threshold gate over a, b, c and
     double-weighted NAND/NOR readings of the shared majority node.
 
@@ -412,17 +395,17 @@ def _build_cnt_fa2(b: _Builder, input_cap: float) -> None:
     matters) and the NAND/NOR drivers are upsized to twice the tube
     count: they fight ratioed near x = 2vdd/3, and the paper fixes no
     transistor sizing, so the loaded gates get the drive they need."""
-    maj_n, maj_p = _chir("majority_not")
-    nand_n, nand_p = _chir("nand3")
-    nor_n, nor_p = _chir("nor3")
-    inv_n, inv_p = _chir("inverter")
+    maj_n, maj_p = GATE_CHIRALITIES[GateFunction.MAJORITY_NOT]
+    nand_n, nand_p = GATE_CHIRALITIES[GateFunction.NAND3]
+    nor_n, nor_p = GATE_CHIRALITIES[GateFunction.NOR3]
+    inv_n, inv_p = GATE_CHIRALITIES[GateFunction.INVERTER]
     for inp in ("a", "b", "c"):
-        b.cap(f"c{inp}1", inp, "x", input_cap)
+        b.cap(f"c{inp}1", inp, "x", b.input_cap)
     b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
     b.cnfet_inverter("nor", "x", "noro", nor_n, nor_p, tubes=3 * b.devices.cnfet_tubes)
     b.cnfet_inverter("nand", "x", "nando", nand_n, nand_p, tubes=3 * b.devices.cnfet_tubes)
-    half = input_cap / 2
+    half = b.input_cap / 2
     for inp in ("a", "b", "c"):
         b.cap(f"c{inp}2", inp, "y", half)
     b.cap("cnand2", "nando", "y", 2 * half)
@@ -435,17 +418,17 @@ def _build_cnt_fa2(b: _Builder, input_cap: float) -> None:
     b.cnfet_inverter("su", "y", "sum", low, low)
 
 
-def _build_cnt_fa3(b: _Builder, input_cap: float) -> None:
+def _build_cnt_fa3(b: _Builder) -> None:
     """8T + 5C minority variant with capacitors in the middle of the sum
     path: the majority node x couples through a 3C series capacitor onto
     node y, where not(cout) re-enters through 1C.  The divider algebra
     makes y = (a+b+c+2*not(cout))/5 of vdd, the five-input minority."""
-    maj_n, maj_p = _chir("majority_not")
-    inv_n, inv_p = _chir("inverter")
+    maj_n, maj_p = GATE_CHIRALITIES[GateFunction.MAJORITY_NOT]
+    inv_n, inv_p = GATE_CHIRALITIES[GateFunction.INVERTER]
     for inp in ("a", "b", "c"):
-        b.cap(f"c{inp}", inp, "x", input_cap)
-    b.cap("cmid", "x", "y", 3 * input_cap)
-    b.cap("ccob", "cob", "y", input_cap)
+        b.cap(f"c{inp}", inp, "x", b.input_cap)
+    b.cap("cmid", "x", "y", 3 * b.input_cap)
+    b.cap("ccob", "cob", "y", b.input_cap)
     b.cnfet_inverter("maj", "x", "cob", maj_n, maj_p, tubes=3 * b.devices.cnfet_tubes)
     b.cnfet_inverter("co", "cob", "cout", inv_n, inv_p)
     b.cnfet_inverter("min5", "y", "nsum", maj_n, maj_p)
@@ -519,6 +502,16 @@ def _build_tga(b: _Builder) -> None:
     tgate("c2", "a", "cout", "nh", "h")  # h=0 -> cout = a
 
 
+_BUILDERS: dict[AdderKind, Callable[[_Builder], None]] = {
+    AdderKind.PROPOSED: _build_proposed,
+    AdderKind.CNT_FA1: _build_cnt_fa1,
+    AdderKind.CNT_FA2: _build_cnt_fa2,
+    AdderKind.CNT_FA3: _build_cnt_fa3,
+    AdderKind.C_CMOS: _build_c_cmos,
+    AdderKind.TGA: _build_tga,
+}
+
+
 def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_INPUT_CAP,
                 devices: DeviceParams = DeviceParams()) -> Circuit:
     """Flat full-adder circuit with terminals a, b, c, sum, cout, vdd.
@@ -527,23 +520,11 @@ def build_adder(kind: AdderKind, vdd: float = 0.9, input_cap: float = DEFAULT_IN
     it gates a cheap feasibility check that the built gate chiralities
     work at the requested operating point (see check_operating_point).
     The logic twin of the design is verified against the full-adder truth
-    table on every build.  `devices` sets the transistor model cards.
+    table on every build.  `devices` sets the transistor model cards and
+    `input_cap` the unit input capacitor.
     """
-    b = _Builder(devices)
-    if kind is AdderKind.PROPOSED:
-        _build_proposed(b, input_cap)
-    elif kind is AdderKind.CNT_FA1:
-        _build_cnt_fa1(b, input_cap)
-    elif kind is AdderKind.CNT_FA2:
-        _build_cnt_fa2(b, input_cap)
-    elif kind is AdderKind.CNT_FA3:
-        _build_cnt_fa3(b, input_cap)
-    elif kind is AdderKind.C_CMOS:
-        _build_c_cmos(b)
-    elif kind is AdderKind.TGA:
-        _build_tga(b)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown adder kind {kind}")
+    b = _Builder(devices, input_cap)
+    _BUILDERS[kind](b)
     check_operating_point(DISPLAY_NAMES[kind], vdd, b.cnfet_pairs)
     report = logic.verify_adder_network(oracle_network(kind))
     assert report.ok, f"{kind.value} logic twin fails the truth table:\n{report.to_json()}"
@@ -588,14 +569,6 @@ def gray_sequence() -> list[tuple[int, int, int]]:
 
 
 @dataclass(frozen=True)
-class Phase:
-    index: int
-    t_start: float
-    t_end: float
-    vector: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
 class InputSchedule:
     """Benchmark stimulus: the Gray sequence then its reverse, per period.
 
@@ -626,12 +599,6 @@ class InputSchedule:
         """periods * 16 * (transition_time + hold_time), the same bits as
         len(vectors) * phase_length without building the vectors."""
         return self.periods * self.period
-
-    def phases(self) -> list[Phase]:
-        out = []
-        for k, vec in enumerate(self.vectors):
-            out.append(Phase(k, k * self.phase_length, (k + 1) * self.phase_length, vec))
-        return out
 
     def edges(self) -> list[tuple[float, tuple[int, int, int], tuple[int, int, int]]]:
         """(mid-ramp time, vector before, vector after) for each real transition."""
@@ -666,10 +633,11 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
     sum and cout each drive two cascaded minimum inverters (same device
     sizing as the gate inverters).  load_cap, recorded in the benchmark
     config, stands in for the gate capacitance this static device model
-    does not carry: it loads the adder output and both buffer stages.
-    The buffers take their model cards from `devices`.  Cards merge by
-    name, so a DUT card named like a buffer card must match it: build the
-    DUT with the same `devices`, or this raises ValueError naming the card.
+    does not carry: it loads the adder output and both buffer stages, and
+    a load_cap that is not positive raises NetlistError.  The buffers
+    take their model cards from `devices`.  Cards merge by name, so a DUT
+    card named like a buffer card must match it: build the DUT with the
+    same `devices`, or this raises ValueError naming the card.
     """
     for term in ("a", "b", "c", "sum", "cout", "vdd"):
         if term not in dut.nodes:
@@ -681,7 +649,7 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
     for i, inp in enumerate(("a", "b", "c")):
         b.vpwl(f"v{inp}", inp, "0", sched.pwl_points(i, vdd))
     uses_cnfet = any(el.kind is ElementKind.CNFET for el in dut.elements)
-    inv_n, inv_p = _chir("inverter")
+    inv_n, inv_p = GATE_CHIRALITIES[GateFunction.INVERTER]
     for out in ("sum", "cout"):
         stage1, stage2 = f"{out}_b1", f"{out}_b2"
         if uses_cnfet:
@@ -690,10 +658,9 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
         else:
             b.mosfet_inverter(f"b1{out}", out, stage1)
             b.mosfet_inverter(f"b2{out}", stage1, stage2)
-        if load_cap > 0:
-            b.cap(f"cl_{out}", out, "0", load_cap)
-            b.cap(f"cl_{stage1}", stage1, "0", load_cap)
-            b.cap(f"cl_{stage2}", stage2, "0", load_cap)
+        b.cap(f"cl_{out}", out, "0", load_cap)
+        b.cap(f"cl_{stage1}", stage1, "0", load_cap)
+        b.cap(f"cl_{stage2}", stage2, "0", load_cap)
     for name, card in b.models.items():
         if dut.models.get(name, card) != card:
             raise ValueError(

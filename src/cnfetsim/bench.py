@@ -56,8 +56,11 @@ PAPER_REFERENCE: dict[float, dict[str, tuple[str, str, str]]] = {
 
 
 def _finite(value: float) -> bool:
-    """math.isfinite, except that an int of any size is finite."""
-    return isinstance(value, int) or math.isfinite(value)
+    """math.isfinite; an int too large for a float is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require_number(name: str, value: object) -> None:
@@ -95,8 +98,9 @@ class BenchConfig:
     defaults.  The device and capacitance defaults are the `adders` ones.
     A value out of its range or not finite, a count that is not an
     integer, a float field or level that is not a number (a bool is not),
-    a full_swing_designs that is not a list of AdderKind values, or a
-    stimulus too long to be finite raises ValueError."""
+    a level pair that is not two levels, a full_swing_designs that is not
+    a list of AdderKind values, or a stimulus too long to be finite raises
+    ValueError."""
 
     transition_time_s: float = 1e-11
     hold_time_s: float = 2e-10
@@ -127,6 +131,9 @@ class BenchConfig:
             if f.type == "float":
                 _require_number(f.name, value)
             elif f.type == "tuple[float, float]":
+                if not (isinstance(value, (tuple, list)) and len(value) == 2):
+                    shown = list(value) if isinstance(value, (tuple, list)) else value
+                    raise ValueError(f"{f.name} must be a [high, low] pair, got {shown!r}")
                 for k, level in enumerate(value):
                     _require_number(f"{f.name}[{k}]", level)
         designs = self.full_swing_designs
@@ -152,7 +159,7 @@ class BenchConfig:
                                  f"0 <= low < high <= 1, got {list(getattr(self, name))}")
         try:
             total = self.schedule().total_time
-        except OverflowError:  # an int too large for a float
+        except OverflowError:  # a sum of periods too large for a float
             total = math.inf
         if not math.isfinite(total):
             raise ValueError("the stimulus, (warmup_periods + measure_periods) * 16 * "
@@ -178,7 +185,8 @@ class BenchConfig:
 
 def load_config(path: str | None = None) -> BenchConfig:
     """BenchConfig() with the keys of the JSON file `path` overriding its
-    defaults; with no path, the defaults.  An unknown key raises TypeError.
+    defaults; with no path, the defaults.  An unknown key raises TypeError,
+    and a file whose top level is not a JSON object raises ValueError.
     A JSON list becomes a tuple; any other value is passed as it is, for
     BenchConfig to check.
     """
@@ -186,6 +194,8 @@ def load_config(path: str | None = None) -> BenchConfig:
         return BenchConfig()
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"the config must be a JSON object, got {type(data).__name__}")
     for key in ("full_swing_designs", "full_swing_levels", "logic_levels"):
         if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
@@ -202,11 +212,15 @@ class CellResult:
 
 
 def phase_truth(sched: InputSchedule) -> list[tuple[float, float, dict[str, int]]]:
-    """Settled-interval expectations: each phase up to the start of its ramp."""
+    """Settled-interval expectations, one per vector of the schedule:
+    phase k holds from k * phase_length up to the start of its ramp,
+    (k + 1) * phase_length - transition_time."""
     out = []
-    for ph in sched.phases():
-        s, co = logic.fa_truth(*ph.vector)
-        out.append((ph.t_start, ph.t_end - sched.transition_time, {"sum": s, "cout": co}))
+    for k, vector in enumerate(sched.vectors):
+        s, co = logic.fa_truth(*vector)
+        out.append((k * sched.phase_length,
+                    (k + 1) * sched.phase_length - sched.transition_time,
+                    {"sum": s, "cout": co}))
     return out
 
 

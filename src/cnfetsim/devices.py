@@ -66,6 +66,13 @@ def is_semiconducting(c: Chirality) -> bool:
     return (c.n - c.m) % 3 != 0
 
 
+def semiconducting_zigzags() -> list[Chirality]:
+    """The semiconducting (n, 0) for n in [4, 60], in n order: the ladder
+    every threshold search walks."""
+    ladder = (Chirality(n, 0) for n in range(ZIGZAG_SEARCH_MIN_N, ZIGZAG_SEARCH_MAX_N + 1))
+    return [c for c in ladder if is_semiconducting(c)]
+
+
 def diameter(c: Chirality, lattice_constant: float = DEFAULT_LATTICE_CONSTANT_NM) -> float:
     """Tube diameter in nm: a * sqrt(n^2 + n*m + m^2) / pi."""
     if lattice_constant <= 0:
@@ -104,10 +111,7 @@ def chirality_for_threshold(
         raise DeviceError(f"tolerance must be finite and not negative, got {tolerance}")
     best: Chirality | None = None
     best_err = math.inf
-    for n in range(ZIGZAG_SEARCH_MIN_N, ZIGZAG_SEARCH_MAX_N + 1):
-        cand = Chirality(n, 0)
-        if not is_semiconducting(cand):
-            continue
+    for cand in semiconducting_zigzags():
         err = abs(chirality_threshold(cand, lattice_constant) - target_vth)
         if err < best_err:
             best, best_err = cand, err

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ class TestConfig:
                            match=rf"^{name}\[{bad}\] must be a number, got {pair[bad]!r}$"):
             BenchConfig(**{name: pair})
 
+    @pytest.mark.parametrize("name", ["full_swing_levels", "logic_levels"])
+    @pytest.mark.parametrize("pair,shown", [(0.7, "0.7"), ((0.7,), "[0.7]"),
+                                            ((0.7, 0.3, 0.1), "[0.7, 0.3, 0.1]")])
+    def test_level_pair_must_be_two_levels(self, name, pair, shown):
+        # A bare number gave "'float' object is not iterable", and a
+        # pair of the wrong length an unpacking message without the key.
+        message = rf"^{name} must be a \[high, low\] pair, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(**{name: pair})
+
+    @pytest.mark.parametrize("text,type_name", [("[1, 2]", "list"), ("null", "NoneType")])
+    def test_top_level_must_be_an_object(self, tmp_path, text, type_name):
+        # Each ended in AttributeError: ... has no attribute 'get'.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"^the config must be a JSON object, got {type_name}$"):
+            load_config(str(path))
+
     def test_integer_valued_float_field_accepted(self):
         # JSON writes 1 for 1.0; an int is a number.
         assert BenchConfig(mosfet_lambda_per_v=0, logic_levels=(1, 0)).logic_levels == (1, 0)
@@ -140,9 +160,10 @@ class TestPhaseTruth:
         sched = InputSchedule(3e-11, 2e-10, periods=1)
         truth = phase_truth(sched)
         assert len(truth) == 16
-        for (t0, t1, expected), ph in zip(truth, sched.phases()):
-            assert expected == dict(zip(("sum", "cout"), logic.fa_truth(*ph.vector)))
-            assert t1 == pytest.approx(ph.t_end - 3e-11)
+        for k, ((t0, t1, expected), vector) in enumerate(zip(truth, sched.vectors)):
+            assert expected == dict(zip(("sum", "cout"), logic.fa_truth(*vector)))
+            assert t0 == pytest.approx(k * sched.phase_length)
+            assert t1 == pytest.approx((k + 1) * sched.phase_length - 3e-11)
 
 
 class TestThresholds:

@@ -266,6 +266,7 @@ class TestBenchUsage:
         '{"load_capacitance_f": NaN}',
         '{"settle_window_s": Infinity}',
         pytest.param('{"warmup_periods": 1' + "0" * 400 + "}", id="warmup_periods-1e400"),
+        pytest.param('{"cnfet_tubes": 1' + "0" * 400 + "}", id="cnfet_tubes-1e400"),
     ])
     def test_nonfinite_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, text):
         # JSON reads Infinity and NaN, and 16 * (transition + hold) can
@@ -286,6 +287,12 @@ class TestBenchUsage:
         ('{"logic_levels": [true, 0.3]}', "logic_levels[0] must be a number, got True"),
         ('{"full_swing_levels": [0.9, "0.1"]}',
          "full_swing_levels[1] must be a number, got '0.1'"),
+        ('{"logic_levels": 0.7}', "logic_levels must be a [high, low] pair, got 0.7"),
+        ('{"logic_levels": [0.7]}', "logic_levels must be a [high, low] pair, got [0.7]"),
+        ('{"logic_levels": [0.7, 0.3, 0.1]}',
+         "logic_levels must be a [high, low] pair, got [0.7, 0.3, 0.1]"),
+        ("[1, 2]", "the config must be a JSON object, got list"),
+        ("null", "the config must be a JSON object, got NoneType"),
     ])
     def test_non_number_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                         text, message):

@@ -6,17 +6,18 @@ shared compile, its cached DC system and the warm start together.  The
 curves are pinned bit for bit, and a sweep must leave no cyclic garbage
 behind: a compile that referenced itself (through a cached _Newton, say)
 would be freed only by the cycle collector.  The script is loaded by
-file path.
+file path, and its main writes one CSV per gate function and supply.
 """
 
 import gc
 import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from cnfetsim.adders import GATE_CHIRALITIES
+from cnfetsim.adders import GATE_CHIRALITIES, GateFunction
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "gate_transfer.py"
 
@@ -46,7 +47,7 @@ PINNED_CURVES = {
 
 @pytest.mark.parametrize("function, vdd", list(PINNED_CURVES))
 def test_warm_sweep_is_pinned_bit_for_bit(function, vdd):
-    rows = transfer(*GATE_CHIRALITIES[function], vdd)
+    rows = transfer(*GATE_CHIRALITIES[GateFunction(function)], vdd)
     assert len(rows) == 121
     digest = hashlib.sha256("\n".join(repr(vout) for _, vout in rows).encode()).hexdigest()
     assert digest == PINNED_CURVES[function, vdd]
@@ -55,7 +56,7 @@ def test_warm_sweep_is_pinned_bit_for_bit(function, vdd):
 def test_sweep_makes_no_cyclic_garbage():
     # With automatic collection off, any cycle a sweep drops stays for
     # the explicit collect to find.
-    pair = GATE_CHIRALITIES["nand3"]
+    pair = GATE_CHIRALITIES[GateFunction.NAND3]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -66,3 +67,16 @@ def test_sweep_makes_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_main_writes_one_csv_per_function_and_supply(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gate_transfer.py", str(tmp_path)])
+    assert _script().main() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        "majority_not_0.9.csv", "majority_not_0.65.csv",
+        "nand3_0.9.csv", "nand3_0.65.csv",
+        "nor3_0.9.csv", "nor3_0.65.csv",
+        "inverter_0.9.csv", "inverter_0.65.csv",
+    ])
+    lines = (tmp_path / "nand3_0.65.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "vin,vout" and len(lines) == 122
