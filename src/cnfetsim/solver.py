@@ -234,10 +234,9 @@ class _Compiled:
         self.size = self.n_nodes + len(self.sources)
         self.current_names = [f"i({name})" for name, _, _ in self.sources]
         # What the DC wrapper reads: a solution's names in row order, and
-        # the zeros that pad node rows or branch rows out to size + 1.
+        # the zeros that pad the node rows of a source vector.
         self.solution_names = self.node_names + self.current_names
         self.node_zeros = [0.0] * self.n_nodes
-        self.branch_zeros = [0.0] * (len(self.sources) + 1)
         self.has_devices = bool(self.devices)
         self._build_arrays()
         self._systems: dict[tuple[float | None, tuple[int, ...]], tuple[np.ndarray, ...]] = {}
@@ -686,18 +685,32 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
     per voltage source carrying its branch current (positive current
     flows from the + terminal through the source to the - terminal).
 
-    `initial_guess` seeds the node voltages only: a node it does not name
-    starts at 0 V, and its ground and "i(<source>)" entries are ignored,
+    `initial_guess` warm-starts the solve from its node voltages and
+    "i(<source>)" branch currents; a node or source it does not name
+    starts at 0, and its ground entry is ignored.  Each source's +
+    terminal is then set, in branch order, to its - terminal plus the
+    source's level (its - terminal to minus the level when + is ground),
     so a sweep that passes each point the previous solution starts every
-    solve from zero branch currents.  `cfg` is not read, since every DC
-    setting is a module constant; it stays for callers that pass one.
+    solve on the swept source's new level, and a point where that start
+    already meets KCL converges with no linear solve.  With no guess the
+    solve starts from zeros.  `cfg` is not read, since every DC setting is a
+    module constant; it stays for callers that pass one.
     """
     comp = _compiled(circuit)
+    const = _dc_const(comp, circuit)
     x0 = None
     if initial_guess:
         guess = initial_guess.get
-        x0 = np.array([guess(name, 0.0) for name in comp.node_names] + comp.branch_zeros)
-    x, _ = _solve_dc(comp, _dc_const(comp, circuit), x0_pad=x0)
+        x0 = np.array([guess(name, 0.0) for name in comp.solution_names] + [0.0])
+        nn = comp.n_nodes
+        for b, (_, p, m) in enumerate(comp.sources):
+            # The source row holds x[p] - x[m] + const, and the padded
+            # ground entry reads 0.0 for a grounded terminal.
+            if p >= 0:
+                x0[p] = x0[m] - const[nn + b]
+            elif m >= 0:
+                x0[m] = const[nn + b]
+    x, _ = _solve_dc(comp, const, x0_pad=x0)
     return _solution_dict(comp, x)
 
 

@@ -7,8 +7,10 @@ ground, so each circuit has a solution.  A solve that converges must meet
 KCL at every node no source drives, with the currents taken from
 perfbench/checks.py's own square law (not devices.drain_currents) and
 its tolerance KCL_ATOL_A + KCL_RTOL * (largest incident current).  A
-solve that fails must raise ConvergenceError naming a node.  Examples are
-derandomized, so every run draws the same circuits.
+solve that fails must raise ConvergenceError naming a node.  Each chain's
+neighbours at vin -/+ vdd/20, warm-started from its solution, are held to
+the same check.  Examples are derandomized, so every run draws the same
+circuits.
 """
 
 import importlib.util
@@ -86,6 +88,20 @@ def _kcl_failures(circuit, op: dict[str, float]) -> list[str]:
     return fails
 
 
+def _solve_and_check(circuit, vdd: float, vin: float, guess=None):
+    """The checked DC solution, or None when the solve fails naming a node."""
+    try:
+        op = dc_operating_point(circuit, initial_guess=guess)
+    except ConvergenceError as exc:
+        nodes = {node for el in circuit.elements for node in el.terminals}
+        assert exc.node in nodes or exc.node in ("i(vdd)", "i(vin)"), str(exc)
+        return None
+    assert op["vdd"] == pytest.approx(vdd, abs=1e-6)
+    assert op["in"] == pytest.approx(vin, abs=1e-6)
+    assert _kcl_failures(circuit, op) == []
+    return op
+
+
 def test_random_inverter_chains_meet_kcl_or_name_a_node():
     converged = []
 
@@ -93,19 +109,28 @@ def test_random_inverter_chains_meet_kcl_or_name_a_node():
     @given(inverter_chains())
     def check(drawn):
         text, vdd, vin = drawn
-        circuit = parse(text)
-        try:
-            op = dc_operating_point(circuit)
-        except ConvergenceError as exc:
-            nodes = {node for el in circuit.elements for node in el.terminals}
-            assert exc.node in nodes or exc.node in ("i(vdd)", "i(vin)"), str(exc)
-            converged.append(False)
-            return
-        assert op["vdd"] == pytest.approx(vdd, abs=1e-6)
-        assert op["in"] == pytest.approx(vin, abs=1e-6)
-        assert _kcl_failures(circuit, op) == []
-        converged.append(True)
+        converged.append(_solve_and_check(parse(text), vdd, vin) is not None)
 
     check()
     # A solver that gave up on every circuit would pass the check above.
     assert sum(converged) >= 0.8 * len(converged)
+
+
+def test_warm_started_neighbours_meet_kcl_or_name_a_node():
+    # Each chain that converges is solved again at vin -/+ vdd/20, each
+    # from its first solution, as a sweep's next point would be.
+    warm = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(inverter_chains())
+    def check(drawn):
+        text, vdd, vin = drawn
+        circuit = parse(text)
+        op = _solve_and_check(circuit, vdd, vin)
+        if op is not None:
+            for v in (vin - vdd / 20, vin + vdd / 20):
+                warm.append(_solve_and_check(circuit.with_dc_source("vin", v), vdd, v, op))
+
+    check()
+    assert len(warm) >= 100
+    assert warm.count(None) <= 0.2 * len(warm)

@@ -216,6 +216,66 @@ class TestDcOperatingPoint:
         assert "V at 'x'" in str(err)
 
 
+def _record_starts(monkeypatch):
+    """(newton, x0_pad, const) of every Newton solve, as each one starts."""
+    starts = []
+    solve = solver._Newton.solve
+
+    def recording(newton, x0_pad, const, *args):
+        starts.append((newton, x0_pad.copy(), const))
+        return solve(newton, x0_pad, const, *args)
+
+    monkeypatch.setattr(solver._Newton, "solve", recording)
+    return starts
+
+
+class TestWarmStart:
+    """dc_operating_point(initial_guess=...) starts on every source's level."""
+
+    # (netlist, swept source, new level): the swept source's - terminal at
+    # ground, its + terminal at ground (with the supply's), and between
+    # two nodes that are not ground.
+    PLACEMENTS = {
+        "minus-at-ground": (CNFET_MODELS + "vdd vdd 0 dc 0.9\nvin in 0 dc 0.3\n"
+                            "qn out in 0 n19\nqp out in vdd p19\n", "vin", 0.6),
+        "plus-at-ground": (CNFET_MODELS + "vss 0 vss dc 0.9\nvin 0 in dc 0.3\n"
+                           "qn out in vss n19\nqp out in 0 p19\n", "vin", 0.6),
+        "between-nodes": (CNFET_MODELS + "vdd vdd 0 dc 0.9\nvmid mid 0 dc 0.3\n"
+                          "vin in mid dc 0\nqn out in 0 n19\nqp out in vdd p19\n", "vin", 0.3),
+    }
+
+    @pytest.mark.parametrize("text, source, level", PLACEMENTS.values(), ids=list(PLACEMENTS))
+    def test_first_iterate_meets_every_source_row(self, monkeypatch, text, source, level):
+        c = parse(text)
+        previous = dc_operating_point(c)
+        moved = c.with_dc_source(source, level)
+        starts = _record_starts(monkeypatch)
+        warm = dc_operating_point(moved, initial_guess=previous)
+        (newton, x0_pad, const), = starts
+        comp = newton.comp
+        f, _ = newton._assemble(x0_pad, const)
+        assert np.all(np.abs(f[comp.n_nodes: comp.size]) <= VTOL)
+        cold = dc_operating_point(moved)
+        assert warm.keys() == cold.keys()
+        for name in comp.node_names:
+            assert abs(warm[name] - cold[name]) <= VTOL, name
+        for name in comp.current_names:
+            assert abs(warm[name] - cold[name]) <= ABSTOL + RELTOL * abs(cold[name]), name
+
+    def test_branch_currents_start_at_the_guess_or_zero(self, monkeypatch):
+        c = parse(INVERTER).with_dc_source("vin", 0.6)
+        previous = dc_operating_point(c)
+        nodes_only = {k: v for k, v in previous.items() if not k.startswith("i(")}
+        starts = _record_starts(monkeypatch)
+        dc_operating_point(c.with_dc_source("vin", 0.3), initial_guess=previous)
+        dc_operating_point(c.with_dc_source("vin", 0.3), initial_guess=nodes_only)
+        comp = starts[0][0].comp
+        currents = [x0_pad[comp.n_nodes: comp.size].tolist() for _, x0_pad, _ in starts]
+        assert currents[0] == [previous[name] for name in comp.current_names]
+        assert all(currents[0])
+        assert currents[1] == [0.0] * comp.n_src
+
+
 def _with_level(text, source, level):
     """The netlist text with `source`'s line replaced by a DC level."""
     lines = [f"{source} {line.split()[1]} {line.split()[2]} dc {level!r}"
@@ -344,17 +404,23 @@ class TestSharedCompile:
         assert not any(th.is_alive() for th in threads)
         assert [results.get(t) for t in range(4)] == [want] * 4
 
-    def test_warm_sweep_carries_each_points_stamps_to_the_next(self, monkeypatch):
-        # Each point after the first starts at the previous solution, so its
-        # first assemble reuses the stamps evaluated there: 120 of a
-        # 121-point sweep's assembles call no device kernel.
-        counts = _count_kernel_and_assembles(monkeypatch)
+    def test_warm_sweep_points_on_a_rail_take_no_linear_solve(self, monkeypatch):
+        # Each point after the first starts at the previous solution with
+        # `in` moved to its new level.  A point whose devices stay in
+        # their regions meets KCL there: 74 of the 121 points converge at
+        # their start, and the sweep makes 104 linear solves in all.
+        calls = []
+        lin_solve = solver._lin_solve
+        monkeypatch.setattr(solver, "_lin_solve", lambda *a: calls.append(1) or lin_solve(*a))
         c = parse(INVERTER)
-        guess = None
+        guess, per_point = None, []
         for k in range(121):
+            before = len(calls)
             guess = dc_operating_point(c.with_dc_source("vin", 0.9 * k / 120),
                                        initial_guess=guess)
-        assert counts["assemble"] - counts["kernel"] == 120
+            per_point.append(len(calls) - before)
+        assert per_point.count(0) == 74
+        assert sum(per_point) == 104
 
     def test_a_start_at_negative_zero_reuses_no_stamps(self, monkeypatch):
         # The solution at vin = 0 holds node `in` at +0.0.  A start equal to
