@@ -282,21 +282,29 @@ def measure_switching_threshold(n_chir: Chirality, p_chir: Chirality, vdd: float
     where they balance.  The output settles there too when the input is
     tied to it: one DC solve of the self-biased inverter (qn out out 0,
     qp out out vdd), in which both devices are saturated and the
-    Jacobian is gm_n + gm_p.  Each pair's circuits are built once (see
-    _threshold_circuits).
+    Jacobian is gm_n + gm_p.  That solve starts `out` at the predicted
+    threshold (predicted_switching_threshold).  Each pair's circuits are
+    built once (see _threshold_circuits).
 
     Raises GateSynthesisError unless the output is above vdd/2 at vin = 0
-    and below it at vin = vdd.
+    and below it at vin = vdd.  Both checks start `out` at vdd/2: an
+    output that neither device drives is held by GMIN alone, whose
+    current there is within ABSTOL, so it stays at vdd/2 and fails the
+    strict test whichever device never turns on.  From a rail it would
+    stay on that rail and pass the check on that side.
     """
     inverter, self_biased = _threshold_circuits(n_chir, p_chir)
     at_vdd = inverter.with_dc_source("vvdd", vdd)
-    high = dc_operating_point(at_vdd)["out"]
-    low = dc_operating_point(at_vdd.with_dc_source("vin", vdd))["out"]
+    mid = {"out": vdd / 2}
+    high = dc_operating_point(at_vdd, initial_guess=mid)["out"]
+    low = dc_operating_point(at_vdd.with_dc_source("vin", vdd), initial_guess=mid)["out"]
     if not (high > vdd / 2 > low):
         raise GateSynthesisError(
             f"inverter ({n_chir}, {p_chir}) does not swing through vdd/2 at vdd={vdd}"
         )
-    return dc_operating_point(self_biased.with_dc_source("vvdd", vdd))["out"]
+    vm = predicted_switching_threshold(vdd, chirality_threshold(n_chir), chirality_threshold(p_chir))
+    biased = self_biased.with_dc_source("vvdd", vdd)
+    return dc_operating_point(biased, initial_guess={"out": vm})["out"]
 
 
 def build_threshold_inverter_gate(spec: GateSpec, verify: bool = True) -> Circuit:
@@ -674,58 +682,47 @@ def build_testbench(dut: Circuit, vdd: float, transition_time: float, hold_time:
 # --- logic twins ----------------------------------------------------------------
 
 
+_ABC = ("a", "b", "c")
+_NOT = logic.not_gate()
+_AND2, _OR2 = logic.and_gate(2), logic.or_gate(2)
+# Every design's carry but TGA's: not(cout) is the majority-not of a, b, c.
+_MAJORITY_CARRY = (("cob", logic.majority_not_gate(weights=(1, 1, 1)), _ABC),
+                   ("co", _NOT, ("cob",)))
+_NAND_NOR = (("nando", logic.nand3_gate(), _ABC), ("noro", logic.nor3_gate(), _ABC))
+_MAJORITY_SUM = (("nsum", logic.majority_not_gate(weights=(1, 1, 1, 2)), (*_ABC, "cob")),
+                 ("su", _NOT, ("nsum",)))
+
+# Each design's threshold-logic twin: its gates as (signal, gate, inputs)
+# in evaluation order, with sum at "su" and cout at "co".
+_TWINS: dict[AdderKind, tuple[tuple[str, logic.ThresholdGate, tuple[str, ...]], ...]] = {
+    AdderKind.PROPOSED: _MAJORITY_CARRY + _NAND_NOR + (
+        ("nnor", _NOT, ("noro",)), ("nnand", _NOT, ("nando",)),
+        ("hi1", _AND2, ("cob", "nnor")), ("hi2", _AND2, ("co", "nnand")),
+        ("su", _OR2, ("hi1", "hi2"))),
+    AdderKind.CNT_FA1: _MAJORITY_CARRY + _MAJORITY_SUM,
+    AdderKind.CNT_FA2: _MAJORITY_CARRY + _NAND_NOR + (
+        ("su", logic.majority_not_gate(weights=(1, 1, 1, 2, 2)), (*_ABC, "nando", "noro")),),
+    AdderKind.CNT_FA3: _MAJORITY_CARRY + _MAJORITY_SUM,
+    AdderKind.C_CMOS: _MAJORITY_CARRY + (
+        ("any", logic.or_gate(3), _ABC), ("all3", logic.and_gate(3), _ABC),
+        ("t1", _AND2, ("any", "cob")), ("sumb_in", _OR2, ("t1", "all3")),
+        ("sumb", _NOT, ("sumb_in",)), ("su", _NOT, ("sumb",))),
+    AdderKind.TGA: (
+        ("na", _NOT, ("a",)), ("nb", _NOT, ("b",)), ("nc", _NOT, ("c",)),
+        ("h1", _AND2, ("a", "nb")), ("h2", _AND2, ("na", "b")), ("h", _OR2, ("h1", "h2")),
+        ("nh", _NOT, ("h",)),
+        ("s1", _AND2, ("h", "nc")), ("s2", _AND2, ("nh", "c")), ("su", _OR2, ("s1", "s2")),
+        ("c1", _AND2, ("h", "c")), ("c2", _AND2, ("nh", "a")), ("co", _OR2, ("c1", "c2"))),
+}
+
+
 def oracle_network(kind: AdderKind) -> logic.LogicNetwork:
-    """Threshold-logic twin of each analog design, for brute-force verification."""
+    """Threshold-logic twin of each analog design (_TWINS), for brute-force verification."""
     net = logic.LogicNetwork()
-    for name in ("a", "b", "c"):
+    for name in _ABC:
         net.add_input(name)
-    abc = ("a", "b", "c")
-
-    def maj_not(name: str, refs, weights) -> None:
-        net.add_gate(name, logic.majority_not_gate(weights=tuple(weights)), refs)
-
-    if kind is AdderKind.TGA:
-        net.add_gate("na", logic.not_gate(), ("a",))
-        net.add_gate("nb", logic.not_gate(), ("b",))
-        net.add_gate("nc", logic.not_gate(), ("c",))
-        net.add_gate("h1", logic.and_gate(2), ("a", "nb"))
-        net.add_gate("h2", logic.and_gate(2), ("na", "b"))
-        net.add_gate("h", logic.or_gate(2), ("h1", "h2"))
-        net.add_gate("nh", logic.not_gate(), ("h",))
-        net.add_gate("s1", logic.and_gate(2), ("h", "nc"))
-        net.add_gate("s2", logic.and_gate(2), ("nh", "c"))
-        net.add_gate("su", logic.or_gate(2), ("s1", "s2"))
-        net.add_gate("c1", logic.and_gate(2), ("h", "c"))
-        net.add_gate("c2", logic.and_gate(2), ("nh", "a"))
-        net.add_gate("co", logic.or_gate(2), ("c1", "c2"))
-    else:
-        # Every other design's carry: not(cout) is the majority-not of a, b, c.
-        maj_not("cob", abc, (1, 1, 1))
-        net.add_gate("co", logic.not_gate(), ("cob",))
-        if kind in (AdderKind.CNT_FA1, AdderKind.CNT_FA3):
-            maj_not("nsum", ("a", "b", "c", "cob"), (1, 1, 1, 2))
-            net.add_gate("su", logic.not_gate(), ("nsum",))
-        elif kind is AdderKind.CNT_FA2:
-            net.add_gate("nando", logic.nand3_gate(), abc)
-            net.add_gate("noro", logic.nor3_gate(), abc)
-            maj_not("su", ("a", "b", "c", "nando", "noro"), (1, 1, 1, 2, 2))
-        elif kind is AdderKind.PROPOSED:
-            net.add_gate("nando", logic.nand3_gate(), abc)
-            net.add_gate("noro", logic.nor3_gate(), abc)
-            net.add_gate("nnor", logic.not_gate(), ("noro",))
-            net.add_gate("nnand", logic.not_gate(), ("nando",))
-            net.add_gate("hi1", logic.and_gate(2), ("cob", "nnor"))
-            net.add_gate("hi2", logic.and_gate(2), ("co", "nnand"))
-            net.add_gate("su", logic.or_gate(2), ("hi1", "hi2"))
-        elif kind is AdderKind.C_CMOS:
-            net.add_gate("any", logic.or_gate(3), abc)
-            net.add_gate("all3", logic.and_gate(3), abc)
-            net.add_gate("t1", logic.and_gate(2), ("any", "cob"))
-            net.add_gate("sumb_in", logic.or_gate(2), ("t1", "all3"))
-            net.add_gate("sumb", logic.not_gate(), ("sumb_in",))
-            net.add_gate("su", logic.not_gate(), ("sumb",))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown adder kind {kind}")
+    for name, gate, refs in _TWINS[kind]:
+        net.add_gate(name, gate, refs)
     net.add_output("sum", "su")
     net.add_output("cout", "co")
     return net

@@ -33,25 +33,17 @@ What solves reuse lives on the circuit's compiled topology (_Compiled),
 built once into the circuit's topology slot (see _compiled) and shared
 with every copy Circuit.with_dc_source makes: no compiled value depends
 on a source level, since each analysis reads the levels from the circuit
-it is given.  A compile changes after it is built in two places only:
-
-- its system cache (_Compiled.system), which builds what a _Newton
-  solves against once per companion multiplier and set of charge rows,
-  for DC and for every transient step length alike;
-- its carried-stamp record (_Compiled.last): the node voltages of the
-  last solution of any solve on the compile, as bytes, and the device
-  stamps evaluated there.  Stamps depend on the node voltages alone, so
-  a solve that starts from exactly those bytes takes them for its first
-  iterate, with the same bits as evaluating them again.
-
-The cache holds read-only array parts, never a _Newton, which refers to
-its compile and would make a reference cycle.  `last` is one tuple,
-replaced whole and read once per solve, so threads may analyse circuits
-that share a compile: a race only builds a system twice, with equal
-results, or misses a carried stamp, which the solve then evaluates.
-Every other way of making a circuit (parse, flatten, the builders,
-dataclasses.replace) starts an empty slot, so a changed element never
-meets a stale compile; the slot pickles empty.
+it is given.  After it is built, a compile changes in its system cache
+only (_Compiled.system), which builds what a _Newton solves against once
+per companion multiplier and set of charge rows, for DC and for every
+transient step length alike.  The cache holds read-only array parts,
+never a _Newton, which refers to its compile and would make a reference
+cycle; threads may analyse circuits that share a compile, and a race
+only builds a system twice, with equal results.  Device stamps pass from
+one transient step to the next only (see transient); a DC solve
+evaluates its own start.  Every other way of making a circuit (parse,
+flatten, the builders, dataclasses.replace) starts an empty slot, so a
+changed element never meets a stale compile; the slot pickles empty.
 """
 
 from __future__ import annotations
@@ -194,7 +186,7 @@ class _Compiled:
     It holds no source waveform and no reference to the circuit, so every
     circuit that shares its topology slot (see _compiled) can use it; an
     analysis reads the source levels from the circuit it is given, through
-    source_pos.  `last` is the carried-stamp record (see solve).
+    source_pos.
     """
 
     def __init__(self, circuit: Circuit):
@@ -240,10 +232,6 @@ class _Compiled:
         self.has_devices = bool(self.devices)
         self._build_arrays()
         self._systems: dict[tuple[float | None, tuple[int, ...]], tuple[np.ndarray, ...]] = {}
-        # (node voltages as bytes, read-only device stamps there) at the
-        # last solution.  Bytes, not values, so that a start at -0.0 does
-        # not take the stamps evaluated at 0.0.
-        self.last: tuple[bytes, np.ndarray | None] = (b"", None)
 
     def _build_arrays(self) -> None:
         """Index arrays for the residual, scale and device-stamp scatters.
@@ -541,16 +529,20 @@ class _Newton:
         return math.inf not in res.tolist()
 
     def solve(self, x0_pad: np.ndarray, const: np.ndarray, hist: np.ndarray | None = None,
-              time: float | None = None) -> tuple[np.ndarray, int]:
-        """Returns (padded solution, iterations); iterations counts linear solves.
+              time: float | None = None, stamps: np.ndarray | None = None
+              ) -> tuple[np.ndarray, int, np.ndarray]:
+        """Returns (padded solution, iterations, device stamps there);
+        iterations counts linear solves.
 
         `x0_pad` and `const` are ground-padded, and x0_pad is not
         modified; `hist` holds the capacitor history currents (None at
-        DC), read for the tolerance scale.  A start whose node voltages
-        are, byte for byte, those at the compile's `last` takes the stamps
-        recorded there for its first iterate, and a converged solve
-        records its own solution and stamps there.  The Jacobian is built
-        only when a linear solve follows.
+        DC), read for the tolerance scale.  `stamps`, if given, are the
+        device stamps already evaluated at x0_pad (as _assemble returns
+        them), and the first iterate takes them in place of evaluating
+        the devices there; the stamps returned are the ones the solution
+        was accepted on, so a solve that starts at this one's solution
+        can take them.  The Jacobian is built only when a linear solve
+        follows.
 
         Each iterate is decided from its residual first, and the scale is
         built only when that leaves it open.  Row r's tolerance is
@@ -574,9 +566,6 @@ class _Newton:
         comp = self.comp
         nn, size, clamp = comp.n_nodes, comp.size, comp.has_devices
         assemble, tol_base = self._assemble, self.tol_base
-        last_nodes, stamps = comp.last
-        if x0_pad[:nn].tobytes() != last_nodes:
-            stamps = None
         x_pad = x0_pad.copy()
         x = x_pad[:size]
         currents = None  # the scale's work array, made when first needed
@@ -592,9 +581,7 @@ class _Newton:
                     currents = np.zeros(comp.n_currents + 1)
                 done = self._converged(f, self._scale(x_pad, hist, stamps, currents))
             if done:
-                stamps.flags.writeable = False
-                comp.last = (x_pad[:nn].tobytes(), stamps)
-                return x_pad, it
+                return x_pad, it, stamps
             if it == limit:
                 break
             jac = self._jacobian(stamps)
@@ -666,10 +653,10 @@ def _dc_const(comp: _Compiled, circuit: Circuit) -> np.ndarray:
 
 
 def _solve_dc(comp: _Compiled, const: np.ndarray, charge_rows: Sequence[int] = (),
-              x0_pad: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+              x0_pad: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray]:
     """One Newton solve against the padded source vector `const` (see
     _dc_const), from the padded `x0_pad` (zeros if None; its ground entry
-    is 0.0); returns the padded solution and the iteration count, and a
+    is 0.0), which it evaluates; returns what _Newton.solve does, and a
     failure raises its ConvergenceError.  Each floating node in
     `charge_rows` meets its zero-charge equation in place of KCL."""
     if x0_pad is None:
@@ -710,7 +697,7 @@ def dc_operating_point(circuit: Circuit, cfg: SolverConfig | None = None,
                 x0[p] = x0[m] - const[nn + b]
             elif m >= 0:
                 x0[m] = const[nn + b]
-    x, _ = _solve_dc(comp, const, x0_pad=x0)
+    x, _, _ = _solve_dc(comp, const, x0_pad=x0)
     return _solution_dict(comp, x)
 
 
@@ -778,7 +765,7 @@ def initialize_floating_nodes(circuit: Circuit) -> dict[str, float]:
         raise IllConditionedDividerError(
             f"capacitive nodes coupled only to other capacitive nodes: {names}"
         )
-    x, _ = _solve_dc(comp, _dc_const(comp, circuit), sorted(table))
+    x, _, _ = _solve_dc(comp, _dc_const(comp, circuit), sorted(table))
     return _solution_dict(comp, x)
 
 
@@ -894,6 +881,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     from the linear predictor through the last two points, except on a
     breakpoint's first step.
 
+    A step that starts at the last accepted solution (every fixed step,
+    and a breakpoint's first step) takes the device stamps that solution
+    was accepted on for its first iterate, the DC start's on the first
+    step of a run that makes one.
+
     In both modes every accepted step is a sample, and a step whose Newton
     solve fails raises its ConvergenceError at that step's time.
     """
@@ -908,8 +900,9 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     targets = _breakpoints(waveforms, tstop, unit) if control else [tstop]
     v_floor = CHGTOL / comp.cap_c
 
+    stamps = None  # the device stamps at x_pad, when known
     if initial_conditions is None:
-        x_pad, _ = _solve_dc(comp, dc_const)
+        x_pad, _, stamps = _solve_dc(comp, dc_const)
     else:
         x_pad = np.zeros(comp.size + 1)
         rows = {name: r for r, name in enumerate(comp.solution_names)}
@@ -924,7 +917,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
     cap_v = x_pad[comp.cap_i] - x_pad[comp.cap_j]
     cap_i_state = np.zeros(comp.n_cap)
 
-    def step(x_in, src_vals, t_new, h, euler):
+    def step(x_in, stamps_in, src_vals, t_new, h, euler):
         # BE at h and trapezoidal at 2h share one multiplier, so one system.
         newton = _Newton(comp, comp.system((1.0 / h) if euler else (2.0 / h)))
         geq = newton.g[comp.n_res:]
@@ -932,9 +925,10 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
             hist = -geq * cap_v
         else:
             hist = -geq * cap_v - cap_i_state
-        x_new, iters = newton.solve(x_in, comp.step_const(src_vals, hist), hist, t_new)
+        x_new, iters, stamps_new = newton.solve(x_in, comp.step_const(src_vals, hist), hist,
+                                                t_new, stamps_in)
         v_new = x_new[comp.cap_i] - x_new[comp.cap_j]
-        return x_new, v_new, geq * v_new + hist, iters
+        return x_new, v_new, geq * v_new + hist, iters, stamps_new
 
     out_times = [0.0]
     history = [x_pad[: comp.size]]
@@ -968,10 +962,11 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 t_new = anchor + (n + m) * unit
                 h = m * unit
             if control and since:
-                x_in = x_pad + (h / h_prev) * (x_pad - x_prev)
+                x_in, stamps_in = x_pad + (h / h_prev) * (x_pad - x_prev), None
             else:
-                x_in = x_pad
-            x_new, v_new, i_new, iters = step(x_in, sources_at(t_new), t_new, h, since == 0)
+                x_in, stamps_in = x_pad, stamps
+            x_new, v_new, i_new, iters, stamps_new = step(x_in, stamps_in, sources_at(t_new),
+                                                          t_new, h, since == 0)
             newton_iterations += iters
             if control and since >= BREAKPOINT_STEPS:
                 if past is None:
@@ -985,7 +980,7 @@ def transient(circuit: Circuit, cfg: SolverConfig, tstop: float,
                 if ratio <= 0.125 and rung < MAX_RUNG:
                     rung += 1
             x_prev, h_prev = x_pad, h
-            x_pad, cap_v, cap_i_state = x_new, v_new, i_new
+            x_pad, cap_v, cap_i_state, stamps = x_new, v_new, i_new, stamps_new
             t = t_new
             since += 1
             out_times.append(t)

@@ -93,13 +93,13 @@ class TestGateThresholds:
     # repr of each catalog pair's threshold, as the self-biased solve
     # returns it.
     PINNED_THRESHOLDS = {
-        ("majority_not", 0.9): "0.4499999956166364",
+        ("majority_not", 0.9): "0.44999999561663634",
         ("majority_not", 0.65): "0.32499998825055754",
         ("nand3", 0.9): "0.6700461999505716",
         ("nand3", 0.65): "0.5450461479148122",
-        ("nor3", 0.9): "0.22995378934577104",
-        ("nor3", 0.65): "0.10495378052615094",
-        ("inverter", 0.9): "0.4499999956166364",
+        ("nor3", 0.9): "0.22995378934577107",
+        ("nor3", 0.65): "0.10495378052615097",
+        ("inverter", 0.9): "0.44999999561663634",
         ("inverter", 0.65): "0.32499998825055754",
     }
 
@@ -149,6 +149,28 @@ class TestGateThresholds:
         assert chirality_threshold(Chirality(4, 0)) > 0.9
         with pytest.raises(GateSynthesisError, match="does not swing through vdd/2"):
             measure_switching_threshold(Chirality(19, 0), Chirality(4, 0), 0.9)
+
+    def test_inverter_whose_n_device_never_turns_on_is_rejected(self):
+        # The mirror: the (4,0) N device never turns on, so nothing pulls
+        # the output low at vin = vdd.  Held by GMIN alone, it stays where
+        # the check starts it, vdd/2, which is not below vdd/2.
+        assert chirality_threshold(Chirality(4, 0)) > 0.9
+        with pytest.raises(GateSynthesisError, match="does not swing through vdd/2"):
+            measure_switching_threshold(Chirality(4, 0), Chirality(19, 0), 0.9)
+
+    @pytest.mark.parametrize("vdd", [0.65, 0.9])
+    def test_catalog_thresholds_take_few_linear_solves(self, monkeypatch, vdd):
+        # The swing checks start the output at vdd/2 and the self-biased
+        # solve at the predicted threshold, so no solve walks the output
+        # up from 0 V through the update clamp: 9 linear solves per
+        # threshold at 0.65 V and 11 at 0.9 V.
+        calls = []
+        lin_solve = solver._lin_solve
+        monkeypatch.setattr(solver, "_lin_solve", lambda *a: calls.append(1) or lin_solve(*a))
+        for function, (n_chir, p_chir) in adders.GATE_CHIRALITIES.items():
+            before = len(calls)
+            measure_switching_threshold(n_chir, p_chir, vdd)
+            assert len(calls) - before <= 11, function
 
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     @pytest.mark.parametrize("function", list(GateFunction))

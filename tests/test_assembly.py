@@ -433,7 +433,6 @@ def test_carried_stamps_equal_fresh_evaluation():
     const = np.zeros(comp.size + 1)
     const[comp.n_nodes: comp.size] = -0.9
     hist = np.zeros(comp.n_cap)
-    x_new, _ = newton.solve(np.append(x, 0.0), const, hist)
-    carried = comp.last[1]
+    x_new, _, carried = newton.solve(np.append(x, 0.0), const, hist)
     _, fresh = newton._assemble(x_new, const)
     assert np.array_equal(carried, fresh)

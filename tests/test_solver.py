@@ -422,30 +422,9 @@ class TestSharedCompile:
         assert per_point.count(0) == 74
         assert sum(per_point) == 104
 
-    def test_a_start_at_negative_zero_reuses_no_stamps(self, monkeypatch):
-        # The solution at vin = 0 holds node `in` at +0.0.  A start equal to
-        # it converges on the carried stamps with no kernel call; one that
-        # differs only in that zero's sign is another start, and evaluates.
-        c = parse(INVERTER)
-        comp = solver._compiled(c)
-        const = solver._dc_const(comp, c)
-        x, _ = solver._solve_dc(comp, const)
-        k = comp.node_index["in"]
-        assert x[k] == 0.0 and not math.copysign(1.0, x[k]) < 0
-        counts = _count_kernel_and_assembles(monkeypatch)
-        same, iters = solver._solve_dc(comp, const, x0_pad=x.copy())
-        assert iters == 0 and counts["kernel"] == 0
-        assert np.array_equal(same, x)
-        signed = x.copy()
-        signed[k] = -0.0
-        solver._solve_dc(comp, const, x0_pad=signed)
-        assert counts["kernel"] >= 1
-
     def test_threads_warm_sweeping_one_compile_get_the_serial_results(self):
-        # Each thread's warm start may meet another thread's last DC
-        # stamps on the shared compile; only a start equal byte for byte
-        # to that solution may take them, so every point equals the serial
-        # sweep's.
+        # The threads share the compile's system cache, and every point
+        # must equal the serial sweep's.
         levels = [0.9 * k / 20 for k in range(21)]
 
         def sweep(c):
@@ -473,9 +452,8 @@ class TestSharedCompile:
         assert [results.get(t) for t in range(4)] == [want] * 4
 
     def test_threads_running_transients_on_one_compile_get_the_serial_results(self):
-        # Transient steps share the compile's systems and carried stamps
-        # too; two threads at each supply level may meet each other's
-        # last solution, and every run must equal a fresh circuit's.
+        # Transient steps share the compile's systems too, at two supply
+        # levels, and every run must equal a fresh circuit's.
         cfg = SolverConfig(timestep=2e-14)
         levels = [0.9, 0.7]
         want = [transient(parse(_with_level(INVERTER_PWL, "vdd", v)), cfg, 2e-12) for v in levels]
@@ -517,7 +495,7 @@ class TestLinearOneIteration:
         from cnfetsim.solver import _Compiled, _dc_const, _solve_dc
         c = parse("v1 a 0 dc 0.9\nr1 a b 1k\nr2 b 0 1k\n")
         comp = _Compiled(c)
-        _, iters = _solve_dc(comp, _dc_const(comp, c))
+        _, iters, _ = _solve_dc(comp, _dc_const(comp, c))
         assert iters == 1
 
     def test_transient_linear_single_solve_per_step(self):
@@ -530,7 +508,7 @@ class TestLinearOneIteration:
         const = _dc_const(comp, c)
         hist = np.zeros(comp.n_cap)
         x0 = np.zeros(comp.size + 1)
-        _, iters = nt.solve(x0, const, hist)
+        _, iters, _ = nt.solve(x0, const, hist)
         assert iters == 1
 
 
@@ -611,13 +589,41 @@ class TestFixedStepGrid:
 
 class TestTransient:
     def test_each_fixed_step_reuses_the_stamps_at_its_start(self, monkeypatch):
-        # Every step starts at the last solution on the compile, the first
-        # at the DC point: each step's first assemble calls no device
-        # kernel, and only the cold DC start evaluates at its first.
+        # Every step starts at the last accepted solution, the first at
+        # the DC point, and takes the stamps it was accepted on: each
+        # step's first assemble calls no device kernel, and only the cold
+        # DC start evaluates at its first.
         counts = _count_kernel_and_assembles(monkeypatch)
         res = transient(parse(INVERTER_PWL), SolverConfig(timestep=2e-14), 4e-12)
         assert len(res.times) - 1 == 200
         assert counts["assemble"] - counts["kernel"] == 200
+
+    def test_each_breakpoints_first_step_reuses_the_stamps_it_starts_at(self, monkeypatch):
+        # Under step control the ramp's corners, 1 ps and 2 ps, are
+        # breakpoints.  The run's first step and each breakpoint's first
+        # step start at the solution before them (the DC point, then the
+        # step that landed on the breakpoint) and take the stamps it was
+        # accepted on; every other step starts from the predictor and
+        # evaluates its own start.
+        solves = []
+        solve = solver._Newton.solve
+
+        def recording(newton, x0_pad, const, hist=None, time=None, stamps=None):
+            out = solve(newton, x0_pad, const, hist, time, stamps)
+            solves.append((newton, x0_pad.copy(), const, time, stamps, out[2]))
+            return out
+
+        monkeypatch.setattr(solver._Newton, "solve", recording)
+        cfg = SolverConfig(timestep=2e-14, timestep_control=True)
+        res = transient(parse(INVERTER_PWL), cfg, 4e-12)
+        times = res.times.tolist()
+        firsts = [times[1], times[times.index(1e-12) + 1], times[times.index(2e-12) + 1]]
+        carried = [k for k, (*_, stamps, _) in enumerate(solves) if stamps is not None]
+        assert [solves[k][3] for k in carried] == firsts
+        for k in carried:
+            newton, x0_pad, const, _, stamps, _ = solves[k]
+            assert stamps is solves[k - 1][5]
+            assert np.array_equal(stamps, newton._assemble(x0_pad, const)[1])
 
     def test_fixed_step_builds_one_companion_matrix_per_method(self, monkeypatch):
         # A benchmark cell's 33,600 steps of 0.2 ps: k*dt sample times
@@ -1030,10 +1036,10 @@ def _record_iterates(monkeypatch):
     solves = []
     assemble, solve = solver._Newton._assemble, solver._Newton.solve
 
-    def recording_solve(self, x0_pad, const, hist=None, time=None):
+    def recording_solve(self, x0_pad, const, hist=None, time=None, stamps=None):
         record = [self, const.copy(), None if hist is None else hist.copy(), [], False]
         solves.append(record)
-        out = solve(self, x0_pad, const, hist, time)
+        out = solve(self, x0_pad, const, hist, time, stamps)
         record[4] = True
         return out
 
@@ -1129,7 +1135,7 @@ class TestResidualFirstVerdict:
                   initial_conditions=initialize_floating_nodes(tb))
         monkeypatch.undo()
         dc = solver._Newton(comp, comp.system())
-        x_dc, _ = dc.solve(np.zeros(comp.size + 1), solver._dc_const(comp, tb))
+        x_dc, _, _ = dc.solve(np.zeros(comp.size + 1), solver._dc_const(comp, tb))
         step, step_const, step_hist, step_iterates, _ = solves[-1]
         levels = (-step_const[comp.n_nodes: comp.size]).tolist()
         states = [(dc, x_dc, None), (step, step_iterates[-1][0], step_hist)]
