@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import adders, logic, measure, solver
 from .adders import AdderKind, DISPLAY_NAMES, InputSchedule
-from .measure import LogicThresholds, Measurement, Transition
+from .measure import LogicThresholds, Transition
 
 REFERENCE_LABEL = "paper (HSPICE, ref model)"
 
@@ -204,11 +204,29 @@ def load_config(path: str | None = None) -> BenchConfig:
 
 @dataclass
 class CellResult:
+    """One (adder, supply) cell: what was measured, and the figures of merit
+    derived from it.  worst_delay is the largest delay over `transitions`
+    (0 with none), and the PDP is the plain product of average power and
+    worst-case delay."""
+
     kind: AdderKind
     vdd: float
-    measurement: Measurement
+    avg_power: float
+    transitions: list[Transition]
     swing_report: measure.SwingReport
     result: solver.TransientResult = field(repr=False)
+
+    @property
+    def design(self) -> str:
+        return DISPLAY_NAMES[self.kind]
+
+    @property
+    def worst_delay(self) -> float:
+        return max((t.delay for t in self.transitions), default=0.0)
+
+    @property
+    def pdp(self) -> float:
+        return self.avg_power * self.worst_delay
 
 
 def phase_truth(sched: InputSchedule) -> list[tuple[float, float, dict[str, int]]]:
@@ -256,23 +274,16 @@ def run_cell(kind: AdderKind, vdd: float, config: BenchConfig | None = None) -> 
     init = solver.initialize_floating_nodes(tb)
     result = solver.transient(tb, cfg, sched.total_time, initial_conditions=init)
 
-    swing = measure.full_swing_check(
-        result, ["sum", "cout"], phase_truth(sched),
-        thresholds_for(kind, vdd, config),
-    )
+    swing = measure.full_swing_check(result, phase_truth(sched), thresholds_for(kind, vdd, config))
     if not swing.ok:
         raise LogicVerificationError(DISPLAY_NAMES[kind], vdd, swing)
 
     t_measure_start = config.warmup_periods * sched.period
     window = (t_measure_start, t_measure_start + config.measure_periods * sched.period)
-    avg_power = measure.average_power(result, "vvdd", vdd, window)
-
-    transitions = _measure_delays(result, sched, vdd, config, window)
-    m = Measurement(
-        circuit=DISPLAY_NAMES[kind], vdd=vdd, avg_power=avg_power,
-        transitions=transitions,
-    )
-    return CellResult(kind=kind, vdd=vdd, measurement=m, swing_report=swing, result=result)
+    return CellResult(kind=kind, vdd=vdd,
+                      avg_power=measure.average_power(result, "vvdd", vdd, window),
+                      transitions=_measure_delays(result, sched, vdd, config, window),
+                      swing_report=swing, result=result)
 
 
 def _measure_delays(result: solver.TransientResult, sched: InputSchedule, vdd: float,
@@ -301,12 +312,14 @@ def _measure_delays(result: solver.TransientResult, sched: InputSchedule, vdd: f
 
 def run_matrix(kinds: list[AdderKind], vdds: list[float],
                config: BenchConfig | None = None) -> tuple[list[CellResult], list[str]]:
-    """All requested cells in deterministic order; verification failures
-    abort their row and are reported alongside the successful ones."""
+    """All requested cells in deterministic order: each supply once, in the
+    order first given, and the designs in BENCH_ORDER.  Verification
+    failures abort their row and are reported alongside the successful
+    ones."""
     config = config or BenchConfig()
     results: list[CellResult] = []
     errors: list[str] = []
-    for vdd in vdds:
+    for vdd in dict.fromkeys(vdds):
         for kind in adders.BENCH_ORDER:
             if kind not in kinds:
                 continue
@@ -340,8 +353,7 @@ def report_markdown(results: list[CellResult], config: BenchConfig) -> str:
         lines.append("| Design | Power (W) | Delay (s) | PDP (J) |")
         lines.append("|---|---|---|---|")
         for r in rows:
-            m = r.measurement
-            lines.append(f"| {m.circuit} | {_fmt(m.avg_power)} | {_fmt(m.worst_delay)} | {_fmt(m.pdp)} |")
+            lines.append(f"| {r.design} | {_fmt(r.avg_power)} | {_fmt(r.worst_delay)} | {_fmt(r.pdp)} |")
         ref = PAPER_REFERENCE.get(vdd)
         if ref:
             lines.append("")
@@ -361,9 +373,8 @@ def report_csv(results: list[CellResult], config: BenchConfig) -> str:
         lines.append(f"# config {key} = {value}")
     lines.append("design,vdd,power_w,delay_s,pdp_j,source")
     for r in results:
-        m = r.measurement
         lines.append(
-            f"{m.circuit},{m.vdd:g},{_fmt(m.avg_power)},{_fmt(m.worst_delay)},{_fmt(m.pdp)},measured"
+            f"{r.design},{r.vdd:g},{_fmt(r.avg_power)},{_fmt(r.worst_delay)},{_fmt(r.pdp)},measured"
         )
     for vdd in sorted({r.vdd for r in results}, reverse=True):
         for name, (p, d, e) in PAPER_REFERENCE.get(vdd, {}).items():
@@ -376,12 +387,12 @@ def report_json(results: list[CellResult], config: BenchConfig) -> str:
         "config": config.as_dict(),
         "rows": [
             {
-                "design": r.measurement.circuit,
+                "design": r.design,
                 "vdd": r.vdd,
-                "power_w": r.measurement.avg_power,
-                "delay_s": r.measurement.worst_delay,
-                "pdp_j": r.measurement.pdp,
-                "transitions": [t.as_dict() for t in r.measurement.transitions],
+                "power_w": r.avg_power,
+                "delay_s": r.worst_delay,
+                "pdp_j": r.pdp,
+                "transitions": [t.as_dict() for t in r.transitions],
             }
             for r in results
         ],

@@ -14,9 +14,9 @@ import os
 from .bench import PAPER_REFERENCE, REFERENCE_LABEL, CellResult
 
 METRICS = {
-    "power": ("Power (W)", lambda m: m.avg_power, 0),
-    "delay": ("Delay (s)", lambda m: m.worst_delay, 1),
-    "pdp": ("PDP (J)", lambda m: m.pdp, 2),
+    "power": ("Power (W)", lambda r: r.avg_power, 0),
+    "delay": ("Delay (s)", lambda r: r.worst_delay, 1),
+    "pdp": ("PDP (J)", lambda r: r.pdp, 2),
 }
 
 _W, _H = 640, 400
@@ -36,10 +36,9 @@ def chart_svg(metric: str, vdd: float, rows: list[CellResult]) -> str:
     label, getter, ref_idx = METRICS[metric]
     entries = []
     for r in rows:
-        measured = getter(r.measurement)
-        ref_row = PAPER_REFERENCE.get(vdd, {}).get(r.measurement.circuit)
+        ref_row = PAPER_REFERENCE.get(vdd, {}).get(r.design)
         reference = float(ref_row[ref_idx]) if ref_row else None
-        entries.append((r.measurement.circuit, measured, reference))
+        entries.append((r.design, getter(r), reference))
 
     values = [v for _, m, ref in entries for v in (m, ref) if v]
     lo = min(values)
@@ -120,9 +119,9 @@ def chart_csv(metric: str, vdd: float, rows: list[CellResult]) -> str:
     _, getter, ref_idx = METRICS[metric]
     lines = [f"design,measured_{metric},reference_{metric}"]
     for r in rows:
-        ref_row = PAPER_REFERENCE.get(vdd, {}).get(r.measurement.circuit)
+        ref_row = PAPER_REFERENCE.get(vdd, {}).get(r.design)
         ref = ref_row[ref_idx] if ref_row else ""
-        lines.append(f"{r.measurement.circuit},{getter(r.measurement):.6e},{ref}")
+        lines.append(f"{r.design},{getter(r):.6e},{ref}")
     return "\n".join(lines) + "\n"
 
 

@@ -93,11 +93,7 @@ def chirality_threshold(c: Chirality, lattice_constant: float = DEFAULT_LATTICE_
     return threshold_voltage(diameter(c, lattice_constant))
 
 
-def chirality_for_threshold(
-    target_vth: float,
-    tolerance: float,
-    lattice_constant: float = DEFAULT_LATTICE_CONSTANT_NM,
-) -> Chirality:
+def chirality_for_threshold(target_vth: float, tolerance: float) -> Chirality:
     """Semiconducting zigzag (n, 0) whose threshold is nearest target_vth.
 
     Searches n in [4, 60].  Ties break toward smaller n.  Raises
@@ -112,7 +108,7 @@ def chirality_for_threshold(
     best: Chirality | None = None
     best_err = math.inf
     for cand in semiconducting_zigzags():
-        err = abs(chirality_threshold(cand, lattice_constant) - target_vth)
+        err = abs(chirality_threshold(cand) - target_vth)
         if err < best_err:
             best, best_err = cand, err
     assert best is not None

@@ -69,10 +69,8 @@ class ThresholdGate:
         return int(fired ^ self.inverting)
 
 
-def majority_not_gate(n_inputs: int = 3, weights: tuple[int, ...] | None = None) -> ThresholdGate:
+def majority_not_gate(weights: tuple[int, ...] = (1, 1, 1)) -> ThresholdGate:
     """Inverting majority: 0 iff more than half the (weighted) inputs are 1."""
-    if weights is None:
-        weights = (1,) * n_inputs
     return ThresholdGate(weights=weights, threshold=Fraction(1, 2), inverting=True)
 
 
@@ -141,12 +139,27 @@ def eval_network(net: LogicNetwork, assignment: dict[str, int]) -> dict[str, int
 
 @dataclass
 class AdderVerifyReport:
-    """Exhaustive comparison of a network against the full-adder truth table."""
+    """Exhaustive comparison of a network against the full-adder truth table.
 
-    ok: bool
+    Only the mismatches are stored, one {inputs, output, expected, got}
+    dict per wrong output bit in vector order; the verdict, the count per
+    output (both outputs always present) and the number of input vectors
+    with any wrong bit are derived from them.
+    """
+
     mismatches: list[dict]
-    per_output: dict[str, int]
-    vectors_with_mismatch: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    @property
+    def per_output(self) -> dict[str, int]:
+        return {out: sum(m["output"] == out for m in self.mismatches) for out in ("sum", "cout")}
+
+    @property
+    def vectors_with_mismatch(self) -> int:
+        return len({tuple(m["inputs"]) for m in self.mismatches})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -170,32 +183,13 @@ def verify_adder_network(net: LogicNetwork) -> AdderVerifyReport:
         if required not in net.outputs:
             raise ValueError(f"adder network must have output {required!r}")
     mismatches: list[dict] = []
-    per_output = {"sum": 0, "cout": 0}
-    bad_vectors = 0
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
                 got = eval_network(net, {"a": a, "b": b, "c": c})
-                s_ref, co_ref = fa_truth(a, b, c)
-                expected = {"sum": s_ref, "cout": co_ref}
-                vector_bad = False
-                for out in ("sum", "cout"):
-                    if got[out] != expected[out]:
-                        vector_bad = True
-                        per_output[out] += 1
-                        mismatches.append(
-                            {
-                                "inputs": [a, b, c],
-                                "output": out,
-                                "expected": expected[out],
-                                "got": got[out],
-                            }
-                        )
-                bad_vectors += int(vector_bad)
-    return AdderVerifyReport(
-        ok=not mismatches,
-        mismatches=mismatches,
-        per_output=per_output,
-        vectors_with_mismatch=bad_vectors,
-    )
-
+                expected = dict(zip(("sum", "cout"), fa_truth(a, b, c)))
+                mismatches += [
+                    {"inputs": [a, b, c], "output": out, "expected": want, "got": got[out]}
+                    for out, want in expected.items() if got[out] != want
+                ]
+    return AdderVerifyReport(mismatches)

@@ -11,13 +11,12 @@ a toggle not found there raises MissingTransitionError, which ends
 Average power integrates vdd * (-i_supply) by trapezoidal quadrature, and
 the settled-level check takes time averages the same way, so every figure
 holds on a nonuniform (error-controlled) time grid.
-PDP is the plain product of average power and worst-case delay.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +58,6 @@ class Transition:
 
     def as_dict(self) -> dict:
         return {"edge_time": self.edge_time, "output": self.output, "delay_s": self.delay}
-
-
-@dataclass
-class Measurement:
-    """Power/delay/PDP for one circuit at one supply voltage.
-
-    pdp is avg_power * worst_delay by construction; worst_delay is the
-    maximum over the per-transition list.
-    """
-
-    circuit: str
-    vdd: float
-    avg_power: float
-    transitions: list[Transition] = field(default_factory=list)
-
-    @property
-    def worst_delay(self) -> float:
-        return max((t.delay for t in self.transitions), default=0.0)
-
-    @property
-    def pdp(self) -> float:
-        return self.avg_power * self.worst_delay
 
 
 def _crossings(t: np.ndarray, wf: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,28 +167,25 @@ class SwingReport:
         return [e for e in self.entries if not e.ok]
 
 
-def full_swing_check(result: TransientResult, outputs: list[str],
-                     truth: list[tuple[float, float, dict[str, int]]],
+def full_swing_check(result: TransientResult, truth: list[tuple[float, float, dict[str, int]]],
                      th: LogicThresholds) -> SwingReport:
     """Settled-interval level check against expected logic values.
 
-    `truth` lists (t_start, t_end, {output: expected bit}) intervals;
-    over the final settle_window of each interval, the time average of
-    each output must clear v_high_min (expected 1) or stay under
-    v_low_max (expected 0).  The window is clipped to the simulated span;
-    an empty one averages to NaN and fails.  Failures are report entries,
-    never exceptions.
+    `truth` lists (t_start, t_end, {output: expected bit}) intervals, and
+    the outputs checked in each are the keys of its dict, in their order;
+    an interval that names no output adds no entry.  Over the final
+    settle_window of each interval, the time average of each output must
+    clear v_high_min (expected 1) or stay under v_low_max (expected 0).
+    The window is clipped to the simulated span; an empty one averages to
+    NaN and fails.  Failures are report entries, never exceptions.
     """
     t = result.times
     entries: list[SwingCheckEntry] = []
     for t_start, t_end, expected in truth:
         w_start = max(t_start, t_end - th.settle_window) if th.settle_window > 0 else t_start
         w0, w1 = max(w_start, float(t[0])), min(t_end, float(t[-1]))
-        for out in outputs:
-            if out not in expected:
-                continue
+        for out, want in expected.items():
             mean = _time_average(t, result.voltage(out), w0, w1) if w1 > w0 else float("nan")
-            want = expected[out]
             ok = (mean >= th.v_high_min) if want == 1 else (mean <= th.v_low_max)
             entries.append(SwingCheckEntry(t_start, t_end, out, want, mean, bool(ok)))
     return SwingReport(entries)

@@ -390,41 +390,38 @@ def parse(text: str) -> Circuit:
         elements, instances = target_lists()
         key = first[0]
         name = first
-        try:
-            if key == "v":
-                if len(tokens) < 3:
-                    raise NetlistError("syntax", "source needs two nodes", lineno)
-                el = Element(
-                    name, ElementKind.VSOURCE, tuple(tokens[1:3]),
-                    waveform=_parse_waveform(tokens[3:], lineno), line=lineno,
+        if key == "v":
+            if len(tokens) < 3:
+                raise NetlistError("syntax", "source needs two nodes", lineno)
+            el = Element(
+                name, ElementKind.VSOURCE, tuple(tokens[1:3]),
+                waveform=_parse_waveform(tokens[3:], lineno), line=lineno,
+            )
+        elif key in ("r", "c"):
+            kind = ElementKind.RESISTOR if key == "r" else ElementKind.CAPACITOR
+            el = Element(
+                name, kind, tuple(tokens[1:3]),
+                value=parse_value(tokens[3], lineno) if len(tokens) > 3 else None, line=lineno,
+            )
+        elif key in ("m", "q"):
+            kind = ElementKind.MOSFET if key == "m" else ElementKind.CNFET
+            if len(tokens) != 5:
+                raise NetlistError(
+                    "arity-mismatch",
+                    f"transistor {name!r} takes drain gate source model, got {len(tokens) - 1} fields",
+                    lineno,
                 )
-            elif key in ("r", "c"):
-                kind = ElementKind.RESISTOR if key == "r" else ElementKind.CAPACITOR
-                el = Element(
-                    name, kind, tuple(tokens[1:3]),
-                    value=parse_value(tokens[3], lineno) if len(tokens) > 3 else None, line=lineno,
-                )
-            elif key in ("m", "q"):
-                kind = ElementKind.MOSFET if key == "m" else ElementKind.CNFET
-                if len(tokens) != 5:
-                    raise NetlistError(
-                        "arity-mismatch",
-                        f"transistor {name!r} takes drain gate source model, got {len(tokens) - 1} fields",
-                        lineno,
-                    )
-                el = Element(name, kind, tuple(tokens[1:4]), model=tokens[4], line=lineno)
-            elif key == "x":
-                if len(tokens) < 3:
-                    raise NetlistError("syntax", f"instance {name!r} needs nodes and a subcircuit name", lineno)
-                instances.append(
-                    SubcktInstance(name=name[1:] or name, subckt=tokens[-1], nodes=tuple(tokens[1:-1]), line=lineno)
-                )
-                continue
-            else:
-                col = line.lower().index(first) + 1
-                raise NetlistError("syntax", f"unknown element letter {key!r}", lineno, col)
-        except IndexError:
-            raise NetlistError("syntax", f"truncated element line {stripped!r}", lineno) from None
+            el = Element(name, kind, tuple(tokens[1:4]), model=tokens[4], line=lineno)
+        elif key == "x":
+            if len(tokens) < 3:
+                raise NetlistError("syntax", f"instance {name!r} needs nodes and a subcircuit name", lineno)
+            instances.append(
+                SubcktInstance(name=name[1:] or name, subckt=tokens[-1], nodes=tuple(tokens[1:-1]), line=lineno)
+            )
+            continue
+        else:
+            col = line.lower().index(first) + 1
+            raise NetlistError("syntax", f"unknown element letter {key!r}", lineno, col)
         elements.append(el)
 
     if current_sub is not None:
@@ -464,9 +461,10 @@ def _validate(c: Circuit) -> None:
                         el.line,
                     )
         for inst in instances:
-            if ("x" + inst.name) in seen or inst.name in seen:
-                raise NetlistError("duplicate-element", f"duplicate element name {inst.name!r} in {scope}", inst.line)
-            seen.add("x" + inst.name)
+            written = "x" + inst.name
+            if written in seen:
+                raise NetlistError("duplicate-element", f"duplicate element name {written!r} in {scope}", inst.line)
+            seen.add(written)
             sub = c.subckts.get(inst.subckt)
             if sub is None:
                 raise NetlistError("unknown-subckt", f"instance x{inst.name} references undefined subcircuit {inst.subckt!r}", inst.line)

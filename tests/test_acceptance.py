@@ -196,10 +196,10 @@ def test_no_measured_toggle_runs_into_the_next_input_edge(bench_runs):
     ends = edge_times[1:] + [sched.total_time]
     worst = (0.0, "")
     for r in results:
-        assert r.measurement.transitions
-        for tr in r.measurement.transitions:
+        assert r.transitions
+        for tr in r.transitions:
             gap = ends[edge_times.index(tr.edge_time)] - tr.edge_time
-            worst = max(worst, (tr.delay / gap, f"{r.measurement.circuit} @ {r.vdd:g} V, "
+            worst = max(worst, (tr.delay / gap, f"{r.design} @ {r.vdd:g} V, "
                                                 f"{tr.output} at {tr.edge_time:.4e} s"))
     print(f"worst delay / gap to the next input edge: {worst[0]:.3f} ({worst[1]})")
     assert worst[0] < 1.0, worst

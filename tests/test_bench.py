@@ -19,7 +19,7 @@ from cnfetsim.bench import (
     phase_truth,
     thresholds_for,
 )
-from cnfetsim.measure import Measurement, MissingTransitionError, Transition
+from cnfetsim.measure import LogicThresholds, MissingTransitionError, Transition
 from cnfetsim.solver import TransientResult
 
 
@@ -182,11 +182,8 @@ class TestThresholds:
 def _fake_results():
     rows = []
     for kind in (AdderKind.C_CMOS, AdderKind.PROPOSED):
-        m = Measurement(
-            circuit=adders.DISPLAY_NAMES[kind], vdd=0.9, avg_power=1e-6,
-            transitions=[Transition(1e-10, "sum", 2e-11)],
-        )
-        rows.append(bench.CellResult(kind=kind, vdd=0.9, measurement=m,
+        rows.append(bench.CellResult(kind=kind, vdd=0.9, avg_power=1e-6,
+                                     transitions=[Transition(1e-10, "sum", 2e-11)],
                                      swing_report=None, result=None))
     return rows
 
@@ -269,12 +266,29 @@ SHORT = BenchConfig(hold_time_s=1e-10, timestep_s=1e-12)
 def test_every_device_key_reaches_the_circuit(kind, key, value):
     changed = bench.run_cell(kind, 0.9, dataclasses.replace(SHORT, **{key: value}))
     assert changed.swing_report.ok
-    assert changed.measurement.avg_power != _short_power(kind)
+    assert changed.avg_power != _short_power(kind)
 
 
 @functools.lru_cache
 def _short_power(kind):
-    return bench.run_cell(kind, 0.9, SHORT).measurement.avg_power
+    return bench.run_cell(kind, 0.9, SHORT).avg_power
+
+
+def test_a_cell_that_fails_verification_is_an_error_and_the_matrix_goes_on(monkeypatch):
+    # TGA's settled outputs stay about 0.3 mV off the rails, so levels
+    # within 10 uV of them fail it; Proposed keeps the configured levels.
+    configured = bench.thresholds_for
+
+    def demanding(kind, vdd, config):
+        if kind is AdderKind.TGA:
+            return LogicThresholds(vdd, 0.99999 * vdd, 1e-5 * vdd, config.settle_window_s)
+        return configured(kind, vdd, config)
+
+    monkeypatch.setattr(bench, "thresholds_for", demanding)
+    results, errors = bench.run_matrix([AdderKind.TGA, AdderKind.PROPOSED], [0.9], SHORT)
+    assert [(r.kind, r.vdd) for r in results] == [(AdderKind.PROPOSED, 0.9)]
+    assert len(errors) == 1
+    assert errors[0].startswith("TGA at 0.9 V fails logic verification on ")
 
 
 class TestMeasureDelays:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cnfetsim import adders, bench, charts, cli, solver
+from cnfetsim import adders, bench, charts, cli, measure, solver
 
 RC = "v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n"
 RC_STEP = "v1 in 0 pwl(0 0 1e-15 0.9)\nr1 in out 1k\nc1 out 0 1f\n"
@@ -398,6 +398,26 @@ class TestBenchUsage:
                          "--vdd", "0.9,0.3"]) == cli.EXIT_USAGE
         assert calls == []
         assert "floor" in capsys.readouterr().err
+
+    def test_a_repeated_supply_runs_once(self, capsys, monkeypatch):
+        # A repeated --adders name ran once, but a repeated supply ran its
+        # cells again and wrote their rows twice.
+        calls = []
+
+        def counting_run_cell(kind, vdd, config=None):
+            calls.append((kind, vdd))
+            return bench.CellResult(kind=kind, vdd=vdd, avg_power=1e-6,
+                                    transitions=[measure.Transition(1e-10, "sum", 2e-11)],
+                                    swing_report=None, result=None)
+
+        monkeypatch.setattr(bench, "run_cell", counting_run_cell)
+        assert cli.main(["bench", "--adders", "c-cmos,c-cmos", "--vdd", "0.9,0.65,0.9",
+                         "--format", "csv"]) == cli.EXIT_OK
+        c_cmos = adders.AdderKind.C_CMOS
+        assert calls == [(c_cmos, 0.9), (c_cmos, 0.65)]
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()
+                if line.endswith(",measured")]
+        assert rows == [["C-CMOS", "0.9"], ["C-CMOS", "0.65"]]
 
 
 @pytest.fixture(scope="module")

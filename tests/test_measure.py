@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cnfetsim import measure
+from cnfetsim.adders import AdderKind
+from cnfetsim.bench import CellResult
 from cnfetsim.measure import (
     LogicThresholds,
-    Measurement,
     MissingTransitionError,
     Transition,
     average_power,
@@ -161,14 +162,18 @@ class TestAveragePower:
 
 
 class TestMeasurementRecord:
+    """The figures of merit a benchmark cell derives from what it measured."""
+
     def _measurement(self, power=6.26e-7, delays=(5.27e-11,)):
-        return Measurement(
-            circuit="C-CMOS", vdd=0.9, avg_power=power,
+        return CellResult(
+            kind=AdderKind.C_CMOS, vdd=0.9, avg_power=power,
             transitions=[Transition(0.0, "sum", d) for d in delays],
+            swing_report=None, result=None,
         )
 
     def test_pdp_paper_c_cmos_row(self):
         m = self._measurement()
+        assert m.design == "C-CMOS"
         assert m.pdp == pytest.approx(3.30e-17, rel=0.01)
 
     def test_zero_delay_zero_pdp(self):
@@ -203,23 +208,28 @@ class TestFullSwingCheck:
     def test_ideal_rails_pass(self):
         th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=2e-10)
         res = self._result(0.9, 0.0)
-        report = full_swing_check(res, ["sum", "cout"],
-                                  [(0.0, 1e-9, {"sum": 1, "cout": 0})], th)
+        report = full_swing_check(res, [(0.0, 1e-9, {"sum": 1, "cout": 0})], th)
         assert report.ok
+        assert [e.output for e in report.entries] == ["sum", "cout"]
 
     def test_threshold_drop_fails(self):
         # An output stuck one Vth below the rail misses the 0.9*vdd bar.
         th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09)
         res = self._result(0.9 - 0.28, 0.0)
-        report = full_swing_check(res, ["sum"], [(0.0, 1e-9, {"sum": 1})], th)
+        report = full_swing_check(res, [(0.0, 1e-9, {"sum": 1})], th)
         assert not report.ok
         assert report.failures[0].output == "sum"
 
     def test_empty_outputs_vacuous_pass(self):
+        # An interval that names no output checks nothing; the next one
+        # still checks its own.
         th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09)
-        report = full_swing_check(self._result(0, 0), [], [(0.0, 1e-9, {"sum": 1})], th)
+        report = full_swing_check(self._result(0, 0), [(0.0, 5e-10, {})], th)
         assert report.ok
         assert report.entries == []
+        report = full_swing_check(self._result(0, 0), [(0.0, 5e-10, {}), (5e-10, 1e-9, {"cout": 0})], th)
+        assert report.ok
+        assert [(e.t_start, e.output) for e in report.entries] == [(5e-10, "cout")]
 
     def test_thresholds_require_levels(self):
         # The levels have no default; a run states them (BenchConfig.full_swing_levels).
@@ -268,7 +278,7 @@ class TestNonuniformGrid:
         # The second window takes in the tail of the falling ramp.
         th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=50e-12)
         truth = [(0.0, 47e-12, {"sum": 1}), (47e-12, 100e-12, {"sum": 0})]
-        ra, rb = (full_swing_check(r, ["sum"], truth, th) for r in self._grids())
+        ra, rb = (full_swing_check(r, truth, th) for r in self._grids())
         assert ra.ok and rb.ok
         for ea, eb in zip(ra.entries, rb.entries):
             assert ea.mean_level == pytest.approx(eb.mean_level, rel=1e-12, abs=1e-15)
@@ -285,6 +295,6 @@ class TestNonuniformGrid:
         res = TransientResult(times=t, node_voltages={"sum": v}, source_currents={})
         th = LogicThresholds(vdd=0.9, v_high_min=0.81, v_low_max=0.09, settle_window=100e-12)
         assert np.mean(v) < th.v_high_min
-        report = full_swing_check(res, ["sum"], [(0.0, 100e-12, {"sum": 1})], th)
+        report = full_swing_check(res, [(0.0, 100e-12, {"sum": 1})], th)
         assert report.ok
         assert report.entries[0].mean_level == pytest.approx(0.9 - 0.9 * 1e-12 / 100e-12, rel=1e-9)

@@ -154,6 +154,48 @@ class TestParse:
             parse(MODELS + "qn out in n19\n")
         assert err.value.code == "arity-mismatch"
 
+    def test_duplicate_instance_is_named_as_written(self):
+        # The message read 'duplicate element name '1''.
+        with pytest.raises(NetlistError, match="duplicate element name 'x1' in top level$") as err:
+            parse(".subckt s p q\nr1 p q 1k\n.ends\nx1 a b s\nx1 c d s\n")
+        assert err.value.code == "duplicate-element"
+        assert err.value.line == 5
+
+    def test_instance_may_share_an_element_name_after_its_x(self):
+        # SPICE names include their letter: r1 and xr1 are two names, and
+        # they flatten to r1 and r1.r1.  xr1 was refused as a duplicate 'r1'.
+        c = parse(".subckt s p q\nr1 p q 1k\n.ends\nr1 a b 1k\nxr1 a b s\n")
+        assert [el.name for el in flatten(c).elements] == ["r1", "r1.r1"]
+
+    @pytest.mark.parametrize("text,code,line", [
+        (".model x\n", "syntax", 2),
+        (".subckt a p\n.subckt b q\n", "syntax", 3),
+        (".ends\n", "syntax", 2),
+        (".foo\n", "syntax", 2),
+        ("v1 a\n", "syntax", 2),
+        ("x1 sub\n", "syntax", 2),
+        ("r1 a b 1q\n", "bad-value", 2),
+        (".model m cnfet polarity\n", "syntax", 2),
+        (".model m cnfet polarity=n\n", "syntax", 2),
+        (".model m cnfet polarity=n chirality=a,b\n", "bad-value", 2),
+        (".model m bjt\n", "unknown-model", 2),
+        ("v1 a 0\n", "syntax", 2),
+        ("v1 a 0 dc 1 2\n", "syntax", 2),
+        ("v1 a 0 pwl(0 1 2)\n", "syntax", 2),
+        ("v1 a 0 pwl(1 0 0 1)\n", "bad-value", 2),
+        ("v1 a 0 sin 0 1\n", "syntax", 2),
+        ("r1 a\n", "arity-mismatch", 2),
+        (".subckt inv a y\nr1 a y 1k\n.ends\nx1 a inv\n", "arity-mismatch", 5),
+    ], ids=["model-without-type", "nested-subckt", "bare-ends", "unknown-directive",
+            "source-one-node", "instance-no-nodes", "unknown-suffix", "model-param-not-key-value",
+            "cnfet-without-chirality", "chirality-not-integers", "unknown-model-type",
+            "source-without-value", "dc-two-levels", "pwl-odd-count", "pwl-time-goes-back",
+            "unknown-waveform", "resistor-one-node", "instance-port-count"])
+    def test_diagnostic_code_and_line(self, text, code, line):
+        with pytest.raises(NetlistError) as err:
+            parse("* the first line is a comment\n" + text)
+        assert (err.value.code, err.value.line) == (code, line)
+
     def test_syntax_error_has_line(self):
         with pytest.raises(NetlistError) as err:
             parse("r1 a 0 1k\nzz what 0 1\n")

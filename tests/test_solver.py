@@ -687,6 +687,14 @@ class TestTransient:
         settled = transient(c, cfg, 1e-12, initial_conditions={"in": 0.9, "out": 0.3})
         assert settled.current("v1")[0] == pytest.approx(-0.6e-3, rel=1e-6)
 
+    def test_source_with_its_plus_terminal_at_ground_is_settled(self):
+        # v1 holds a at -0.9 V, so r1 carries 0.9 mA from b into a; with no
+        # current given, v1's branch carries it on to ground: KCL at a.
+        c = parse("v1 0 a dc 0.9\nr1 a b 1k\nc1 b 0 1f\n")
+        settled = transient(c, SolverConfig(timestep=1e-13), 1e-12,
+                            initial_conditions={"a": -0.9, "b": 0.0})
+        assert settled.current("v1")[0] == pytest.approx(-0.9e-3, rel=1e-6)
+
     def test_unknown_initial_condition_name_raises(self):
         c = parse("v1 in 0 dc 0.9\nr1 in out 1k\nc1 out 0 1f\n")
         with pytest.raises(KeyError, match="unknown node 'nowhere'"):
@@ -901,6 +909,15 @@ class TestFloatingNodes:
         x = init["x"]
         assert 3 * (x - 0.9) + 3 * (x - y) == pytest.approx(0.0, abs=1e-6)
         assert 3 * (y - x) + y == pytest.approx(0.0, abs=1e-6)
+
+    def test_chain_of_floating_nodes_is_reached_through_each_other(self):
+        # Only p touches a driven node; q is reached through p and r
+        # through q, so the chain is not isolated, and with no charge
+        # stored every node of it sits at a's level.
+        c = parse("v1 a 0 dc 0.9\nc1 a p 1f\nc2 p q 2f\nc3 q r 1f\n")
+        init = initialize_floating_nodes(c)
+        for name in "pqr":
+            assert abs(init[name] - 0.9) <= VTOL, name
 
     @pytest.mark.parametrize("vdd", [0.9, 0.65])
     def test_slow_fixed_point_converges_for_every_input(self, vdd):
